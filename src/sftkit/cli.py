@@ -123,6 +123,28 @@ def _matrix_json(m: Matrix) -> list:
     ]
 
 
+# smallest accepted value of each numeric bound a subcommand may take
+_BOUND_MINIMUM = {
+    "entry_bound": 0,
+    "lag_max": 1,
+    "budget": 0,
+    "inner_dim_max": 0,
+    "denominator_max": 0,
+    "value_max": 0,
+    "bound": 0,
+    "depth": 0,
+    "k": 0,
+}
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    for name, least in _BOUND_MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = name if name == "k" else "--" + name.replace("_", "-")
+            raise ParseError(f"{flag} must be at least {least}, got {value}")
+
+
 def emit_dot(obj) -> str:
     """DOT text for a graph or a Bratteli diagram."""
     if isinstance(obj, Graph):
@@ -522,6 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     run = _Run(argv)
     try:
+        _check_bounds(args)
         code, results, raw = args.func(run, args)
     except SftkitError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}

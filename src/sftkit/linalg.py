@@ -10,7 +10,10 @@ supplies the kernels the rest of the package leans on:
 * characteristic polynomials via Faddeev-LeVerrier, which also yields the
   adjugate of (xI - A) as a polynomial matrix for free;
 * exact affine solving with an infeasibility certificate (a rational row
-  combination y with y.A = 0 and y.b = 1);
+  combination y with y.A = 0 and y.b = 1), and the one linear system of
+  the intertwiner equation U a = b U;
+* strongly connected components (one Tarjan pass), from which
+  irreducibility and the vertices on cycles are read;
 * Perron root isolation by Sturm bisection and the exact sign of the pairing
   of a rational vector against the left Perron eigenvector of an irreducible
   nonnegative matrix.
@@ -489,6 +492,16 @@ def solve_affine_exact(a: Matrix, b: Sequence[Rat]) -> AffineSolution | AffineIn
     return AffineSolution(tuple(particular), tuple(nullspace(a)))
 
 
+def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
+    """Coefficients of the linear map U -> U a - b U on row-major vec U.
+
+    a is n x n, b is m x m and U is m x n, so the matrix is
+    I_m (x) a^T - b (x) I_n, with row i*n + j holding entry (i, j) of
+    U a - b U.
+    """
+    return Matrix.identity(b.nrows).kron(a.transpose()) - b.kron(Matrix.identity(a.nrows))
+
+
 def intertwiner_space(a: Matrix, b: Matrix) -> list[Matrix]:
     """Deterministic basis of {U : U a == b U} over the rationals.
 
@@ -499,19 +512,9 @@ def intertwiner_space(a: Matrix, b: Matrix) -> list[Matrix]:
     if not a.is_square or not b.is_square:
         raise ShapeError("intertwiner spaces need square matrices")
     n, m = a.nrows, b.nrows
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            row = [Fraction(0)] * (m * n)
-            for k in range(n):
-                row[i * n + k] += a[k, j]
-            for k in range(m):
-                row[k * n + j] -= b[i, k]
-            rows.append(row)
-    basis = nullspace(Matrix.from_rows(rows)) if rows else []
     return [
         Matrix.from_rows([[v[i * n + j] for j in range(n)] for i in range(m)])
-        for v in basis
+        for v in nullspace(intertwiner_matrix(a, b))
     ]
 
 
@@ -565,38 +568,74 @@ def integer_points(
 
 def support_digraph(m: Matrix) -> list[list[int]]:
     """Adjacency lists of the digraph with an arc i -> j when m[i][j] > 0."""
-    return [
-        [j for j in range(m.ncols) if m[i, j] != 0] for i in range(m.nrows)
-    ]
+    return [[j for j, x in enumerate(row) if x != 0] for row in m.rows]
+
+
+def strong_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph with adjacency lists adj.
+
+    Iterative Tarjan (one depth-first pass).  Components come out sinks
+    first: each one is emitted after every component it can reach.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def carries_cycle(comp: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
+    """Does a strong component contain a cycle (two or more vertices, or a loop)?"""
+    return len(comp) > 1 or comp[0] in adj[comp[0]]
+
+
+def is_irreducible_digraph(adj: Sequence[Sequence[int]]) -> bool:
+    """One strong component that carries a cycle; the empty digraph is not irreducible."""
+    comps = strong_components(adj)
+    return len(comps) == 1 and carries_cycle(comps[0], adj)
 
 
 def is_irreducible_matrix(m: Matrix) -> bool:
     """Strong connectivity of the support digraph; a lone vertex needs a loop."""
     if not m.is_square:
         raise ShapeError("irreducibility needs a square matrix")
-    n = m.nrows
-    if n == 0:
-        return False
-    if n == 1:
-        return m[0, 0] != 0
-    adj = support_digraph(m)
-    radj = [[] for _ in range(n)]
-    for i, outs in enumerate(adj):
-        for j in outs:
-            radj[j].append(i)
-
-    def reaches(start: int, nbrs: list[list[int]]) -> bool:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    return reaches(0, adj) and reaches(0, radj)
+    return is_irreducible_digraph(support_digraph(m))
 
 
 def cyclic_structure(m: Matrix) -> tuple[int, list[list[int]]]:

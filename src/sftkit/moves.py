@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .equivalences import SSEWitness
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, transpose
 from .linalg import Matrix
 
 
@@ -126,8 +126,29 @@ def out_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
     copies and S the block-edge count matrix: R S is the original adjacency
     and S R the split one.
     """
+    return _out_split(g, p, "outgoing")
+
+
+def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
+    """In-split g along a partition of each non-source vertex's incoming edges.
+
+    Vertex v with m blocks becomes v.1 .. v.m (sources stay put); the edge e
+    in block i at r(e) becomes one copy e.j out of each copy j of s(e), all
+    landing on r(e).i.  Witness orientation matches out_split: R S is the
+    original adjacency, S R the split one.
+
+    An in-split is a transposed out-split: if out_split(transpose(g), p)
+    returns (h, (R, S)), then in_split(g, p) returns (transpose(h), (S^T, R^T)).
+    """
+    h, w = _out_split(transpose(g), p, "incoming")
+    return transpose(h), SSEWitness(w.s.transpose(), w.r.transpose())
+
+
+def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness]:
+    """The out-split construction; `kind` names the split side of the caller's
+    graph in partition errors."""
     required = {v: {e.id for e in g.out_edges(v)} for v in g.vertices if g.out_edges(v)}
-    _check_partition(g, p, required, "outgoing")
+    _check_partition(g, p, required, kind)
 
     copies: dict[str, list[str]] = {}
     split_vertices: list[str] = []
@@ -161,55 +182,6 @@ def out_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
                 row = col_of[copies[v][i]]
                 for edge_id in block:
                     s_rows[row][widx[g.edge(edge_id).dst]] += 1
-    witness = SSEWitness(Matrix.from_rows(r_rows), Matrix.from_rows(s_rows))
-    assert witness.r @ witness.s == g.adjacency()
-    assert witness.s @ witness.r == h.adjacency()
-    return h, witness
-
-
-def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
-    """In-split g along a partition of each non-source vertex's incoming edges.
-
-    Vertex v with m blocks becomes v.1 .. v.m (sources stay put); the edge e
-    in block i at r(e) becomes one copy e.j out of each copy j of s(e), all
-    landing on r(e).i.  Witness orientation matches out_split: R S is the
-    original adjacency, S R the split one.
-    """
-    required = {v: {e.id for e in g.in_edges(v)} for v in g.vertices if g.in_edges(v)}
-    _check_partition(g, p, required, "incoming")
-
-    copies: dict[str, list[str]] = {}
-    split_vertices: list[str] = []
-    for v in g.vertices:
-        if v in required:
-            names = [f"{v}.{i + 1}" for i in range(len(p.blocks_at(v)))]
-        else:
-            names = [v]
-        copies[v] = names
-        split_vertices.extend(names)
-
-    split_edges: list[Edge] = []
-    for e in g.edges:
-        i = _block_index(p, e.dst, e.id)
-        dst_name = copies[e.dst][i]
-        for j, src_name in enumerate(copies[e.src]):
-            split_edges.append(Edge(src_name, dst_name, f"{e.id}.{j + 1}"))
-    h = Graph(tuple(split_vertices), tuple(split_edges))
-
-    col_of = {name: idx for idx, name in enumerate(split_vertices)}
-    n, k = len(g.vertices), len(split_vertices)
-    r_rows = [[0] * k for _ in range(n)]
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    for v in g.vertices:
-        if v in required:
-            for i, block in enumerate(p.blocks_at(v)):
-                col = col_of[copies[v][i]]
-                for edge_id in block:
-                    r_rows[vidx[g.edge(edge_id).src]][col] += 1
-    s_rows = [[0] * n for _ in range(k)]
-    for v in g.vertices:
-        for name in copies[v]:
-            s_rows[col_of[name]][vidx[v]] = 1
     witness = SSEWitness(Matrix.from_rows(r_rows), Matrix.from_rows(s_rows))
     assert witness.r @ witness.s == g.adjacency()
     assert witness.s @ witness.r == h.adjacency()

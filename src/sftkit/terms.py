@@ -526,7 +526,10 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
         coeff = Fraction(sign)
         saw_number = False
         if idx < len(tokens) and tokens[idx][0] == "num":
-            coeff *= Fraction(tokens[idx][1])
+            try:
+                coeff *= Fraction(tokens[idx][1])
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {tokens[idx][1]!r}") from None
             saw_number = True
             idx += 1
         atoms: list[Atom] = []

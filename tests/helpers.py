@@ -127,3 +127,39 @@ def kron_oracle(a: Matrix, b: Matrix) -> Matrix:
                     row.append(a[i, j] * b[k, l])
             rows.append(row)
     return Matrix.from_rows(rows)
+
+
+def reach_oracle(m: Matrix) -> list[list[bool]]:
+    """reach[i][j]: some path of length >= 1 runs from i to j (Warshall closure)."""
+    n = m.nrows
+    reach = [[m[i, j] != 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[k])]
+    return reach
+
+
+def purely_infinite_simple_oracle(m: Matrix) -> bool:
+    """Every vertex reaches a cycle, every cycle has an exit, and the
+    essential part (vertices with a cycle both behind and ahead of them) is
+    nonempty and strongly connected, all read off the closure."""
+    n = m.nrows
+    reach = reach_oracle(m)
+    cyc = [reach[i][i] for i in range(n)]
+    ahead = [cyc[i] or any(reach[i][j] and cyc[j] for j in range(n)) for i in range(n)]
+    behind = [cyc[i] or any(reach[j][i] and cyc[j] for j in range(n)) for i in range(n)]
+    outdeg = [sum(m.row(i)) for i in range(n)]
+    exitless = any(
+        cyc[i] and outdeg[i] == 1
+        and all(outdeg[j] == 1 for j in range(n) if reach[i][j])
+        for i in range(n)
+    )
+    ess = [i for i in range(n) if ahead[i] and behind[i]]
+    return (
+        n > 0
+        and all(ahead)
+        and not exitless
+        and bool(ess)
+        and all(reach[i][j] for i in ess for j in ess)
+    )

@@ -1,0 +1,61 @@
+"""The public surface: package exports, and layer functions that outside
+instrumentation replaces by module attribute (so they must stay there)."""
+
+from __future__ import annotations
+
+import importlib
+
+import sftkit
+from sftkit import dimension, equivalences, linalg
+
+_EXPORTS = [
+    "AbelianGroupFP", "AlgebraElement", "Candidate", "ChainLink", "ChainWitness",
+    "DimElement", "DimensionTriple", "Edge", "EdgePartition", "FamilyAssignment",
+    "Graph", "InCone", "Infeasible", "Matrix", "ModuleIsoCandidate",
+    "NotFoundWithinBounds", "NotInCone", "Poly", "SEWitness", "SSEWitness",
+    "SftkitError", "Unknown", "WeightMap", "bowen_franks", "bratteli",
+    "bridge_from_factorization", "char_poly", "char_poly_away_from_zero",
+    "ck2_expand", "classify", "det_i_minus_a", "dg_add", "dg_equal", "dg_neg",
+    "dg_positive", "dg_scale", "dg_shift", "equal_mod_ck2", "essentialize",
+    "flow_equivalent", "from_adjacency", "from_graph", "from_matrix",
+    "graded_decompose", "in_split", "invariants_report", "kronecker_product",
+    "order_unit", "out_split", "parse_element", "product_triple", "reduce",
+    "search_esse", "search_module_iso", "search_pointed_intertwiner", "search_se",
+    "smith_normal_form", "star", "tensor_phi", "tensor_psi", "transpose",
+    "verify_bridge", "verify_chain", "verify_esse", "verify_family",
+    "verify_module_iso", "verify_se", "__version__",
+]
+
+_LAYER_FUNCTIONS = {
+    "linalg": ("solve_affine_exact", "integer_points", "intertwiner_space",
+               "perron_pairing_sign", "is_irreducible_matrix", "cyclic_structure",
+               "smith_normal_form", "char_poly"),
+    "polynomials": ("sturm_chain", "count_roots", "squarefree_part"),
+    "equivalences": ("search_se", "search_esse", "verify_se"),
+    "dimension": ("dg_positive", "search_module_iso", "verify_module_iso"),
+    "invariants": ("bowen_franks", "char_poly_away_from_zero", "flow_equivalent"),
+    "graphs": ("classify", "essentialize", "from_adjacency"),
+    "moves": ("out_split", "in_split", "kronecker_product",
+              "bridge_from_factorization", "verify_bridge"),
+    "terms": ("reduce", "in_split_family", "verify_family"),
+}
+
+
+def test_package_exports_are_pinned():
+    assert sftkit.__all__ == _EXPORTS
+    assert all(hasattr(sftkit, name) for name in _EXPORTS)
+
+
+def test_layer_functions_stay_module_attributes():
+    for module, names in _LAYER_FUNCTIONS.items():
+        mod = importlib.import_module(f"sftkit.{module}")
+        for name in names:
+            assert callable(getattr(mod, name)), f"{module}.{name}"
+
+
+def test_callers_look_up_kernels_by_name():
+    # a wrapper installed on these attributes sees the calls the searches make
+    assert equivalences.solve_affine_exact is linalg.solve_affine_exact
+    assert equivalences.intertwiner_space is linalg.intertwiner_space
+    assert dimension.perron_pairing_sign is linalg.perron_pairing_sign
+    assert dimension.is_irreducible_matrix is linalg.is_irreducible_matrix

@@ -239,6 +239,37 @@ def test_errors_are_machine_readable(capsys):
     assert json.loads(out)["error"]["type"] == "NotIrreducibleNontrivial"
 
 
+_MALFORMED = [
+    ("analyze", "[[1.5]]"),
+    ("analyze", "[[true]]"),
+    ("analyze", '{"adjacency": [[1e400]]}'),
+    ("analyze", "[]"),
+    ("invariants", "[]"),
+    ("terms", "reduce", _FULL, "1/0 v1"),
+    ("se", "search", "[[2]]", "[[2]]", "--entry-bound", "-1"),
+    ("se", "search", "[[2]]", "[[2]]", "--lag-max", "0"),
+    ("se", "search", "[[2]]", "[[2]]", "--budget", "-1"),
+    ("sse", "search", "[[2]]", "[[2]]", "--entry-bound", "-1"),
+    ("sse", "search", "[[2]]", "[[2]]", "--inner-dim-max", "-1"),
+    ("sse", "search", "[[2]]", "[[2]]", "--budget", "-1"),
+    ("iso", "search", _FULL, _FULL, "--denominator-max", "-1"),
+    ("iso", "search", _FULL, _FULL, "--value-max", "-1"),
+    ("iso", "search", _FULL, _FULL, "--budget", "-1"),
+    ("dimgroup", "pos", "[[2]]", "1", "--bound", "-1"),
+    ("dimgroup", "pos", "[[2]]", "1", "-1"),
+    ("bratteli", _FULL, "--depth", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", _MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_with_error_object(capsys, argv):
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert set(err) == {"type", "message"}
+    assert err["type"] and err["message"]
+
+
 def test_graph_json_round_trip_is_canonical(capsys):
     g = from_adjacency(Matrix.from_rows([[1, 2], [1, 0]]))
     blob = json.dumps(graph_to_json(g))

@@ -194,6 +194,18 @@ def test_periodic_matrix_blockwise_decision():
     assert isinstance(dg_positive(swap, DimElement((3, -1), 0)), NotInCone)
 
 
+def test_proven_positive_class_past_the_certificate_cap_is_in_cone():
+    # [F601, -F602] pairs to -psi^601 > 0 against the Perron vector (phi, 1),
+    # but its first nonnegative iterate lies about 600 steps out, beyond the
+    # iteration bound plus the certificate cap
+    fib = [0, 1]
+    while len(fib) < 603:
+        fib.append(fib[-1] + fib[-2])
+    t = _t([[1, 1], [1, 0]])
+    assert dg_positive(t, DimElement((fib[601], -fib[602]), 0)) == InCone(None)
+    assert isinstance(dg_positive(t, DimElement((-fib[601], fib[602]), 0)), NotInCone)
+
+
 def test_reducible_matrix_can_report_unknown():
     t = _t([[1, 1], [0, 1]])
     res = dg_positive(t, DimElement((-1, 0), 0))

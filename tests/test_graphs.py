@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from helpers import random_adjacency
+from helpers import purely_infinite_simple_oracle, random_adjacency, reach_oracle
 
 from sftkit.errors import InvalidMatrix, NotASource, ParseError, WouldEmpty
 from sftkit.graphs import (
@@ -21,7 +21,7 @@ from sftkit.graphs import (
     graph_to_json,
     transpose,
 )
-from sftkit.linalg import Matrix
+from sftkit.linalg import Matrix, carries_cycle, strong_components, support_digraph
 
 
 def _graph(rows) -> Graph:
@@ -77,6 +77,29 @@ def test_classification_flags():
     assert with_sink.sources == ("v1",)
     assert not with_sink.essential
     assert not with_sink.strongly_graded
+
+
+def test_classify_matches_transitive_closure_oracle():
+    rng = random.Random(25)
+    seen = {"sources_and_sinks": 0, "irreducible": 0, "pis": 0, "reducible_pis": 0}
+    for _ in range(400):
+        n = rng.randrange(0, 8)
+        m = Matrix.from_rows(
+            [[rng.choice((0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+        )
+        reach = reach_oracle(m)
+        adj = support_digraph(m)
+        on_cycles = {v for c in strong_components(adj) if carries_cycle(c, adj) for v in c}
+        assert on_cycles == {i for i in range(n) if reach[i][i]}
+        r = classify(from_adjacency(m))
+        irreducible = n > 0 and all(all(row) for row in reach)
+        assert r.irreducible == irreducible
+        assert r.purely_infinite_simple == purely_infinite_simple_oracle(m)
+        seen["sources_and_sinks"] += bool(r.sources and r.sinks)
+        seen["irreducible"] += irreducible
+        seen["pis"] += r.purely_infinite_simple
+        seen["reducible_pis"] += r.purely_infinite_simple and not irreducible
+    assert min(seen.values()) >= 10, seen
 
 
 def test_strongly_graded_iff_no_sinks():
