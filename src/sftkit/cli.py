@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import dimension as dim
 from . import equivalences as eqv
@@ -108,7 +107,7 @@ def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
         items = [p for p in raw.split(",") if p.strip()]
     out = []
     for x in items:
-        f = Fraction(str(x).strip())
+        f = terms.parse_rational(x)
         if f.denominator != 1:
             raise ParseError("dimension group vectors have integer entries")
         out.append(int(f))

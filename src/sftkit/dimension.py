@@ -322,9 +322,10 @@ def verify_module_iso(
         raise ShapeError(f"candidate shape {u.shape()} does not map rank {t_a.n} to rank {t_b.n}")
     if u @ t_a.matrix != t_b.matrix @ u:
         return False
-    if u.det() == 0:
+    try:
+        uinv = u.inverse()
+    except ShapeError:  # u is square, so this means singular
         return False
-    uinv = u.inverse()
 
     def side_ok(src: DimensionTriple, dst: DimensionTriple, mat: Matrix) -> bool:
         for i in range(src.n):

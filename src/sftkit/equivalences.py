@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import InvalidWitness, ShapeError
+from .errors import InvalidMatrix, InvalidWitness, ShapeError
+from .graphs import _int_rows
 from .invariants import bowen_franks, char_poly_away_from_zero
 from .linalg import (
     AffineInfeasible,
@@ -255,7 +256,10 @@ def _matrix_to_json(m: Matrix) -> list[list[int]]:
 
 
 def _matrix_from_json(rows) -> Matrix:
-    return Matrix.from_rows(rows)
+    try:
+        return Matrix.from_rows(_int_rows(rows))
+    except InvalidMatrix as exc:
+        raise InvalidWitness(f"malformed witness matrix: {exc}") from exc
 
 
 def sse_witness_to_json(w: SSEWitness) -> dict:
@@ -275,11 +279,12 @@ def se_witness_to_json(w: SEWitness) -> dict:
 
 def se_witness_from_json(obj) -> SEWitness:
     try:
-        return SEWitness(
-            _matrix_from_json(obj["R"]), _matrix_from_json(obj["S"]), int(obj["l"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        r, s, lag = _matrix_from_json(obj["R"]), _matrix_from_json(obj["S"]), obj["l"]
+    except (KeyError, TypeError) as exc:
         raise InvalidWitness(f"malformed SE witness: {exc}") from exc
+    if isinstance(lag, bool) or not isinstance(lag, int):
+        raise InvalidWitness(f"SE lag must be an integer, got {lag!r}")
+    return SEWitness(r, s, lag)
 
 
 def chain_to_json(chain: ChainWitness) -> dict:

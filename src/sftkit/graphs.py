@@ -302,7 +302,7 @@ def _int_rows(rows) -> list[list[int]]:
     try:
         return [[_int_entry(x) for x in row] for row in rows]
     except TypeError as exc:
-        raise InvalidMatrix(f"bad adjacency payload: {exc}") from exc
+        raise InvalidMatrix(f"bad matrix payload: {exc}") from exc
 
 
 def _int_entry(x) -> int:
@@ -311,7 +311,7 @@ def _int_entry(x) -> int:
         return x
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    raise InvalidMatrix(f"adjacency entries must be integers, got {x!r}")
+    raise InvalidMatrix(f"matrix entries must be integers, got {x!r}")
 
 
 def graph_from_json_text(text: str) -> Graph:

@@ -9,9 +9,11 @@ supplies the kernels the rest of the package leans on:
   pivoting on the minimal absolute value);
 * characteristic polynomials via Faddeev-LeVerrier, which also yields the
   adjugate of (xI - A) as a polynomial matrix for free;
-* exact affine solving with an infeasibility certificate (a rational row
-  combination y with y.A = 0 and y.b = 1), and the one linear system of
-  the intertwiner equation U a = b U;
+* exact affine solving by one Gauss-Jordan reduction of [A | b]; only an
+  inconsistent system is reduced again, as [A | b | I], where the identity
+  block records the row operations and yields the infeasibility certificate
+  (a rational row combination y with y.A = 0 and y.b = 1);
+* the one linear system of the intertwiner equation U a = b U;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
 * Perron root isolation by Sturm bisection and the exact sign of the pairing
@@ -197,10 +199,9 @@ class Matrix:
             raise ShapeError("inverse needs a square matrix")
         n = self.nrows
         aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        reduced, _, pivots = _rref(aug)
-        if len(pivots) < n or any(p >= n for p in pivots):
+        if len(_rref(aug, n)) < n:
             raise ShapeError("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in reduced])
+        return Matrix.from_rows([row[n:] for row in aug])
 
     def to_int_rows(self) -> list[list[int]]:
         if not self.is_integral():
@@ -221,66 +222,66 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def _rref(
-    rows: list[list[Fraction]],
-) -> tuple[list[list[Fraction]], list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns (reduced, transform, pivot columns).
+def _rref(rows: list[list[Fraction]], limit: int | None = None) -> list[int]:
+    """Row-reduce in place to reduced row echelon form; returns the pivot columns.
 
-    transform tracks the applied row operations: transform @ original == reduced.
+    Pivots are sought only in the first `limit` columns (all of them by
+    default); later columns just follow the row operations.  A caller that
+    needs the transform T with T @ original == reduced appends an identity
+    block past the limit and reads T off it afterwards; only the infeasible
+    branch of `solve_affine_exact` does, for its certificate.
     """
     m = len(rows)
-    n = len(rows[0]) if rows else 0
-    t = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    if limit is None:
+        limit = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
-    for c in range(n):
+    for c in range(limit):
         piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        t[r], t[piv] = t[piv], t[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        t[r] = [x * inv for x in t[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, t, pivots
+    return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    reduced, _, pivots = _rref([list(r) for r in m.rows])
-    return Matrix.from_rows(reduced), pivots
+    rows = [list(r) for r in m.rows]
+    pivots = _rref(rows)
+    return Matrix.from_rows(rows), pivots
 
 
 def nullspace(m: Matrix) -> list[Vector]:
-    """Deterministic echelon basis of {x : m x = 0}.
+    """Deterministic echelon basis of {x : m x = 0} (see `_echelon_basis`)."""
+    rows = [list(r) for r in m.rows]
+    return _echelon_basis(rows, _rref(rows), m.ncols)
+
+
+def _echelon_basis(reduced: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
+    """Nullspace basis read off rows whose first ncols columns are in RREF with these pivots.
 
     Each basis vector has value 1 at "its" free column and 0 at the other
     free columns, listed in ascending free-column order.
     """
-    if m.nrows == 0:
-        return [_unit(m.ncols, j) for j in range(m.ncols)]
-    reduced, pivots = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
     basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced[r, f]
+            v[p] = -reduced[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def _unit(n: int, j: int) -> Vector:
-    return tuple(Fraction(int(i == j)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +400,22 @@ def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[in
     divisions are exact for integer input.
     """
     n = len(a)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    b = [row[:] for row in ident]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
     cs = [1]
-    bs = [[row[:] for row in b]]
+    bs = [b]
     for k in range(1, n + 1):
-        ab = [
+        b = [
             [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
             for i in range(n)
         ]
-        tr = sum(ab[i][i] for i in range(n))
+        tr = sum(b[i][i] for i in range(n))
         assert tr % k == 0, "Faddeev-LeVerrier trace division must be exact"
         c = -(tr // k)
         cs.append(c)
-        b = [[ab[i][j] + c * ident[i][j] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            b[i][i] += c
         if k < n:
-            bs.append([row[:] for row in b])
+            bs.append(b)
     assert all(x == 0 for row in b for x in row), "Cayley-Hamilton check failed"
     return cs, bs
 
@@ -423,27 +424,25 @@ def char_poly(m: Matrix) -> Poly:
     """Characteristic polynomial det(xI - m), monic with integer coefficients."""
     if not m.is_square:
         raise ShapeError("characteristic polynomial needs a square matrix")
-    if m.nrows == 0:
-        return Poly.from_coeffs([1])
     cs, _ = _faddeev_leverrier(m.to_int_rows())
-    n = len(cs) - 1
-    return Poly.from_coeffs([cs[n - i] for i in range(n + 1)])
+    return Poly.from_coeffs(reversed(cs))
 
 
 def adjugate_xi_minus(m: Matrix) -> list[list[Poly]]:
     """Entries of adj(xI - m) as polynomials (degree <= n-1)."""
     if not m.is_square:
         raise ShapeError("adjugate needs a square matrix")
-    n = m.nrows
     _, bs = _faddeev_leverrier(m.to_int_rows())
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # ascending coefficients: x^(n-1-k) carries bs[k][i][j]
-            row.append(Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]))
-        out.append(row)
-    return out
+    return _adjugate_polys(bs)
+
+
+def _adjugate_polys(bs: list[list[list[int]]]) -> list[list[Poly]]:
+    n = len(bs[0])
+    # ascending coefficients: x^(n-1-k) carries bs[k][i][j]
+    return [
+        [Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +474,23 @@ def solve_affine_exact(a: Matrix, b: Sequence[Rat]) -> AffineSolution | AffineIn
     """
     if len(b) != a.nrows:
         raise ShapeError("right-hand side length does not match row count")
-    bb = [_frac(x) for x in b]
-    aug = [list(row) + [bb[i]] for i, row in enumerate(a.rows)]
-    if not aug:
-        return AffineSolution(tuple(vector([0] * a.ncols)), tuple(nullspace(a)))
-    reduced, transform, pivots = _rref(aug)
     ncols = a.ncols
+    aug = [list(row) + [_frac(x)] for row, x in zip(a.rows, b)]
+    pivots = _rref(aug)
     if pivots and pivots[-1] == ncols:
-        # pivot in the augmented column: row r of the transform is the certificate
-        r = len(pivots) - 1
-        y = tuple(transform[r])
-        return AffineInfeasible(y)
+        # pivot in the augmented column: replay the same row operations on
+        # [a | b | I]; row r of the identity block is then the certificate
+        aug = [
+            list(row) + [_frac(x)] + [Fraction(int(i == j)) for j in range(a.nrows)]
+            for i, (row, x) in enumerate(zip(a.rows, b))
+        ]
+        _rref(aug, ncols + 1)
+        return AffineInfeasible(tuple(aug[len(pivots) - 1][ncols + 1 :]))
+    # consistent: the a-part of the reduction is rref(a), with the same pivots
     particular = [Fraction(0)] * ncols
     for r, p in enumerate(pivots):
-        particular[p] = reduced[r][ncols]
-    return AffineSolution(tuple(particular), tuple(nullspace(a)))
+        particular[p] = aug[r][ncols]
+    return AffineSolution(tuple(particular), tuple(_echelon_basis(aug, pivots, ncols)))
 
 
 def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -680,27 +681,15 @@ class Sign(IntEnum):
 class PerronData:
     """Isolating interval (lo, hi] for the Perron root of an irreducible matrix.
 
-    `poly` is the squarefree part of the characteristic polynomial; the
-    interval contains exactly one of its roots, namely the spectral radius.
+    `poly` is the squarefree part of the characteristic polynomial and
+    `chain` its Sturm chain; the interval contains exactly one of its roots,
+    namely the spectral radius.
     """
 
-    matrix: Matrix
     poly: Poly
+    chain: tuple[Poly, ...]
     lo: Fraction
     hi: Fraction
-
-    def refined(self, max_width: Rat) -> "PerronData":
-        """Shrink the interval below max_width while keeping the root inside."""
-        lo, hi = self.lo, self.hi
-        chain = sturm_chain(self.poly)
-        width = _frac(max_width)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if count_roots(self.poly, mid, hi, chain) == 1:
-                lo = mid
-            else:
-                hi = mid
-        return PerronData(self.matrix, self.poly, lo, hi)
 
 
 def isolate_perron_root(m: Matrix) -> PerronData:
@@ -714,8 +703,13 @@ def isolate_perron_root(m: Matrix) -> PerronData:
         raise InvalidMatrix("Perron data needs a nonnegative integer matrix")
     if not is_irreducible_matrix(m):
         raise NotIrreducible("Perron data needs an irreducible matrix")
-    p = squarefree_part(char_poly(m))
-    chain = sturm_chain(p)
+    return _isolate(m, char_poly(m))
+
+
+def _isolate(m: Matrix, cp: Poly) -> PerronData:
+    """`isolate_perron_root` for a checked m whose characteristic polynomial is cp."""
+    p = squarefree_part(cp)
+    chain = tuple(sturm_chain(p))
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
     lo = -hi
     while count_roots(p, lo, hi, chain) > 1:
@@ -724,7 +718,7 @@ def isolate_perron_root(m: Matrix) -> PerronData:
             lo = mid
         else:
             hi = mid
-    return PerronData(m, p, lo, hi)
+    return PerronData(p, chain, lo, hi)
 
 
 def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
@@ -742,7 +736,6 @@ def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
     if g.degree >= 1 and count_roots(g, pd.lo, pd.hi) >= 1:
         return Sign.ZERO
     lo, hi = pd.lo, pd.hi
-    p_chain = sturm_chain(pd.poly)
     h_sf = squarefree_part(h)
     h_chain = sturm_chain(h_sf)
     while True:
@@ -750,7 +743,7 @@ def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
         if val != 0 and count_roots(h_sf, lo, hi, h_chain) == 0:
             return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
         mid = (lo + hi) / 2
-        if count_roots(pd.poly, mid, hi, p_chain) == 1:
+        if count_roots(pd.poly, mid, hi, pd.chain) == 1:
             lo = mid
         else:
             hi = mid
@@ -773,8 +766,10 @@ def perron_pairing_sign(a: Matrix, v: Sequence[Rat]) -> Sign:
         raise InvalidMatrix("Perron pairing needs a nonnegative integer matrix")
     if not is_irreducible_matrix(a):
         raise NotIrreducible("Perron pairing needs an irreducible matrix")
-    pd = isolate_perron_root(a)
-    adj = adjugate_xi_minus(a.transpose())
+    # one Faddeev-LeVerrier run on a^T: det(xI - a^T) = det(xI - a), and adj(xI - a^T)
+    cs, bs = _faddeev_leverrier(a.transpose().to_int_rows())
+    pd = _isolate(a, Poly.from_coeffs(reversed(cs)))
+    adj = _adjugate_polys(bs)
     n = a.nrows
     col = None
     col_sign = Sign.ZERO

@@ -236,11 +236,13 @@ class WeightMap:
 
     @classmethod
     def from_mapping(cls, g: Graph, mapping: Mapping[str, Fraction | int | str]) -> "WeightMap":
+        if not isinstance(mapping, Mapping):
+            raise ParseError("weights must map edge ids to numbers")
         table = {}
         for e, w in mapping.items():
             if not g.has_edge(e):
                 raise UnknownGenerator(f"edge {e!r} not in graph")
-            table[e] = Fraction(str(w))
+            table[e] = parse_rational(w)
         missing = [e.id for e in g.edges if e.id not in table]
         if missing:
             raise UnknownGenerator(f"weights missing for edges: {', '.join(missing)}")
@@ -497,6 +499,19 @@ def bridge_family(bg) -> FamilyAssignment:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<op>[+-])|(?P<num>\d+(?:/\d+)?)|(?P<gen>[A-Za-z_][A-Za-z0-9_.|]*\*?))")
+
+
+def parse_rational(x: Fraction | int | float | str) -> Fraction:
+    """A rational from an int, a finite float, a Fraction or a string such as "3/2".
+
+    Bools and every other type are rejected rather than coerced.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, str, Fraction)):
+        raise ParseError(f"expected a rational number, got {x!r}")
+    try:
+        return Fraction(str(x).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"expected a rational number, got {x!r}") from exc
 
 
 def parse_element(g: Graph, text: str) -> AlgebraElement:

@@ -116,6 +116,54 @@ def rank_oracle(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def gauss_jordan_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve A x = b by textbook Gauss-Jordan on [A | b], tracking the transform.
+
+    The transform T starts as the identity and takes every row operation, so
+    T [A | b] is the reduced matrix throughout.  Pivot rule: the first row at
+    or below the current one with a nonzero entry in the column.  Returns
+    ("solution", particular, basis), the particular solution zero on the free
+    columns and one basis vector per free column (1 there, 0 on the other
+    free columns), or ("infeasible", y) with y the row of T that reads 0 = 1.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(rows, rhs)]
+    t = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+    pivots: list[int] = []
+    for col in range(n + 1):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        t[r], t[pivot] = t[pivot], t[r]
+        lead = aug[r][col]
+        aug[r] = [x / lead for x in aug[r]]
+        t[r] = [x / lead for x in t[r]]
+        for i in range(m):
+            f = aug[i][col]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        pivots.append(col)
+    if pivots and pivots[-1] == n:
+        return "infeasible", tuple(t[len(pivots) - 1])
+    particular = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        particular[p] = aug[r][n]
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -aug[r][free]
+        basis.append(tuple(v))
+    return "solution", tuple(particular), tuple(basis)
+
+
 def kron_oracle(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise block Kronecker product."""
     rows = []

@@ -258,6 +258,28 @@ _MALFORMED = [
     ("dimgroup", "pos", "[[2]]", "1", "--bound", "-1"),
     ("dimgroup", "pos", "[[2]]", "1", "-1"),
     ("bratteli", _FULL, "--depth", "-1"),
+    ("dimgroup", "pos", "[[2]]", "-"),
+    ("dimgroup", "pos", "[[2]]", "[true]"),
+    ("dimgroup", "pos", "[[2]]", '["x"]'),
+    ("dimgroup", "pos", "[[2]]", "[1e400]"),
+    ("dimgroup", "pos", "[[2]]", "[[1]]"),
+    ("terms", "decompose", _FULL, "v1", "--weights", "[1]"),
+    ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": "1/0"}'),
+    ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": "x"}'),
+    ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": true}'),
+    ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": 1e400}'),
+    ("se", "verify", "[[2]]", "[[2]]", '{"R": [[1e400]], "S": [[2]], "l": 1}'),
+    ("se", "verify", "[[1, 1], [1, 0]]", "[[1, 1], [1, 0]]",
+     '{"R": [[true, false], [false, true]], "S": [[1, 1], [1, 0]], "l": 1}'),
+    ("se", "verify", "[[2]]", "[[2]]", '{"R": [[1]], "S": [[2]], "l": 1.7}'),
+    ("se", "verify", "[[2]]", "[[2]]", '{"R": [[1]], "S": [[2]], "l": true}'),
+    ("sse", "verify-chain", "[[2]]", "[[2]]",
+     '{"links": [{"matrix": [[2]], "witness": {"R": [[1e400]], "S": [[2]]}}]}'),
+    ("sse", "verify-chain", "[[2]]", "[[2]]",
+     '{"links": [{"matrix": [[2]], "witness": {"R": [["x"]], "S": [[2]]}}]}'),
+    ("sse", "verify-chain", "[[1, 1], [1, 0]]", "[[1, 1], [1, 0]]",
+     '{"links": [{"matrix": [[1, 1], [1, 0]], "witness": '
+     '{"R": [[true, false], [false, true]], "S": [[1, 1], [1, 0]]}}]}'),
 ]
 
 

@@ -7,7 +7,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from helpers import cofactor_det, det_oracle, random_int_matrix, rank_oracle
+from helpers import (
+    cofactor_det,
+    det_oracle,
+    gauss_jordan_oracle,
+    random_int_matrix,
+    rank_oracle,
+)
 
 from sftkit.linalg import (
     Matrix,
@@ -193,6 +199,17 @@ def test_adjugate_identity():
             assert prod_rows == Matrix.identity(n).scale(p(t))
 
 
+def test_char_poly_and_adjugate_commute_with_transpose():
+    rng = random.Random(15)
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        m = random_int_matrix(rng, n, -4, 4)
+        assert char_poly(m) == char_poly(m.transpose())
+        adj = adjugate_xi_minus(m)
+        adj_t = adjugate_xi_minus(m.transpose())
+        assert adj_t == [[adj[j][i] for j in range(n)] for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Intertwiners and affine solving
 # ---------------------------------------------------------------------------
@@ -254,6 +271,36 @@ def test_solve_affine_feasible_and_certificates():
             ]
             assert all(x == 0 for x in combo)
             assert sum(yi * bi for yi, bi in zip(y, b)) == 1
+
+
+def test_solve_affine_matches_gauss_jordan_oracle():
+    # low-rank systems (a = u v with a short inner dimension), with b either
+    # in the column space or pushed off it, so both outcomes occur
+    rng = random.Random(16)
+    outcomes = {"solution": 0, "infeasible": 0}
+    for _ in range(300):
+        nrows, ncols, inner = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(0, 3)
+        u = [[rng.randrange(-3, 4) for _ in range(inner)] for _ in range(nrows)]
+        v = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(inner)]
+        rows = [
+            [Fraction(sum(u[i][k] * v[k][j] for k in range(inner)), rng.randrange(1, 3))
+             for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        a = Matrix.from_rows(rows)
+        b = list(a.apply([Fraction(rng.randrange(-3, 4), 2) for _ in range(ncols)]))
+        if rng.random() < 0.5:
+            b[rng.randrange(nrows)] += rng.randrange(1, 4)
+        expected = gauss_jordan_oracle(rows, b)
+        outcomes[expected[0]] += 1
+        res = solve_affine_exact(a, b)
+        if expected[0] == "solution":
+            assert isinstance(res, AffineSolution)
+            assert (res.particular, res.basis) == expected[1:]
+        else:
+            assert isinstance(res, AffineInfeasible)
+            assert res.certificate == expected[1]
+    assert min(outcomes.values()) > 50
 
 
 def test_integer_points_complete_within_box():
