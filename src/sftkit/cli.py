@@ -116,12 +116,6 @@ def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _matrix_json(m: Matrix) -> list:
-    return [
-        [int(x) if x.denominator == 1 else str(x) for x in row] for row in m.rows
-    ]
-
-
 # smallest accepted value of each numeric bound a subcommand may take
 _BOUND_MINIMUM = {
     "entry_bound": 0,
@@ -207,7 +201,7 @@ def _cmd_analyze(run: _Run, args) -> tuple[int, dict, str | None]:
     results = {
         "vertices": len(g.vertices),
         "edges": len(g.edges),
-        "adjacency": _matrix_json(g.adjacency()),
+        "adjacency": g.adjacency().to_json_rows(),
         "sinks": list(r.sinks),
         "sources": list(r.sources),
         "essential": r.essential,
@@ -239,7 +233,7 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
     x = dim.DimElement(_parse_vector(run, args.vector), args.k)
     res = dim.dg_positive(t, x, args.bound)
     results: dict = {
-        "acting_matrix": _matrix_json(t.matrix),
+        "acting_matrix": t.matrix.to_json_rows(),
         "element": dim.element_to_json(x),
     }
     if isinstance(res, dim.InCone):
@@ -260,7 +254,7 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
 def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
     t = dim.from_graph(run.graph(args.graph))
     results = {
-        "acting_matrix": _matrix_json(t.matrix),
+        "acting_matrix": t.matrix.to_json_rows(),
         "order_unit": dim.element_to_json(dim.order_unit(t)),
     }
     return EXIT_OK, results, None
@@ -278,14 +272,14 @@ def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
         candidate_budget=args.budget,
     )
     if isinstance(res, dim.Candidate):
-        results = {"outcome": "found", "matrix": _matrix_json(res.matrix)}
+        results = {"outcome": "found", "matrix": res.matrix.to_json_rows()}
         return EXIT_OK, results, None
     if isinstance(res, dim.Infeasible):
         results = {
             "outcome": "infeasible",
             "system": {
                 "labels": list(res.system.labels),
-                "coefficients": _matrix_json(res.system.coefficients),
+                "coefficients": res.system.coefficients.to_json_rows(),
                 "rhs": [str(x) for x in res.system.rhs],
             },
             "certificate": [str(x) for x in res.certificate],
@@ -341,7 +335,7 @@ def _cmd_product(run: _Run, args) -> tuple[int, dict, str | None]:
     k = moves.kronecker_product(g, h)
     if args.dot:
         return EXIT_OK, {}, emit_dot(k)
-    results = {"graph": graph_to_json(k), "adjacency": _matrix_json(k.adjacency())}
+    results = {"graph": graph_to_json(k), "adjacency": k.adjacency().to_json_rows()}
     return EXIT_OK, results, None
 
 
@@ -352,7 +346,7 @@ def _cmd_split(run: _Run, args) -> tuple[int, dict, str | None]:
     h, w = split(g, p)
     results = {
         "graph": graph_to_json(h),
-        "adjacency": _matrix_json(h.adjacency()),
+        "adjacency": h.adjacency().to_json_rows(),
         "witness": eqv.sse_witness_to_json(w),
     }
     return EXIT_OK, results, None
@@ -366,7 +360,7 @@ def _cmd_bratteli(run: _Run, args) -> tuple[int, dict, str | None]:
     results = {
         "depth": d.depth,
         "levels": [list(level) for level in d.levels],
-        "step": _matrix_json(d.step),
+        "step": d.step.to_json_rows(),
     }
     return EXIT_OK, results, None
 

@@ -33,7 +33,6 @@ from .linalg import (
     is_irreducible_matrix,
     perron_pairing_sign,
     solve_affine_exact,
-    vector,
 )
 
 DEFAULT_ITERATE_BOUND = 24
@@ -96,9 +95,7 @@ def _check_element(t: DimensionTriple, x: DimElement) -> None:
 
 
 def _apply_pow(t: DimensionTriple, p: int, a: Sequence[int]) -> tuple[int, ...]:
-    v = vector(a)
-    m = t.matrix**p
-    return tuple(int(x) for x in m.apply(v))
+    return (t.matrix**p).apply(a)
 
 
 def dg_equal(t: DimensionTriple, x: DimElement, y: DimElement) -> bool:
@@ -206,10 +203,10 @@ def dg_positive(
     for power in range(bound + 1):
         if all(v >= 0 for v in cur):
             return InCone(power)
-        cur = tuple(int(v) for v in m.apply(cur))
+        cur = m.apply(cur)
     if not is_irreducible_matrix(m):
         return Unknown(bound)
-    s = perron_pairing_sign(m, vector(x.a))
+    s = perron_pairing_sign(m, x.a)
     if s == Sign.NEGATIVE:
         return NotInCone("negative Perron pairing")
     if s == Sign.ZERO:
@@ -223,7 +220,7 @@ def dg_positive(
             Matrix.from_rows([[mp[i, j] for j in classes[ci]] for i in classes[ci]])
             for ci in range(period)
         ]
-        shifted = vector(x.a)
+        shifted = x.a
         feasible = False
         for _ in range(period):
             if all(
@@ -242,7 +239,7 @@ def dg_positive(
     for power in range(bound + 1, bound + 1 + _CERTIFICATE_CAP):
         if all(v >= 0 for v in cur):
             return InCone(power)
-        cur = tuple(int(v) for v in m.apply(cur))
+        cur = m.apply(cur)
     return InCone(None)
 
 
@@ -263,7 +260,7 @@ def lattice_level(t: DimensionTriple, v: Sequence[Fraction | int]) -> int | None
     """
     if len(v) != t.n:
         raise ShapeError("vector length does not match the triple")
-    f = _fractional(vector(v))
+    f = _fractional(v)
     k = 0
     seen: set[tuple[Fraction, ...]] = set()
     while any(x != 0 for x in f):
@@ -282,8 +279,7 @@ def rational_to_element(
     k = lattice_level(t, v)
     if k is None:
         return None
-    w = (t.matrix**k).apply(vector(v))
-    return DimElement(tuple(int(x) for x in w), k)
+    return DimElement((t.matrix**k).apply(v), k)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,7 @@ def _intertwiner_system(
     if pointed:
         rows += Matrix.identity(m).kron(Matrix.from_rows([[1] * n])).rows
         labels += [f"unit[{i}]" for i in range(m)]
-    rhs = [Fraction(0)] * (m * n) + [Fraction(1)] * (m if pointed else 0)
+    rhs = [0] * (m * n) + [1] * (m if pointed else 0)
     return IntertwinerSystem(Matrix(tuple(rows)), tuple(rhs), tuple(labels))
 
 
@@ -525,13 +521,7 @@ def element_from_json(obj) -> DimElement:
 
 
 def candidate_to_json(cand: ModuleIsoCandidate) -> dict:
-    def fmt(x: Fraction) -> int | str:
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    return {
-        "matrix": [[fmt(x) for x in row] for row in cand.matrix.rows],
-        "pointed": cand.pointed,
-    }
+    return {"matrix": cand.matrix.to_json_rows(), "pointed": cand.pointed}
 
 
 def candidate_from_json(obj) -> ModuleIsoCandidate:

@@ -14,7 +14,6 @@ inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
@@ -27,7 +26,6 @@ from .linalg import (
     intertwiner_matrix,
     intertwiner_space,
     solve_affine_exact,
-    vector,
 )
 
 
@@ -91,17 +89,42 @@ def verify_chain(a: Matrix, b: Matrix, chain: ChainWitness) -> bool:
     return cur == b
 
 
+_PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
 def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
-    """Check all four lag-l shift equivalence identities."""
+    """Check all four lag-l shift equivalence identities.
+
+    For integer a and b, residues modulo a prime (by modular powering) reject
+    a wrong power identity without forming a^l, whose entries grow linearly
+    in l; the exact powers are formed only when the residues agree.
+    """
     if w.lag < 1:
         raise InvalidWitness("lag must be at least 1")
     _check_pair_shapes(a, b, w.r, w.s)
-    return (
-        w.r @ w.s == a**w.lag
-        and w.s @ w.r == b**w.lag
-        and a @ w.r == w.r @ b
-        and w.s @ a == b @ w.s
-    )
+    if a @ w.r != w.r @ b or w.s @ a != b @ w.s:
+        return False
+    rs, sr = w.r @ w.s, w.s @ w.r
+    if a.is_integral() and b.is_integral() and (
+        _mod(rs) != _power_mod(a, w.lag) or _mod(sr) != _power_mod(b, w.lag)
+    ):
+        return False
+    return rs == a**w.lag and sr == b**w.lag
+
+
+def _mod(m: Matrix) -> Matrix:
+    return Matrix.from_rows([[x % _PRIME for x in row] for row in m.rows])
+
+
+def _power_mod(m: Matrix, k: int) -> Matrix:
+    """m**k with entries reduced modulo _PRIME, squaring residues only."""
+    acc, base = Matrix.identity(m.nrows), _mod(m)
+    while k:
+        if k & 1:
+            acc = _mod(acc @ base)
+        base = _mod(base @ base)
+        k >>= 1
+    return acc
 
 
 def transpose_witness(w: SEWitness) -> SEWitness:
@@ -129,10 +152,8 @@ def _candidate_matrices(
 ) -> Iterator[Matrix]:
     """Integer points of span(space) with entries in [0, entry_bound], lexicographic."""
     nrows, ncols = shape
-    flat_basis = [
-        vector(m[i, j] for i in range(nrows) for j in range(ncols)) for m in space
-    ]
-    origin = vector([0] * (nrows * ncols))
+    flat_basis = [tuple(x for row in m.rows for x in row) for m in space]
+    origin = (0,) * (nrows * ncols)
     for flat in integer_points(origin, flat_basis, 0, entry_bound, budget=budget):
         yield Matrix.from_rows(
             [[flat[i * ncols + j] for j in range(ncols)] for i in range(nrows)]
@@ -157,16 +178,12 @@ def _solve_for_partner(
         + r.kron(Matrix.identity(n)).rows
         + Matrix.identity(m).kron(r.transpose()).rows
     )
-    rhs = [Fraction(0)] * (m * n) + [x for row in al.rows + bl.rows for x in row]
+    rhs = [0] * (m * n) + [x for row in al.rows + bl.rows for x in row]
 
     res = solve_affine_exact(Matrix(rows), rhs)
     if isinstance(res, AffineInfeasible):
         return None
-    box_hi = max(
-        entry_bound,
-        max((int(x) for row in al.rows for x in row), default=0),
-        max((int(x) for row in bl.rows for x in row), default=0),
-    )
+    box_hi = max([entry_bound, *(x for row in al.rows + bl.rows for x in row)])
     for flat in integer_points(res.particular, res.basis, 0, box_hi, budget=5000):
         s = Matrix.from_rows([[flat[i * n + j] for j in range(n)] for i in range(m)])
         if s.is_nonnegative():
@@ -251,10 +268,6 @@ def search_esse(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_to_json(m: Matrix) -> list[list[int]]:
-    return m.to_int_rows()
-
-
 def _matrix_from_json(rows) -> Matrix:
     try:
         return Matrix.from_rows(_int_rows(rows))
@@ -263,7 +276,7 @@ def _matrix_from_json(rows) -> Matrix:
 
 
 def sse_witness_to_json(w: SSEWitness) -> dict:
-    return {"R": _matrix_to_json(w.r), "S": _matrix_to_json(w.s)}
+    return {"R": w.r.to_int_rows(), "S": w.s.to_int_rows()}
 
 
 def sse_witness_from_json(obj) -> SSEWitness:
@@ -274,7 +287,7 @@ def sse_witness_from_json(obj) -> SSEWitness:
 
 
 def se_witness_to_json(w: SEWitness) -> dict:
-    return {"R": _matrix_to_json(w.r), "S": _matrix_to_json(w.s), "l": w.lag}
+    return {"R": w.r.to_int_rows(), "S": w.s.to_int_rows(), "l": w.lag}
 
 
 def se_witness_from_json(obj) -> SEWitness:
@@ -291,7 +304,7 @@ def chain_to_json(chain: ChainWitness) -> dict:
     return {
         "links": [
             {
-                "matrix": _matrix_to_json(link.matrix),
+                "matrix": link.matrix.to_int_rows(),
                 "witness": sse_witness_to_json(link.witness),
             }
             for link in chain.links

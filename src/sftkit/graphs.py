@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -60,20 +61,34 @@ class Graph:
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
 
+    @cached_property
+    def _edge_by_id(self) -> dict[str, Edge]:
+        return {e.id: e for e in self.edges}
+
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise ParseError(f"{edge_id!r} is not an edge of this graph")
+        try:
+            return self._edge_by_id[edge_id]
+        except KeyError:
+            raise ParseError(f"{edge_id!r} is not an edge of this graph") from None
 
     def has_edge(self, edge_id: str) -> bool:
-        return any(e.id == edge_id for e in self.edges)
+        return edge_id in self._edge_by_id
+
+    @cached_property
+    def _incident(self) -> tuple[dict[str, tuple[Edge, ...]], dict[str, tuple[Edge, ...]]]:
+        """Outgoing and incoming edges of each vertex, in edge order."""
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.src].append(e)
+            inc[e.dst].append(e)
+        return {v: tuple(es) for v, es in out.items()}, {v: tuple(es) for v, es in inc.items()}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == v)
+        return self._incident[0].get(v, ())
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.dst == v)
+        return self._incident[1].get(v, ())
 
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.out_edges(v))
@@ -120,7 +135,7 @@ def from_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Graph:
     counter = 1
     for i in range(n):
         for j in range(n):
-            for _ in range(int(m[i, j])):
+            for _ in range(m[i, j]):
                 edges.append(Edge(vertices[i], vertices[j], f"e{counter}"))
                 counter += 1
     return Graph(vertices, tuple(edges))

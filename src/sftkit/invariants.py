@@ -48,7 +48,7 @@ def bowen_franks(a: Matrix) -> AbelianGroupFP:
     _check_adjacency(a)
     n = a.nrows
     _, d, _ = smith_normal_form(Matrix.identity(n) - a)
-    diag = [int(d[i, i]) for i in range(n)]
+    diag = [d[i, i] for i in range(n)]
     return AbelianGroupFP(
         factors=tuple(x for x in diag if x > 1),
         free_rank=sum(1 for x in diag if x == 0),
@@ -57,7 +57,7 @@ def bowen_franks(a: Matrix) -> AbelianGroupFP:
 
 def det_i_minus_a(a: Matrix) -> int:
     _check_adjacency(a)
-    return int((Matrix.identity(a.nrows) - a).det())
+    return (Matrix.identity(a.nrows) - a).det()
 
 
 def char_poly_away_from_zero(a: Matrix) -> Poly:
@@ -117,7 +117,7 @@ def bratteli(g: Graph, depth: int) -> BratteliDiagram:
     at = g.adjacency().transpose()
     levels = [tuple(1 for _ in g.vertices)]
     for _ in range(depth):
-        levels.append(tuple(int(x) for x in at.apply(levels[-1])))
+        levels.append(at.apply(levels[-1]))
     return BratteliDiagram(tuple(levels), at)
 
 
@@ -132,7 +132,7 @@ def bratteli_to_dot(g: Graph, diagram: BratteliDiagram) -> str:
     for n in range(diagram.depth):
         for i, vi in enumerate(g.vertices):
             for j, vj in enumerate(g.vertices):
-                for _ in range(int(a[i, j])):
+                for _ in range(a[i, j]):
                     lines.append(f'  "{vi}@{n}" -> "{vj}@{n + 1}";')
     lines.append("}")
     return "\n".join(lines)

@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything is computed with arbitrary-precision integers and
-`fractions.Fraction`; no floating point enters any decision.  The module
-supplies the kernels the rest of the package leans on:
+`fractions.Fraction`; no floating point enters any decision.  Every matrix or
+vector entry the module hands out is an `int` when integral and a `Fraction`
+only otherwise.  The module supplies the kernels the rest of the package
+leans on:
 
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
 * Smith normal form with unimodular transforms (elementary operations,
@@ -34,22 +36,26 @@ from .errors import InvalidMatrix, NotIrreducible, ShapeError
 from .polynomials import Poly, count_roots, poly_gcd, squarefree_part, sturm_chain
 
 Rat = Fraction | int
-Vector = tuple[Fraction, ...]
+Vector = tuple[Rat, ...]
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _num(x) -> Rat:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def vector(entries: Iterable[Rat]) -> Vector:
-    return tuple(_frac(e) for e in entries)
+    return tuple(_num(e) for e in entries)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix; entries are Fractions."""
+    """Immutable exact matrix; `from_rows` makes entries ints when integral, else Fractions."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self) -> None:
         if self.rows:
@@ -59,7 +65,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat]]) -> "Matrix":
-        return cls(tuple(tuple(_frac(x) for x in row) for row in rows))
+        return cls(tuple(vector(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -96,7 +102,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> Rat:
         i, j = key
         return self.rows[i][j]
 
@@ -122,7 +128,7 @@ class Matrix:
         return Matrix.from_rows([[-a for a in r] for r in self.rows])
 
     def scale(self, c: Rat) -> "Matrix":
-        c = _frac(c)
+        c = _num(c)
         return Matrix.from_rows([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -150,10 +156,8 @@ class Matrix:
     def apply(self, v: Sequence[Rat]) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        return tuple(
-            sum((a * _frac(x) for a, x in zip(row, v)), Fraction(0))
-            for row in self.rows
-        )
+        v = vector(v)
+        return vector(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
@@ -166,39 +170,39 @@ class Matrix:
                 out.append([a * b for a in ra for b in rb])
         return Matrix.from_rows(out)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Rat:
         if not self.is_square:
             raise ShapeError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return _num(sum(self.rows[i][i] for i in range(self.nrows)))
 
-    def det(self) -> Fraction:
+    def det(self) -> Rat:
         """Exact determinant by fraction-free style Gaussian elimination."""
         if not self.is_square:
             raise ShapeError("determinant needs a square matrix")
         n = self.nrows
         a = [list(r) for r in self.rows]
-        det = Fraction(1)
+        det = 1
         for c in range(n):
             piv = next((r for r in range(c, n) if a[r][c] != 0), None)
             if piv is None:
-                return Fraction(0)
+                return 0
             if piv != c:
                 a[c], a[piv] = a[piv], a[c]
                 det = -det
             det *= a[c][c]
-            inv = 1 / a[c][c]
+            inv = 1 / Fraction(a[c][c])
             for r in range(c + 1, n):
                 if a[r][c] != 0:
                     f = a[r][c] * inv
                     for k in range(c, n):
                         a[r][k] -= f * a[c][k]
-        return det
+        return _num(det)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ShapeError("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
         if len(_rref(aug, n)) < n:
             raise ShapeError("matrix is singular")
         return Matrix.from_rows([row[n:] for row in aug])
@@ -206,23 +210,24 @@ class Matrix:
     def to_int_rows(self) -> list[list[int]]:
         if not self.is_integral():
             raise InvalidMatrix("matrix is not integral")
-        return [[int(x) for x in row] for row in self.rows]
+        return [list(row) for row in self.rows]
+
+    def to_json_rows(self) -> list[list[int | str]]:
+        """Rows for JSON output: ints as they are, other entries as "p/q" strings."""
+        return [[x if type(x) is int else str(x) for x in row] for row in self.rows]
 
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def __str__(self) -> str:
-        def fmt(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else str(x)
-
-        return "[" + "; ".join(" ".join(fmt(x) for x in row) for row in self.rows) + "]"
+        return "[" + "; ".join(" ".join(map(str, row)) for row in self.rows) + "]"
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.shape() != other.shape():
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def _rref(rows: list[list[Fraction]], limit: int | None = None) -> list[int]:
+def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     """Row-reduce in place to reduced row echelon form; returns the pivot columns.
 
     Pivots are sought only in the first `limit` columns (all of them by
@@ -241,7 +246,7 @@ def _rref(rows: list[list[Fraction]], limit: int | None = None) -> list[int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
+        inv = 1 / Fraction(rows[r][c])
         rows[r] = [x * inv for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
@@ -266,7 +271,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     return _echelon_basis(rows, _rref(rows), m.ncols)
 
 
-def _echelon_basis(reduced: list[list[Fraction]], pivots: list[int], ncols: int) -> list[Vector]:
+def _echelon_basis(reduced: list[list[Rat]], pivots: list[int], ncols: int) -> list[Vector]:
     """Nullspace basis read off rows whose first ncols columns are in RREF with these pivots.
 
     Each basis vector has value 1 at "its" free column and 0 at the other
@@ -276,11 +281,11 @@ def _echelon_basis(reduced: list[list[Fraction]], pivots: list[int], ncols: int)
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -reduced[r][f]
-        basis.append(tuple(v))
+        basis.append(vector(v))
     return basis
 
 
@@ -296,7 +301,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     elementary row/column operations only (so det = +-1).  Pivots are chosen
     with minimal absolute value, which keeps intermediate entries small.
     """
-    a = [row[:] for row in m.to_int_rows()]
+    a = m.to_int_rows()
     nr, nc = m.nrows, m.ncols
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
@@ -475,22 +480,23 @@ def solve_affine_exact(a: Matrix, b: Sequence[Rat]) -> AffineSolution | AffineIn
     if len(b) != a.nrows:
         raise ShapeError("right-hand side length does not match row count")
     ncols = a.ncols
-    aug = [list(row) + [_frac(x)] for row, x in zip(a.rows, b)]
+    rhs = vector(b)
+    aug = [list(row) + [x] for row, x in zip(a.rows, rhs)]
     pivots = _rref(aug)
     if pivots and pivots[-1] == ncols:
         # pivot in the augmented column: replay the same row operations on
         # [a | b | I]; row r of the identity block is then the certificate
         aug = [
-            list(row) + [_frac(x)] + [Fraction(int(i == j)) for j in range(a.nrows)]
-            for i, (row, x) in enumerate(zip(a.rows, b))
+            list(row) + [x] + [int(i == j) for j in range(a.nrows)]
+            for i, (row, x) in enumerate(zip(a.rows, rhs))
         ]
         _rref(aug, ncols + 1)
-        return AffineInfeasible(tuple(aug[len(pivots) - 1][ncols + 1 :]))
+        return AffineInfeasible(vector(aug[len(pivots) - 1][ncols + 1 :]))
     # consistent: the a-part of the reduction is rref(a), with the same pivots
-    particular = [Fraction(0)] * ncols
+    particular = [0] * ncols
     for r, p in enumerate(pivots):
         particular[p] = aug[r][ncols]
-    return AffineSolution(tuple(particular), tuple(_echelon_basis(aug, pivots, ncols)))
+    return AffineSolution(vector(particular), tuple(_echelon_basis(aug, pivots, ncols)))
 
 
 def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -538,7 +544,7 @@ def integer_points(
     ncols = len(particular)
     if not basis:
         if all(x.denominator == 1 and lo <= x <= hi for x in particular):
-            yield particular
+            yield vector(particular)
         return
     reduced, pivots = rref(Matrix.from_rows(basis))
     ech = [reduced.row(r) for r in range(len(pivots))]
@@ -559,7 +565,7 @@ def integer_points(
             if t:
                 cand = [x + t * y for x, y in zip(cand, direction)]
         if all(x.denominator == 1 and lo <= x <= hi for x in cand):
-            yield tuple(cand)
+            yield vector(cand)
 
 
 # ---------------------------------------------------------------------------
@@ -779,10 +785,11 @@ def perron_pairing_sign(a: Matrix, v: Sequence[Rat]) -> Sign:
             col, col_sign = c, s
             break
     assert col is not None, "adjugate of an irreducible matrix cannot vanish at the Perron root"
-    denom = math.lcm(*(_frac(x).denominator for x in v)) if v else 1
+    v = vector(v)
+    denom = math.lcm(*(x.denominator for x in v)) if v else 1
     h = Poly(())
     for j in range(n):
-        coeff = _frac(v[j]) * denom
+        coeff = v[j] * denom
         if coeff != 0:
             h = h + adj[j][col] * coeff
     s = sign_at_perron_root(h, pd)

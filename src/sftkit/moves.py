@@ -10,6 +10,7 @@ length-2 paths biject with the edges of the factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .equivalences import SSEWitness
@@ -38,11 +39,15 @@ class EdgePartition:
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.blocks)
 
+    @cached_property
+    def _blocks_by_vertex(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        return dict(reversed(self.blocks))  # a vertex listed twice keeps its first blocks
+
     def blocks_at(self, v: str) -> tuple[tuple[str, ...], ...]:
-        for w, blocks in self.blocks:
-            if w == v:
-                return blocks
-        raise BadPartition(f"no blocks given for vertex {v!r}")
+        try:
+            return self._blocks_by_vertex[v]
+        except KeyError:
+            raise BadPartition(f"no blocks given for vertex {v!r}") from None
 
 
 def partition_from_json(obj) -> EdgePartition:
@@ -259,7 +264,7 @@ def bridge_from_factorization(a: Matrix, r: Matrix, s: Matrix) -> BridgeGraph:
     counter = 1
     for i in range(n):
         for l in range(k):
-            for _ in range(int(r[i, l])):
+            for _ in range(r[i, l]):
                 eid = f"x{counter}"
                 counter += 1
                 x_ids[i][l].append(eid)
@@ -267,7 +272,7 @@ def bridge_from_factorization(a: Matrix, r: Matrix, s: Matrix) -> BridgeGraph:
     counter = 1
     for l in range(k):
         for j in range(n):
-            for _ in range(int(s[l, j])):
+            for _ in range(s[l, j]):
                 eid = f"y{counter}"
                 counter += 1
                 y_ids[l][j].append(eid)
@@ -278,7 +283,7 @@ def bridge_from_factorization(a: Matrix, r: Matrix, s: Matrix) -> BridgeGraph:
         c = 1
         for i in range(m.nrows):
             for j in range(m.ncols):
-                for _ in range(int(m[i, j])):
+                for _ in range(m[i, j]):
                     edges.append(Edge(vertices[i], vertices[j], f"{prefix}{c}"))
                     c += 1
         return Graph(vertices, tuple(edges))

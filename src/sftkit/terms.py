@@ -21,10 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ParseError, SinkVertex, UnknownGenerator
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
 Word = tuple[Atom, ...]
@@ -115,50 +116,39 @@ def star(x: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-class _Ctx:
-    """Per-call lookup tables so rewriting does not rescan the edge list."""
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.edge: dict[str, Edge] = {e.id: e for e in g.edges}
-        self.out: dict[str, tuple[Edge, ...]] = {
-            v: tuple(e for e in g.edges if e.src == v) for v in g.vertices
-        }
-
-
-def _rewrite_pair(ctx: _Ctx, x: Atom, y: Atom):
+def _rewrite_pair(g: Graph, x: Atom, y: Atom):
     """One local rewrite: list of atoms, the kill marker, or None when already valid."""
     (tx, ix), (ty, iy) = x, y
     if tx == "v":
         if ty == "v":
             return [x] if ix == iy else _KILL
         if ty == "e":
-            return [y] if ctx.edge[iy].src == ix else _KILL
-        return [y] if ctx.edge[iy].dst == ix else _KILL
+            return [y] if g.edge(iy).src == ix else _KILL
+        return [y] if g.edge(iy).dst == ix else _KILL
     if tx == "e":
-        e = ctx.edge[ix]
+        e = g.edge(ix)
         if ty == "v":
             return [x] if e.dst == iy else _KILL
         if ty == "e":
-            return None if e.dst == ctx.edge[iy].src else _KILL
-        return None if e.dst == ctx.edge[iy].dst else _KILL
+            return None if e.dst == g.edge(iy).src else _KILL
+        return None if e.dst == g.edge(iy).dst else _KILL
     # tx == "g"
-    e = ctx.edge[ix]
+    e = g.edge(ix)
     if ty == "v":
         return [x] if e.src == iy else _KILL
     if ty == "e":
         return [("v", e.dst)] if ix == iy else _KILL
-    return None if e.src == ctx.edge[iy].dst else _KILL
+    return None if e.src == g.edge(iy).dst else _KILL
 
 
-def _reduce_word(ctx: _Ctx, word: Word, strategy: str) -> Word | None:
+def _reduce_word(g: Graph, word: Word, strategy: str) -> Word | None:
     w = list(word)
     while len(w) > 1:
         positions: Sequence[int] = range(len(w) - 1)
         if strategy == "rightmost":
             positions = range(len(w) - 2, -1, -1)
         for idx in positions:
-            res = _rewrite_pair(ctx, w[idx], w[idx + 1])
+            res = _rewrite_pair(g, w[idx], w[idx + 1])
             if res == _KILL:
                 return None
             if res is not None:
@@ -178,10 +168,9 @@ def reduce(g: Graph, x: AlgebraElement, strategy: str = "leftmost") -> AlgebraEl
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ParseError(f"unknown strategy {strategy!r}")
-    ctx = _Ctx(g)
     out: dict[Word, Fraction] = {}
     for word, coeff in x.terms.items():
-        nf = _reduce_word(ctx, word, strategy)
+        nf = _reduce_word(g, word, strategy)
         if nf is not None:
             out[nf] = out.get(nf, Fraction(0)) + coeff
     return AlgebraElement(out)
@@ -253,15 +242,19 @@ class WeightMap:
         w = Fraction(str(w))
         return cls(tuple((e.id, w) for e in g.edges))
 
+    @cached_property
+    def _table(self) -> dict[str, Fraction]:
+        return dict(self.weights)
+
     def weight(self, edge_id: str) -> Fraction:
-        for e, w in self.weights:
-            if e == edge_id:
-                return w
-        raise UnknownGenerator(f"edge {edge_id!r} has no weight")
+        try:
+            return self._table[edge_id]
+        except KeyError:
+            raise UnknownGenerator(f"edge {edge_id!r} has no weight") from None
 
     def degree_of_word(self, word: Word) -> Fraction:
         total = Fraction(0)
-        table = dict(self.weights)
+        table = self._table
         for kind, name in word:
             if kind == "e":
                 total += table[name]
@@ -324,7 +317,6 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
     diff = reduce(g, x - y)
     if diff.is_zero():
         return True
-    ctx = _Ctx(g)
     groups: dict[int, list[tuple[tuple[str, ...], tuple[str, ...], str, Fraction]]] = {}
     for word, coeff in diff.terms.items():
         mu, gamma, base = _monomial_key(g, word)
@@ -335,7 +327,7 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
         stack = list(monos)
         while stack:
             mu, gamma, base, coeff = stack.pop()
-            outs = ctx.out[base]
+            outs = g.out_edges(base)
             if len(gamma) >= depth or not outs:
                 key = (mu, gamma, base)
                 bucket[key] = bucket.get(key, Fraction(0)) + coeff
@@ -379,22 +371,26 @@ class FamilyAssignment:
         )
 
     def q(self, v: str) -> AlgebraElement:
-        for name, x in self.vertex_images:
-            if name == v:
-                return x
-        raise UnknownGenerator(f"no image assigned to vertex {v!r}")
+        return self._image(0, v, "no image assigned to vertex {!r}")
 
     def t(self, e: str) -> AlgebraElement:
-        for name, x in self.edge_images:
-            if name == e:
-                return x
-        raise UnknownGenerator(f"no image assigned to edge {e!r}")
+        return self._image(1, e, "no image assigned to edge {!r}")
 
     def tstar(self, e: str) -> AlgebraElement:
-        for name, x in self.ghost_images:
-            if name == e:
-                return x
-        raise UnknownGenerator(f"no ghost image assigned to edge {e!r}")
+        return self._image(2, e, "no ghost image assigned to edge {!r}")
+
+    @cached_property
+    def _tables(self) -> tuple[dict[str, AlgebraElement], ...]:
+        return tuple(
+            dict(reversed(images))  # a name listed twice keeps its first image
+            for images in (self.vertex_images, self.edge_images, self.ghost_images)
+        )
+
+    def _image(self, part: int, name: str, missing: str) -> AlgebraElement:
+        try:
+            return self._tables[part][name]
+        except KeyError:
+            raise UnknownGenerator(missing.format(name)) from None
 
 
 def verify_family(fa: FamilyAssignment, source: Graph) -> bool:

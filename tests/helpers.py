@@ -93,6 +93,23 @@ def det_oracle(m: Matrix) -> Fraction:
     return cofactor_det([[Fraction(x) for x in row] for row in m.rows])
 
 
+def inverse_oracle(m: Matrix) -> list[list[Fraction]]:
+    """Inverse as the adjugate over the determinant, every entry a cofactor."""
+    rows = [[Fraction(x) for x in row] for row in m.rows]
+    n = len(rows)
+    d = cofactor_det(rows)
+    # entry (i, j) is the (j, i) cofactor: drop row j and column i
+    return [
+        [
+            (-1) ** (i + j)
+            * cofactor_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            / d
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def rank_oracle(rows: list[list[Fraction]]) -> int:
     """Row rank by plain Gaussian elimination, independent of the library."""
     rows = [[Fraction(x) for x in r] for r in rows]

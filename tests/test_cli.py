@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +127,18 @@ def test_se_verify_witness(capsys):
     code, rep = _report(capsys, "se", "verify", _FULL, _FULL_REV, bad)
     assert code == 1
     assert rep["results"]["verified"] is False
+
+
+def test_se_verify_rejects_huge_lag_quickly():
+    # a wrong witness at lag 10^8 is rejected without forming A^(10^8)
+    src = Path(__file__).resolve().parent.parent / "src"
+    witness = '{"R":[[1,0],[0,1]],"S":[[1,0],[0,1]],"l":100000000}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "sftkit", "se", "verify", "[[1,1],[1,0]]", "[[1,1],[1,0]]", witness],
+        capture_output=True, text=True, timeout=2, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert "verified: false" in proc.stdout
 
 
 def test_se_search_finds_transpose_witness(capsys):

@@ -92,6 +92,18 @@ def test_verify_se_shape_and_sign_checks():
         verify_se(_m([[1, 0]]), _AOP, SEWitness(_R1, _S1, 1))
 
 
+def test_verify_se_power_identities_at_large_lag():
+    fib = _m([[1, 1], [1, 0]])
+    ident = _m([[1, 0], [0, 1]])
+    # R = S = fib at lag 2: every identity holds, so the exact check runs
+    assert verify_se(fib, fib, SEWitness(fib, fib, 2))
+    # R S = I is not fib^l; the residues disprove it without forming fib^l
+    assert not verify_se(fib, fib, SEWitness(ident, ident, 100_000_000))
+    assert not verify_se(fib, fib, SEWitness(fib, ident, 3))
+    # the identity matrix is its own power at any lag
+    assert verify_se(ident, ident, SEWitness(ident, ident, 10**30))
+
+
 def test_transpose_witness():
     w = search_se(_AE, _AOP, lag_max=1, entry_bound=3)
     assert w is not None

@@ -51,6 +51,14 @@ def test_edge_naming_row_major():
         g.edge("e9")
 
 
+def test_edge_lookup_by_id():
+    g = _graph([[1, 2], [1, 0]])
+    assert [g.edge(e.id) for e in g.edges] == list(g.edges)
+    assert g.has_edge("e3") and not g.has_edge("e9") and not g.has_edge("v1")
+    with pytest.raises(ParseError, match="'e9' is not an edge of this graph"):
+        g.edge("e9")
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ParseError):
         Graph(("a", "a"), ())

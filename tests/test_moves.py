@@ -132,6 +132,14 @@ def test_partition_json_roundtrip():
         partition_from_json([{"vertex": "v1"}])
 
 
+def test_blocks_at_lookup():
+    p = EdgePartition((("v1", (("e1",), ("e2", "e3"))), ("v2", (("e4",),)), ("v1", (("e9",),))))
+    assert p.blocks_at("v1") == (("e1",), ("e2", "e3"))  # the first listing wins
+    assert p.blocks_at("v2") == (("e4",),)
+    with pytest.raises(BadPartition, match="no blocks given for vertex 'v3'"):
+        p.blocks_at("v3")
+
+
 def test_kronecker_product_matches_oracle():
     rng = random.Random(53)
     for _ in range(15):

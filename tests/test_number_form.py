@@ -1,0 +1,163 @@
+"""The number form of exact results: every entry of a matrix or vector that
+`linalg` hands out is an int when it is integral and a Fraction otherwise,
+never a float; determinant and inverse values are checked against the
+independent cofactor oracles of helpers.py."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from helpers import det_oracle, inverse_oracle, random_int_matrix
+
+from sftkit.linalg import (
+    AffineInfeasible,
+    AffineSolution,
+    Matrix,
+    integer_points,
+    intertwiner_space,
+    nullspace,
+    rref,
+    smith_normal_form,
+    solve_affine_exact,
+    vector,
+)
+
+
+def _entries(x):
+    if isinstance(x, Matrix):
+        for row in x.rows:
+            yield from row
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _entries(y)
+    else:
+        yield x
+
+
+def _assert_form(x) -> None:
+    for e in _entries(x):
+        assert type(e) is int or (type(e) is Fraction and e.denominator != 1), repr(e)
+
+
+def _random_rational_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    return Matrix.from_rows(
+        [[Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
+         for _ in range(nrows)]
+    )
+
+
+def _random_low_rank(rng: random.Random) -> Matrix:
+    """Integer matrix of rank at most 2, so nullspaces and infeasible systems occur."""
+    nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+    left = [[rng.randrange(-2, 3) for _ in range(2)] for _ in range(nrows)]
+    right = [[rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(2)]
+    return Matrix.from_rows(left) @ Matrix.from_rows(right)
+
+
+def test_from_rows_and_vector_normalise_every_entry():
+    m = Matrix.from_rows([[Fraction(4, 2), 0.5, "3/4"], [-0.0, Fraction(-6, 3), 7]])
+    _assert_form(m)
+    assert m.rows == ((2, Fraction(1, 2), Fraction(3, 4)), (0, -2, 7))
+    v = vector([Fraction(9, 3), 1.25, 0])
+    _assert_form(v)
+    assert v == (3, Fraction(5, 4), 0)
+
+
+def test_arithmetic_keeps_the_number_form():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        a = _random_rational_matrix(rng, n, n)
+        b = _random_rational_matrix(rng, n, n)
+        z = random_int_matrix(rng, n, -3, 3)
+        v = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2))) for _ in range(n)]
+        results = [
+            a, a @ b, a @ z, z @ z, a + b, a - b, -a, a.scale(Fraction(2, 3)), a.scale(2),
+            z.scale(Fraction(1, 2)), a.transpose(), a**2, z**3, a.kron(z), z.kron(z),
+            a.apply(v), z.apply(v), z.apply([1] * n), (a.trace(), z.trace()),
+        ]
+        for r in results:
+            _assert_form(r)
+    # integral products of rational matrices come back as ints
+    half = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    double = Matrix.from_rows([[2, 0], [0, Fraction(2, 3)]])
+    assert (half @ double).rows == ((1, 0), (0, 1))
+    _assert_form(half @ double)
+    assert type(half.trace()) is int
+
+
+def test_det_and_inverse_values_and_form():
+    rng = random.Random(42)
+    checked = 0
+    while checked < 60:
+        n = rng.randrange(1, 5)
+        m = random_int_matrix(rng, n, -4, 4) if checked % 2 else _random_rational_matrix(rng, n, n)
+        d = m.det()
+        _assert_form((d,))
+        assert d == det_oracle(m)
+        if d == 0:
+            continue
+        inv = m.inverse()
+        _assert_form(inv)
+        assert [list(r) for r in inv.rows] == inverse_oracle(m)
+        checked += 1
+
+
+def test_non_unit_pivots_give_exact_ints():
+    # first pivots 2 and 3, yet the determinant and the inverse are integral
+    for rows in ([[2, 1], [1, 1]], [[3, 2], [4, 3]], [[2, 3, 1], [1, 2, 1], [1, 1, 1]]):
+        m = Matrix.from_rows(rows)
+        d, inv = m.det(), m.inverse()
+        assert type(d) is int and d == det_oracle(m)
+        assert all(type(x) is int for row in inv.rows for x in row)
+        assert [list(r) for r in inv.rows] == inverse_oracle(m)
+        assert m @ inv == Matrix.identity(m.nrows)
+    assert Matrix.from_rows([[2, 4], [1, 2]]).det() == 0
+    assert type(Matrix.from_rows([[2, 4], [1, 2]]).det()) is int
+
+
+def test_echelon_results_keep_the_number_form():
+    rng = random.Random(43)
+    for _ in range(60):
+        m = _random_low_rank(rng) if rng.random() < 0.7 else _random_rational_matrix(rng, 3, 3)
+        reduced, _ = rref(m)
+        _assert_form(reduced)
+        basis = nullspace(m)
+        _assert_form(basis)
+        assert all(m.apply(v) == (0,) * m.nrows for v in basis)
+
+
+def test_affine_solutions_and_certificates_keep_the_number_form():
+    rng = random.Random(44)
+    outcomes = set()
+    for _ in range(200):
+        a = _random_low_rank(rng)
+        b = [Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2))) for _ in range(a.nrows)]
+        res = solve_affine_exact(a, b)
+        if isinstance(res, AffineSolution):
+            _assert_form(res.particular)
+            _assert_form(res.basis)
+            assert list(a.apply(res.particular)) == b
+            for p in integer_points(res.particular, res.basis, -2, 2, budget=200):
+                _assert_form(p)
+        else:
+            assert isinstance(res, AffineInfeasible)
+            _assert_form(res.certificate)
+            y = res.certificate
+            assert a.transpose().apply(y) == (0,) * a.ncols
+            assert sum(p * q for p, q in zip(y, b)) == 1
+        outcomes.add(type(res))
+    assert outcomes == {AffineSolution, AffineInfeasible}
+
+
+def test_intertwiner_space_and_smith_form_keep_the_number_form():
+    rng = random.Random(45)
+    for _ in range(30):
+        a = random_int_matrix(rng, rng.randrange(1, 4), 0, 2)
+        b = random_int_matrix(rng, rng.randrange(1, 4), 0, 2)
+        _assert_form(intertwiner_space(a, b))
+        m = random_int_matrix(rng, rng.randrange(1, 4), -5, 5)
+        u, d, v = smith_normal_form(m)
+        _assert_form((u, d, v))
+        assert u @ m @ v == d

@@ -231,6 +231,23 @@ def test_verify_family_identity():
     assert fa.tstar("e1") == ghost_element(_G, "e1")
 
 
+def test_missing_images_and_weights_raise_unknown_generator():
+    fa = FamilyAssignment.build(
+        _G, {"v1": vertex_element(_G, "v1")}, {"e1": edge_element(_G, "e1")}
+    )
+    assert fa.q("v1") == vertex_element(_G, "v1") and fa.t("e1") == edge_element(_G, "e1")
+    for call, message in (
+        (lambda: fa.q("v2"), "no image assigned to vertex 'v2'"),
+        (lambda: fa.t("e2"), "no image assigned to edge 'e2'"),
+        (lambda: fa.tstar("e2"), "no ghost image assigned to edge 'e2'"),
+        (lambda: WeightMap((("e1", Fraction(1)),)).weight("e2"), "edge 'e2' has no weight"),
+    ):
+        with pytest.raises(UnknownGenerator) as exc:
+            call()
+        assert str(exc.value) == message
+    assert WeightMap.uniform(_G, 2).weight("e3") == 2
+
+
 def test_verify_family_rejects_broken_images():
     edges = {e.id: edge_element(_G, e.id) for e in _G.edges}
     edges["e4"] = edge_element(_G, "e2")  # wrong source and range
