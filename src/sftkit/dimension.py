@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import HasSinks, ShapeError, UndecidedError
-from .graphs import Graph
+from .errors import HasSinks, InvalidMatrix, ShapeError, UndecidedError
+from .graphs import Graph, _int_entry
 from .linalg import (
     AffineInfeasible,
     Matrix,
@@ -515,8 +515,8 @@ def element_to_json(x: DimElement) -> dict:
 
 def element_from_json(obj) -> DimElement:
     try:
-        return DimElement(tuple(int(v) for v in obj["a"]), int(obj["k"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return DimElement(tuple(_int_entry(v) for v in obj["a"]), _int_entry(obj["k"]))
+    except (KeyError, TypeError, InvalidMatrix) as exc:
         raise ShapeError(f"malformed element payload: {exc}") from exc
 
 
@@ -527,6 +527,9 @@ def candidate_to_json(cand: ModuleIsoCandidate) -> dict:
 def candidate_from_json(obj) -> ModuleIsoCandidate:
     try:
         rows = [[Fraction(str(x)) for x in row] for row in obj["matrix"]]
-        return ModuleIsoCandidate(Matrix.from_rows(rows), bool(obj.get("pointed", False)))
+        pointed = obj.get("pointed", False)
+        if not isinstance(pointed, bool):
+            raise ShapeError(f"malformed candidate payload: pointed={pointed!r} is not a bool")
+        return ModuleIsoCandidate(Matrix.from_rows(rows), pointed)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed candidate payload: {exc}") from exc

@@ -18,9 +18,12 @@ leans on:
 * the one linear system of the intertwiner equation U a = b U;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
-* Perron root isolation by Sturm bisection and the exact sign of the pairing
+* Perron root isolation by Sturm bisection, and the exact sign of the pairing
   of a rational vector against the left Perron eigenvector of an irreducible
-  nonnegative matrix.
+  nonnegative matrix: column 0 of adj(xI - A^T) is a positive multiple of
+  that eigenvector at the Perron root, so the pairing is one polynomial h,
+  whose sign there is one Tarski query (Sylvester's theorem) on the
+  isolating interval.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import Poly, count_roots, poly_gcd, squarefree_part, sturm_chain
+from .polynomials import Poly, count_roots, squarefree_part, sturm_chain, tarski_query
 
 Rat = Fraction | int
 Vector = tuple[Rat, ...]
@@ -438,11 +441,7 @@ def adjugate_xi_minus(m: Matrix) -> list[list[Poly]]:
     if not m.is_square:
         raise ShapeError("adjugate needs a square matrix")
     _, bs = _faddeev_leverrier(m.to_int_rows())
-    return _adjugate_polys(bs)
-
-
-def _adjugate_polys(bs: list[list[list[int]]]) -> list[list[Poly]]:
-    n = len(bs[0])
+    n = m.nrows
     # ascending coefficients: x^(n-1-k) carries bs[k][i][j]
     return [
         [Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]) for j in range(n)]
@@ -685,17 +684,23 @@ class Sign(IntEnum):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Isolating interval (lo, hi] for the Perron root of an irreducible matrix.
+    """Isolating interval (lo, hi) for the Perron root of an irreducible matrix.
 
-    `poly` is the squarefree part of the characteristic polynomial and
-    `chain` its Sturm chain; the interval contains exactly one of its roots,
-    namely the spectral radius.
+    `poly` is the squarefree part of the characteristic polynomial; the
+    interval contains exactly one of its roots, namely the spectral radius,
+    and neither endpoint is a root.
     """
 
     poly: Poly
-    chain: tuple[Poly, ...]
     lo: Fraction
     hi: Fraction
+
+
+def _check_perron_matrix(m: Matrix) -> None:
+    if not m.is_integral() or not m.is_nonnegative():
+        raise InvalidMatrix("Perron data needs a nonnegative integer matrix")
+    if not is_irreducible_matrix(m):
+        raise NotIrreducible("Perron data needs an irreducible matrix")
 
 
 def isolate_perron_root(m: Matrix) -> PerronData:
@@ -705,92 +710,59 @@ def isolate_perron_root(m: Matrix) -> PerronData:
     polynomial, so bisect for the rightmost root starting from the row-sum
     bound.
     """
-    if not m.is_integral() or not m.is_nonnegative():
-        raise InvalidMatrix("Perron data needs a nonnegative integer matrix")
-    if not is_irreducible_matrix(m):
-        raise NotIrreducible("Perron data needs an irreducible matrix")
+    _check_perron_matrix(m)
     return _isolate(m, char_poly(m))
 
 
 def _isolate(m: Matrix, cp: Poly) -> PerronData:
-    """`isolate_perron_root` for a checked m whose characteristic polynomial is cp."""
+    """`isolate_perron_root` for a checked m whose characteristic polynomial is cp.
+
+    The start values -hi, hi lie beyond every eigenvalue, and a midpoint that
+    is a root is moved toward hi, so no endpoint is ever a root.
+    """
     p = squarefree_part(cp)
-    chain = tuple(sturm_chain(p))
+    chain = sturm_chain(p)
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
     lo = -hi
     while count_roots(p, lo, hi, chain) > 1:
         mid = (lo + hi) / 2
+        while p(mid) == 0:
+            mid = (mid + hi) / 2
         if count_roots(p, mid, hi, chain) >= 1:
             lo = mid
         else:
             hi = mid
-    return PerronData(p, chain, lo, hi)
+    return PerronData(p, lo, hi)
 
 
 def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
     """Exact sign of h at the Perron root described by pd.
 
-    Zero is certified through gcd(h, p); otherwise the isolating interval is
-    refined until it is free of roots of h and the endpoint sign is the sign
-    throughout.
+    The Tarski query of h on (pd.lo, pd.hi), whose only root of pd.poly is
+    the Perron root; this needs the endpoints not to be roots, which
+    `isolate_perron_root` guarantees.
     """
-    if h.is_zero:
-        return Sign.ZERO
-    if h.degree == 0:
-        return Sign.POSITIVE if h.coeffs[0] > 0 else Sign.NEGATIVE
-    g = poly_gcd(h, pd.poly)
-    if g.degree >= 1 and count_roots(g, pd.lo, pd.hi) >= 1:
-        return Sign.ZERO
-    lo, hi = pd.lo, pd.hi
-    h_sf = squarefree_part(h)
-    h_chain = sturm_chain(h_sf)
-    while True:
-        val = h(hi)
-        if val != 0 and count_roots(h_sf, lo, hi, h_chain) == 0:
-            return Sign.POSITIVE if val > 0 else Sign.NEGATIVE
-        mid = (lo + hi) / 2
-        if count_roots(pd.poly, mid, hi, pd.chain) == 1:
-            lo = mid
-        else:
-            hi = mid
+    return Sign(tarski_query(pd.poly, h, pd.lo, pd.hi))
 
 
 def perron_pairing_sign(a: Matrix, v: Sequence[Rat]) -> Sign:
     """Exact sign of w . v for the strictly positive left Perron eigenvector w of a.
 
-    a must be an irreducible nonnegative integer matrix.  The eigenvector is
-    read off a column of adj(lambda I - a^T), whose entries at the Perron
-    root lambda are all nonzero multiples of w, so only polynomial sign
-    evaluations at lambda are needed: no eigenvector coordinates are ever
-    approximated.
+    a must be an irreducible nonnegative integer matrix.  Its Perron root
+    lambda is a simple root of the monic characteristic polynomial p and
+    its largest real root, so p'(lambda) > 0, and adj(lambda I - a^T) =
+    p'(lambda) w y^T / (y^T w) with w, y > 0 is entrywise positive.  Column 0
+    is therefore a positive multiple of w, and w . v has the sign of
+    h = sum_j v_j adj(x I - a^T)[j][0] at lambda: no eigenvector coordinate is
+    ever approximated.
     """
-    if not a.is_square:
-        raise ShapeError("Perron pairing needs a square matrix")
     if len(v) != a.nrows:
         raise ShapeError("vector length does not match matrix size")
-    if not a.is_integral() or not a.is_nonnegative():
-        raise InvalidMatrix("Perron pairing needs a nonnegative integer matrix")
-    if not is_irreducible_matrix(a):
-        raise NotIrreducible("Perron pairing needs an irreducible matrix")
+    _check_perron_matrix(a)
     # one Faddeev-LeVerrier run on a^T: det(xI - a^T) = det(xI - a), and adj(xI - a^T)
     cs, bs = _faddeev_leverrier(a.transpose().to_int_rows())
     pd = _isolate(a, Poly.from_coeffs(reversed(cs)))
-    adj = _adjugate_polys(bs)
-    n = a.nrows
-    col = None
-    col_sign = Sign.ZERO
-    for c in range(n):
-        s = sign_at_perron_root(adj[0][c], pd)
-        if s != Sign.ZERO:
-            col, col_sign = c, s
-            break
-    assert col is not None, "adjugate of an irreducible matrix cannot vanish at the Perron root"
     v = vector(v)
-    denom = math.lcm(*(x.denominator for x in v)) if v else 1
-    h = Poly(())
-    for j in range(n):
-        coeff = v[j] * denom
-        if coeff != 0:
-            h = h + adj[j][col] * coeff
-    s = sign_at_perron_root(h, pd)
-    return Sign(int(s) * int(col_sign))
+    n = a.nrows
+    h = Poly.from_coeffs(sum(v[j] * bs[n - 1 - d][j][0] for j in range(n)) for d in range(n))
+    return sign_at_perron_root(h, pd)

@@ -1,10 +1,14 @@
 """Dense univariate polynomials over the rationals, plus Sturm root counting.
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and held as
-`fractions.Fraction`, so everything here is exact.  The Sturm helpers count
+`fractions.Fraction`, so everything here is exact.  One remainder loop,
+`sturm_chain`, builds every signed remainder sequence.  `count_roots` counts
 distinct real roots in a half-open interval (a, b]; with a squarefree input
 this is the textbook sign-variation difference and tolerates roots landing
-exactly on the right endpoint.
+exactly on the right endpoint.  `tarski_query` sums the signs of q over the
+roots of p in (a, b) by Sylvester's theorem (Basu, Pollack & Roy,
+*Algorithms in Real Algebraic Geometry*, ch. 2): the sequence of p and p'q
+mod p, read at two endpoints that are not roots of p.
 """
 
 from __future__ import annotations
@@ -168,9 +172,12 @@ def squarefree_part(p: Poly) -> Poly:
     return q.monic()
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Canonical Sturm chain p, p', then negated remainders."""
-    chain = [p, p.derivative()]
+def sturm_chain(p: Poly, q: Poly | None = None) -> list[Poly]:
+    """Signed remainder sequence p, q, then negated remainders; q defaults to p'.
+
+    With the default this is the canonical Sturm chain of p.
+    """
+    chain = [p, p.derivative() if q is None else q]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))
     if chain[-1].is_zero:
@@ -202,4 +209,18 @@ def count_roots(p: Poly, lo: Rat, hi: Rat, chain: Sequence[Poly] | None = None) 
         return 0
     if chain is None:
         chain = sturm_chain(squarefree_part(p))
+    return _variations(chain, lo) - _variations(chain, hi)
+
+
+def tarski_query(p: Poly, q: Poly, lo: Rat, hi: Rat) -> int:
+    """Sum of sign q(x) over the distinct real roots x of p in (lo, hi).
+
+    Sylvester's theorem: the sign-variation difference of the signed
+    remainder sequence of p and p'q (taken mod p, which leaves the Cauchy
+    index unchanged).  Neither endpoint may be a root of p.
+    """
+    lo, hi = _frac(lo), _frac(hi)
+    if p(lo) == 0 or p(hi) == 0:
+        raise ShapeError("Tarski query endpoints must not be roots of p")
+    chain = sturm_chain(p, p.derivative() * q % p)
     return _variations(chain, lo) - _variations(chain, hi)

@@ -181,6 +181,25 @@ def gauss_jordan_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
     return "solution", tuple(particular), tuple(basis)
 
 
+def perron_sign_oracle(m: Matrix, v) -> int:
+    """Sign of w . v for the left Perron vector w of an irreducible m whose
+    rows all sum to r.
+
+    The all-ones vector is then a positive right eigenvector, so the Perron
+    root is r exactly and w solves w (m - rI) = 0, scaled by w_0 = 1.
+    """
+    n = m.nrows
+    r = sum(m[0, j] for j in range(n))
+    assert all(sum(m[i, j] for j in range(n)) == r for i in range(n))
+    # equation i: sum_j w_j (m[j][i] - r [i == j]) = 0, then w_0 = 1
+    rows = [[m[j, i] - (r if i == j else 0) for j in range(n)] for i in range(n)]
+    rows.append([1] + [0] * (n - 1))
+    kind, w, basis = gauss_jordan_oracle(rows, [0] * n + [1])
+    assert kind == "solution" and not basis and all(x > 0 for x in w)
+    s = sum(x * y for x, y in zip(w, v))
+    return (s > 0) - (s < 0)
+
+
 def kron_oracle(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise block Kronecker product."""
     rows = []

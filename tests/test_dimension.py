@@ -327,3 +327,35 @@ def test_json_roundtrips():
         pointed=True,
     )
     assert candidate_from_json(candidate_to_json(u)) == u
+    # integral floats pass the integer entry rule; a missing "pointed" reads False
+    assert element_from_json({"a": [1, -2.0], "k": 3.0}) == x
+    assert candidate_from_json({"matrix": [[1]]}).pointed is False
+
+
+_MALFORMED_PAYLOADS = [
+    (element_from_json, {"a": [1.5, True, "7"], "k": "3"}),
+    (element_from_json, {"a": [1, 2], "k": 2.9}),
+    (element_from_json, {"a": [1, 2], "k": "3"}),
+    (element_from_json, {"a": [1, 2], "k": True}),
+    (element_from_json, {"a": [1, True], "k": 0}),
+    (element_from_json, {"a": [1, "7"], "k": 0}),
+    (element_from_json, {"a": [1, 1e400], "k": 0}),
+    (element_from_json, {"a": [1, 2]}),
+    (element_from_json, {"a": 5, "k": 0}),
+    (element_from_json, [1, 2]),
+    (candidate_from_json, {"matrix": [[1]], "pointed": "no"}),
+    (candidate_from_json, {"matrix": [[1]], "pointed": 1}),
+    (candidate_from_json, {"matrix": [[1]], "pointed": None}),
+    (candidate_from_json, {"matrix": [[True]], "pointed": False}),
+    (candidate_from_json, {"pointed": False}),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, payload",
+    _MALFORMED_PAYLOADS,
+    ids=lambda x: x.__name__ if callable(x) else repr(x),
+)
+def test_malformed_json_payloads_raise_shape_error(parse, payload):
+    with pytest.raises(ShapeError):
+        parse(payload)

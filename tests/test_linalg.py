@@ -7,14 +7,17 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
 from helpers import (
     cofactor_det,
     det_oracle,
     gauss_jordan_oracle,
+    perron_sign_oracle,
     random_int_matrix,
     rank_oracle,
 )
 
+from sftkit.errors import InvalidMatrix, NotIrreducible, ShapeError
 from sftkit.linalg import (
     Matrix,
     Sign,
@@ -367,6 +370,110 @@ def test_sign_at_perron_root():
     assert sign_at_perron_root(x - one * Fraction(2), pd) == Sign.ZERO
     assert sign_at_perron_root(x - one, pd) == Sign.POSITIVE
     assert sign_at_perron_root(x - one * Fraction(3), pd) == Sign.NEGATIVE
+
+    def c(k):
+        return Poly.constant(Fraction(k))
+
+    # char poly x^2 - x - 2 = (x - 2)(x + 1): Perron root 2, other root -1
+    pd = isolate_perron_root(Matrix.from_rows([[1, 2], [1, 0]]))
+    p = (x - c(2)) * (x + c(1))
+    for h, expected in [
+        # degree >= deg p
+        (x * x * x, Sign.POSITIVE),
+        (x * x * x - c(8), Sign.ZERO),
+        (p * (x + c(5)), Sign.ZERO),
+        (p * x + c(1), Sign.POSITIVE),
+        ((x - c(2)) * (x - c(2)) * (x + c(7)), Sign.ZERO),
+        (x * x * x * x - c(17), Sign.NEGATIVE),
+        # vanishing at the non-Perron root -1 only
+        (x + c(1), Sign.POSITIVE),
+        ((x + c(1)) * (x - c(3)), Sign.NEGATIVE),
+        # constants
+        (c(5), Sign.POSITIVE),
+        (c(Fraction(-1, 3)), Sign.NEGATIVE),
+        (c(0), Sign.ZERO),
+        # negative leading coefficient
+        (-x + c(3), Sign.POSITIVE),
+        (-x * x + c(1), Sign.NEGATIVE),
+        (-(x - c(2)) * (x + c(4)), Sign.ZERO),
+    ]:
+        assert sign_at_perron_root(h, pd) == expected, h.pretty()
+
+    # J_2 has char poly x(x - 2): the first bisection midpoint 0 is a root
+    pd = isolate_perron_root(Matrix.from_rows([[1, 1], [1, 1]]))
+    assert pd.poly(pd.lo) != 0 and pd.poly(pd.hi) != 0
+    assert sign_at_perron_root(x, pd) == Sign.POSITIVE
+    assert sign_at_perron_root(x - c(2), pd) == Sign.ZERO
+    assert sign_at_perron_root(x - c(3), pd) == Sign.NEGATIVE
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[-1]], InvalidMatrix),
+        ([[Fraction(1, 2)]], InvalidMatrix),
+        ([[1, 1], [0, 1]], NotIrreducible),
+    ],
+)
+def test_perron_functions_reject_bad_matrices(rows, error):
+    m = Matrix.from_rows(rows)
+    with pytest.raises(error):
+        isolate_perron_root(m)
+    with pytest.raises(error):
+        perron_pairing_sign(m, (1,) * m.nrows)
+
+
+def test_perron_pairing_rejects_wrong_length_vector():
+    m = Matrix.from_rows([[1, 1], [1, 0]])
+    for v in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(ShapeError):
+            perron_pairing_sign(m, v)
+
+
+def _constant_row_sum_matrix(rng: random.Random, n: int, r: int, period: int) -> Matrix:
+    """r units per row, placed in the next cyclic class (period > 1) or anywhere."""
+    cls = [i % period for i in range(n)]
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            targets = [j for j in range(n) if cls[j] == (cls[i] + 1) % period]
+            for _ in range(r):
+                rows[i][rng.choice(targets)] += 1
+        m = Matrix.from_rows(rows)
+        if is_irreducible_matrix(m):
+            return m
+
+
+def test_perron_pairing_sign_matches_constant_row_sum_oracle():
+    rng = random.Random(23)
+    cases = [Matrix.from_rows([[1] * n] * n) for n in range(1, 9)]
+    cases += [Matrix.from_rows([[0, 2], [2, 0]]), Matrix.from_rows([[0, 2, 0], [0, 0, 2], [2, 0, 0]])]
+    cases += [
+        _constant_row_sum_matrix(rng, n, rng.randrange(1, 4), period)
+        for n in range(1, 7)
+        for period in range(1, n + 1)
+        if n % period == 0
+        for _ in range(2)
+    ]
+    counts = {Sign.NEGATIVE: 0, Sign.ZERO: 0, Sign.POSITIVE: 0}
+    for m in cases:
+        n = m.nrows
+        r = sum(m.rows[0])
+        shifted = m - Matrix.identity(n).scale(r)
+        for _ in range(3):
+            x = [rng.randrange(-3, 4) for _ in range(n)]
+            zero_pairing = shifted.apply(x)  # w (m - rI) x = 0
+            for v in [
+                vector(rng.randrange(-4, 5) for _ in range(n)),
+                vector(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)),
+                zero_pairing,
+                vector(y + Fraction(rng.choice([-1, 1]), 7) * (i == 0)
+                       for i, y in enumerate(zero_pairing)),
+            ]:
+                got = perron_pairing_sign(m, v)
+                assert got == perron_sign_oracle(m, v), (m, v)
+                counts[got] += 1
+    assert min(counts.values()) > 30, counts
 
 
 def test_perron_pairing_sign_matches_functional():

@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from sftkit.errors import ShapeError
 from sftkit.polynomials import (
     Poly,
     count_roots,
     poly_gcd,
     squarefree_part,
     sturm_chain,
+    tarski_query,
 )
 
 
@@ -102,3 +106,24 @@ def test_sturm_chain_signs_at_random_rationals():
         counted = count_roots(p, lo, hi, chain)
         actual = sum(1 for r in (1, 2, 3) if lo < r <= hi)
         assert counted == actual
+
+
+def test_sturm_chain_second_polynomial_defaults_to_derivative():
+    p = _poly(-6, 11, -6, 1)
+    assert sturm_chain(p) == sturm_chain(p, p.derivative())
+    assert sturm_chain(p, Poly(())) == [p]
+    assert sturm_chain(p, _poly(2)) == [p, _poly(2)]
+
+
+def test_tarski_query_sums_signs_over_distinct_roots():
+    rng = random.Random(8)
+    roots = (-3, 1, 2)
+    p = _poly(3, 1) * _poly(-1, 1) * _poly(-2, 1) * _poly(-2, 1)  # (x+3)(x-1)(x-2)^2
+    for _ in range(60):
+        q = _poly(*(rng.randrange(-4, 5) for _ in range(rng.randrange(0, 6))))
+        lo = Fraction(rng.randrange(-9, 6), 2) + Fraction(1, 3)
+        hi = lo + Fraction(rng.randrange(1, 12), 2)
+        expected = sum((q(r) > 0) - (q(r) < 0) for r in roots if lo < r < hi)
+        assert tarski_query(p, q, lo, hi) == expected
+    with pytest.raises(ShapeError):
+        tarski_query(p, _poly(1), Fraction(0), Fraction(1))
