@@ -21,11 +21,13 @@ from .graphs import _int_rows
 from .invariants import bowen_franks, char_poly_away_from_zero
 from .linalg import (
     AffineInfeasible,
+    AffineSolution,
     Matrix,
+    Vector,
     integer_points,
-    intertwiner_matrix,
     intertwiner_space,
     solve_affine_exact,
+    vector,
 )
 
 
@@ -137,11 +139,21 @@ def transpose_witness(w: SEWitness) -> SEWitness:
 # ---------------------------------------------------------------------------
 
 
+# Integer points of one partner solution space scanned per candidate R before
+# the candidate is given up (a bound of the searches, not a parameter).
+PARTNER_SCAN_BUDGET = 5000
+
+
 def _prefilters_pass(a: Matrix, b: Matrix) -> bool:
     """Cheap necessary conditions shared by SE and SSE; False means no witness exists."""
     if char_poly_away_from_zero(a) != char_poly_away_from_zero(b):
         return False
     return bowen_franks(a) == bowen_franks(b)
+
+
+def _flat(m: Matrix) -> list:
+    """Entries of m, row-major."""
+    return [x for row in m.rows for x in row]
 
 
 def _candidate_matrices(
@@ -152,7 +164,7 @@ def _candidate_matrices(
 ) -> Iterator[Matrix]:
     """Integer points of span(space) with entries in [0, entry_bound], lexicographic."""
     nrows, ncols = shape
-    flat_basis = [tuple(x for row in m.rows for x in row) for m in space]
+    flat_basis = [_flat(m) for m in space]
     origin = (0,) * (nrows * ncols)
     for flat in integer_points(origin, flat_basis, 0, entry_bound, budget=budget):
         yield Matrix.from_rows(
@@ -160,31 +172,52 @@ def _candidate_matrices(
         )
 
 
+def _partner_solutions(
+    partner: Sequence[Matrix], r: Matrix, al: Matrix, bl: Matrix
+) -> AffineSolution | None:
+    """All S with S a = b S, R S = a^l and S R = b^l, as flat row-major vectors.
+
+    partner is the basis S_1..S_d of {S : S a = b S} from
+    intertwiner_space(a, b), and al, bl are a^l, b^l.  With
+    S = c_1 S_1 + ... + c_d S_d the other two conditions are one system in
+    the d unknowns c, whose column k is vec(R S_k) above vec(S_k R).  The
+    basis is linearly independent, so the solution set of that system mapped
+    back through it is exactly the set of S meeting all three conditions.
+    None means there is no such S.
+    """
+    cols = [_flat(r @ s) + _flat(s @ r) for s in partner]
+    rhs = _flat(al) + _flat(bl)
+    res = solve_affine_exact(
+        Matrix.from_rows([[col[i] for col in cols] for i in range(len(rhs))]), rhs
+    )
+    if isinstance(res, AffineInfeasible):
+        return None
+    flat_partner = [_flat(s) for s in partner]
+    size = bl.nrows * al.nrows
+
+    def lift(c: Vector) -> Vector:
+        return vector(sum(ck * v[i] for ck, v in zip(c, flat_partner)) for i in range(size))
+
+    return AffineSolution(lift(res.particular), tuple(lift(v) for v in res.basis))
+
+
 def _solve_for_partner(
-    a: Matrix, b: Matrix, commute: Matrix, r: Matrix, lag: int, entry_bound: int
+    partner: Sequence[Matrix], r: Matrix, al: Matrix, bl: Matrix, entry_bound: int
 ) -> Matrix | None:
     """Find nonnegative integer S with S a = b S, R S = a^l, S R = b^l, if any.
 
-    All three conditions are linear in S (m x n, flattened row-major), so
-    solve the combined system; commute is intertwiner_matrix(a, b), the
-    block for S a - b S = 0, which does not depend on R.  When the solution
-    space is positive-dimensional, scan its integer points in a small box.
+    The integer points of `_partner_solutions` are scanned in the box
+    [0, max(entry_bound, entries of a^l and b^l)], at most
+    PARTNER_SCAN_BUDGET of them.
     """
-    n, m = a.nrows, b.nrows
-    al = a**lag
-    bl = b**lag
-    rows = (
-        commute.rows
-        + r.kron(Matrix.identity(n)).rows
-        + Matrix.identity(m).kron(r.transpose()).rows
-    )
-    rhs = [0] * (m * n) + [x for row in al.rows + bl.rows for x in row]
-
-    res = solve_affine_exact(Matrix(rows), rhs)
-    if isinstance(res, AffineInfeasible):
+    sol = _partner_solutions(partner, r, al, bl)
+    if sol is None:
         return None
-    box_hi = max([entry_bound, *(x for row in al.rows + bl.rows for x in row)])
-    for flat in integer_points(res.particular, res.basis, 0, box_hi, budget=5000):
+    m, n = bl.nrows, al.nrows
+    box_hi = max([entry_bound, *_flat(al), *_flat(bl)])
+    for flat in integer_points(
+        sol.particular, sol.basis, 0, box_hi, budget=PARTNER_SCAN_BUDGET
+    ):
         s = Matrix.from_rows([[flat[i * n + j] for j in range(n)] for i in range(m)])
         if s.is_nonnegative():
             return s
@@ -202,22 +235,26 @@ def search_se(
 
     Candidates R are the integer points of the rational intertwiner space
     {R : a R = R b} with entries in [0, entry_bound]; for each one, the
-    partner S is solved for exactly.  The first verified witness (lags
+    partner S is solved for exactly in the partner space {S : S a = b S},
+    whose basis is computed once per call.  The first verified witness (lags
     ascending, candidates lexicographic) is returned, so the search is
-    deterministic and complete within its bounds up to the candidate budget.
+    deterministic and complete within its bounds up to two budgets: at most
+    candidate_budget candidates R per lag, and at most PARTNER_SCAN_BUDGET
+    (5000) integer points scanned for the partner of each R.
     """
     if not _prefilters_pass(a, b):
         return None
     # {R : a R = R b} is the intertwiner space with the roles swapped
     space = intertwiner_space(b, a)
-    commute = intertwiner_matrix(a, b)
+    partner = intertwiner_space(a, b)
     for lag in range(1, lag_max + 1):
+        al, bl = a**lag, b**lag
         for r in _candidate_matrices(
             space, (a.nrows, b.nrows), entry_bound, candidate_budget
         ):
             if r.is_zero():
                 continue
-            s = _solve_for_partner(a, b, commute, r, lag, entry_bound)
+            s = _solve_for_partner(partner, r, al, bl, entry_bound)
             if s is None:
                 continue
             w = SEWitness(r, s, lag)
@@ -239,7 +276,10 @@ def search_esse(
     inner_dim_max acts as a refusal bound on the size of b.  Any witness
     satisfies a R = R b automatically (a R = R S R = R b), so candidates are
     drawn from the intertwiner space rather than the full entry box; this
-    prunes hard while staying complete within the bounds.
+    prunes hard while staying complete within the bounds.  As in search_se,
+    each partner S is solved for in the partner space {S : S a = b S},
+    computed once per call, and at most PARTNER_SCAN_BUDGET (5000) integer
+    points are scanned for the partner of each candidate R.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("search needs square matrices")
@@ -248,13 +288,13 @@ def search_esse(
     if a.trace() != b.trace() or not _prefilters_pass(a, b):
         return None
     space = intertwiner_space(b, a)
-    commute = intertwiner_matrix(a, b)
+    partner = intertwiner_space(a, b)
     for r in _candidate_matrices(
         space, (a.nrows, b.nrows), entry_bound, candidate_budget
     ):
         if r.is_zero():
             continue
-        s = _solve_for_partner(a, b, commute, r, 1, entry_bound)
+        s = _solve_for_partner(partner, r, a, b, entry_bound)
         if s is None:
             continue
         w = SSEWitness(r, s)

@@ -7,15 +7,21 @@ only otherwise.  The module supplies the kernels the rest of the package
 leans on:
 
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
+* fraction-free elimination over the integers: `_rref` clears each row's
+  denominators once and runs Gauss-Jordan with integer row operations kept
+  small by gcds, dividing by the pivots only at the end; `Matrix.det` is
+  Bareiss elimination;
 * Smith normal form with unimodular transforms (elementary operations,
   pivoting on the minimal absolute value);
 * characteristic polynomials via Faddeev-LeVerrier, which also yields the
   adjugate of (xI - A) as a polynomial matrix for free;
-* exact affine solving by one Gauss-Jordan reduction of [A | b]; only an
+* exact affine solving by one reduction of [A | b]; only an
   inconsistent system is reduced again, as [A | b | I], where the identity
   block records the row operations and yields the infeasibility certificate
   (a rational row combination y with y.A = 0 and y.b = 1);
-* the one linear system of the intertwiner equation U a = b U;
+* the one linear system of the intertwiner equation U a = b U, whose
+  nullspace is also the partner space the witness searches of
+  `equivalences` solve in, once per pair of matrices;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
 * Perron root isolation by Sturm bisection, and the exact sign of the pairing
@@ -179,27 +185,34 @@ class Matrix:
         return _num(sum(self.rows[i][i] for i in range(self.nrows)))
 
     def det(self) -> Rat:
-        """Exact determinant by fraction-free style Gaussian elimination."""
+        """Exact determinant by fraction-free (Bareiss) elimination over the integers.
+
+        Each row's denominators are cleared once; every Bareiss step then
+        divides exactly by the previous pivot, so entries stay minors of the
+        integer matrix.  The result is an int when integral.
+        """
         if not self.is_square:
             raise ShapeError("determinant needs a square matrix")
         n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = 1
-        for c in range(n):
+        a, scale = [], 1
+        for row in self.rows:
+            ints, den = _cleared(row)
+            a.append(ints)
+            scale *= den
+        sign, prev = 1, 1
+        for c in range(n - 1):
             piv = next((r for r in range(c, n) if a[r][c] != 0), None)
             if piv is None:
                 return 0
             if piv != c:
                 a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / Fraction(a[c][c])
+                sign = -sign
+            p, top = a[c][c], a[c]
             for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    f = a[r][c] * inv
-                    for k in range(c, n):
-                        a[r][k] -= f * a[c][k]
-        return _num(det)
+                f = a[r][c]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+            prev = p
+        return _num(Fraction(sign * a[-1][-1], scale)) if n else 1
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -230,18 +243,41 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
+def _cleared(row: Sequence[Rat]) -> tuple[list[int], int]:
+    """(den * row, den) for den the least common denominator of the entries."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _coprime(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
 def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     """Row-reduce in place to reduced row echelon form; returns the pivot columns.
+
+    Fraction-free Gauss-Jordan over the integers: each row's denominators are
+    cleared once, every elimination replaces row i by p * row_i - f * row_r
+    (p the pivot, f the entry it clears), divided by the gcd of its entries,
+    and each pivot row is divided by its pivot only at the end.  Every row
+    stays a nonzero multiple of the row that Gauss-Jordan over the rationals
+    holds at the same step, so the pivots (first nonzero row at or below the
+    current one) and the reduced pivot rows are the same; rows past the rank
+    are left as integer multiples.
 
     Pivots are sought only in the first `limit` columns (all of them by
     default); later columns just follow the row operations.  A caller that
     needs the transform T with T @ original == reduced appends an identity
-    block past the limit and reads T off it afterwards; only the infeasible
-    branch of `solve_affine_exact` does, for its certificate.
+    block past the limit and reads T off its pivot rows afterwards; only the
+    infeasible branch of `solve_affine_exact` does, for its certificate.
     """
     m = len(rows)
     if limit is None:
         limit = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        rows[i] = _coprime(_cleared(row)[0])
     pivots: list[int] = []
     r = 0
     for c in range(limit):
@@ -249,16 +285,21 @@ def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / Fraction(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != 0:
+                g = math.gcd(p, f)
+                pg, fg = p // g, f // g
+                rows[i] = _coprime([pg * x - fg * y for x, y in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == m:
             break
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        rows[i] = [x // p if x % p == 0 else Fraction(x, p) for x in rows[i]]
     return pivots
 
 
@@ -533,12 +574,15 @@ def integer_points(
 ) -> Iterator[Vector]:
     """Integer vectors of particular + span(basis) with all entries in [lo, hi].
 
-    The basis is re-echelonized so each direction owns a leading coordinate;
-    any boxed solution then has integer leading coordinates in [lo, hi], so
-    scanning those tuples lexicographically is complete within the box (as
-    long as the budget, counted in scanned tuples, is not exhausted).
-    Raises UndecidedError-free: on budget exhaustion the iterator just stops,
-    so callers must treat exhaustion as "not found within bounds".
+    The basis is re-echelonized so each direction owns a leading coordinate,
+    and the particular point is shifted to the point of the set whose
+    leading coordinates vanish.  Both are unique for the affine set, so the
+    scan depends only on the set, not on the basis or point passed in.  Any
+    boxed solution has integer leading coordinates in [lo, hi], so scanning
+    those tuples lexicographically is complete within the box as long as the
+    budget, counted in scanned tuples, is not exhausted.  Exhaustion raises
+    nothing: the iterator just stops, so callers must treat it as "not found
+    within bounds".
     """
     ncols = len(particular)
     if not basis:

@@ -110,12 +110,14 @@ def inverse_oracle(m: Matrix) -> list[list[Fraction]]:
     ]
 
 
-def rank_oracle(rows: list[list[Fraction]]) -> int:
-    """Row rank by plain Gaussian elimination, independent of the library."""
+def echelon_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns by plain Gauss-Jordan over
+    the rationals, independent of the library."""
     rows = [[Fraction(x) for x in r] for r in rows]
     rank = 0
     col = 0
     ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
     while rank < len(rows) and col < ncols:
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
@@ -128,9 +130,27 @@ def rank_oracle(rows: list[list[Fraction]]) -> int:
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
         rank += 1
         col += 1
-    return rank
+    return rows, pivots
+
+
+def rank_oracle(rows: list[list[Fraction]]) -> int:
+    """Row rank by plain Gaussian elimination, independent of the library."""
+    return len(echelon_oracle(rows)[1])
+
+
+def affine_set_oracle(particular, basis) -> tuple[tuple, tuple]:
+    """Canonical form of the affine set particular + span(basis): the nonzero
+    rows of the RREF of the basis, and the one point of the set whose
+    coordinates at their pivot columns vanish."""
+    reduced, pivots = echelon_oracle([list(v) for v in basis])
+    point = [Fraction(x) for x in particular]
+    for row, p in zip(reduced, pivots):
+        c = point[p]
+        point = [x - c * y for x, y in zip(point, row)]
+    return tuple(tuple(row) for row in reduced[: len(pivots)]), tuple(point)
 
 
 def gauss_jordan_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -179,6 +199,51 @@ def gauss_jordan_oracle(rows: list[list[Fraction]], rhs: list[Fraction]):
             v[p] = -aug[r][free]
         basis.append(tuple(v))
     return "solution", tuple(particular), tuple(basis)
+
+
+def stacked_partner_oracle(a: Matrix, b: Matrix, r: Matrix, lag: int):
+    """All S (m x n, flattened row-major) with S a = b S, R S = a^l and
+    S R = b^l, from gauss_jordan_oracle on the one stacked system of all three
+    conditions, every coefficient written entrywise."""
+    n, m = a.nrows, b.nrows
+
+    def power(x: Matrix) -> list[list[int]]:
+        k = x.nrows
+        acc = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(lag):
+            acc = [[sum(acc[i][t] * x[t, j] for t in range(k)) for j in range(k)]
+                   for i in range(k)]
+        return acc
+
+    al, bl = power(a), power(b)
+    rows, rhs = [], []
+    # (S a - b S)[i][j] = sum_q S[i][q] a[q][j] - sum_p b[i][p] S[p][j]
+    for i in range(m):
+        for j in range(n):
+            row = [0] * (m * n)
+            for q in range(n):
+                row[i * n + q] += a[q, j]
+            for p in range(m):
+                row[p * n + j] -= b[i, p]
+            rows.append(row)
+            rhs.append(0)
+    # (R S)[p][q] = sum_i R[p][i] S[i][q]
+    for p in range(n):
+        for q in range(n):
+            row = [0] * (m * n)
+            for i in range(m):
+                row[i * n + q] = r[p, i]
+            rows.append(row)
+            rhs.append(al[p][q])
+    # (S R)[p][q] = sum_j S[p][j] R[j][q]
+    for p in range(m):
+        for q in range(m):
+            row = [0] * (m * n)
+            for j in range(n):
+                row[p * n + j] = r[j, q]
+            rows.append(row)
+            rhs.append(bl[p][q])
+    return gauss_jordan_oracle(rows, rhs)
 
 
 def perron_sign_oracle(m: Matrix, v) -> int:

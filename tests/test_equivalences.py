@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
 
 import pytest
-from helpers import random_in_partition, random_out_partition, random_sink_free
+from helpers import (
+    affine_set_oracle,
+    random_in_partition,
+    random_irreducible_nontrivial,
+    random_out_partition,
+    random_sink_free,
+    stacked_partner_oracle,
+)
 
 from sftkit.equivalences import (
     ChainLink,
@@ -24,10 +34,11 @@ from sftkit.equivalences import (
     verify_chain,
     verify_esse,
     verify_se,
+    _partner_solutions,
 )
 from sftkit.errors import InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
-from sftkit.linalg import Matrix
+from sftkit.linalg import Matrix, intertwiner_space
 from sftkit.moves import in_split, out_split
 
 
@@ -158,3 +169,77 @@ def test_witness_json_roundtrip():
     assert se_witness_from_json(se_witness_to_json(se)) == se
     chain = _transpose_chain()
     assert chain_from_json(chain_to_json(chain)) == chain
+
+
+def _partner_cases(rng: random.Random):
+    """(a, b, R, lag) cases: split pairs with their own witness R (lag 1)
+    and a R (lag 2), both feasible; random integer matrices in
+    {R : a R = R b}, feasible or not; and random pairs with a random R,
+    where the partner space is often zero."""
+    for trial in range(60):
+        g = random_sink_free(rng, 3 if trial % 10 == 0 else 2, 2)
+        if trial % 2:
+            h, w = out_split(g, random_out_partition(rng, g))
+        else:
+            h, w = in_split(g, random_in_partition(rng, g))
+        a, b = g.adjacency(), h.adjacency()
+        yield a, b, w.r, 1
+        yield a, b, a @ w.r, 2
+        yield b, a, w.s, 1
+        space = intertwiner_space(b, a)
+        for _ in range(2):
+            r = Matrix.zeros(a.nrows, b.nrows)
+            for basis_r in space:
+                r = r + basis_r.scale(rng.randrange(-2, 3))
+            den = math.lcm(*(x.denominator for row in r.rows for x in row))
+            yield a, b, r.scale(den), rng.choice((1, 2))
+    for _ in range(60):
+        n, m = rng.randrange(1, 4), rng.randrange(1, 4)
+        a = Matrix.from_rows([[rng.randrange(0, 4) for _ in range(n)] for _ in range(n)])
+        b = Matrix.from_rows([[rng.randrange(0, 4) for _ in range(m)] for _ in range(m)])
+        r = Matrix.from_rows([[rng.randrange(0, 3) for _ in range(m)] for _ in range(n)])
+        yield a, b, r, rng.choice((1, 2))
+
+
+def test_partner_space_solutions_match_stacked_oracle():
+    rng = random.Random(43)
+    seen = {"feasible": 0, "infeasible": 0, "positive_dimensional": 0,
+            "zero_partner_space": 0, "lag2": 0}
+    cases = 0
+    for a, b, r, lag in _partner_cases(rng):
+        cases += 1
+        partner = intertwiner_space(a, b)
+        got = _partner_solutions(partner, r, a**lag, b**lag)
+        expected = stacked_partner_oracle(a, b, r, lag)
+        assert (got is None) == (expected[0] == "infeasible"), (a, b, r, lag)
+        if got is not None:
+            assert affine_set_oracle(got.particular, got.basis) == affine_set_oracle(
+                *expected[1:]
+            ), (a, b, r, lag)
+        seen["feasible" if got is not None else "infeasible"] += 1
+        seen["positive_dimensional"] += got is not None and bool(got.basis)
+        seen["zero_partner_space"] += not partner
+        seen["lag2"] += lag == 2
+    assert cases >= 300
+    assert min(seen.values()) >= 15, seen
+
+
+# sha256 of the JSON list of the 100 witnesses (R, S, l) that acceptance
+# criterion 08 finds, recorded before the partner space and the fraction-free
+# elimination replaced the stacked system over the rationals
+_CRITERION_08_WITNESSES = "be55ffb730b01b9ab1349cf4210790570a1bcc7c39fca026b886df202982c646"
+
+
+def test_criterion_08_witnesses_are_pinned():
+    rng = random.Random(8)
+    found = []
+    for trial in range(100):
+        base = random_irreducible_nontrivial(rng, 3, 2)
+        if trial % 2 == 0:
+            h, _ = out_split(base, random_out_partition(rng, base))
+        else:
+            h, _ = in_split(base, random_in_partition(rng, base))
+        w = search_se(base.adjacency(), h.adjacency(), lag_max=1, entry_bound=3)
+        found.append(None if w is None else se_witness_to_json(w))
+    digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+    assert digest == _CRITERION_08_WITNESSES

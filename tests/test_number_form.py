@@ -1,14 +1,20 @@
 """The number form of exact results: every entry of a matrix or vector that
 `linalg` hands out is an int when it is integral and a Fraction otherwise,
-never a float; determinant and inverse values are checked against the
-independent cofactor oracles of helpers.py."""
+never a float; determinant, inverse and echelon values are checked against
+the independent oracles of helpers.py."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from helpers import det_oracle, inverse_oracle, random_int_matrix
+from helpers import (
+    det_oracle,
+    echelon_oracle,
+    gauss_jordan_oracle,
+    inverse_oracle,
+    random_int_matrix,
+)
 
 from sftkit.linalg import (
     AffineInfeasible,
@@ -161,3 +167,79 @@ def test_intertwiner_space_and_smith_form_keep_the_number_form():
         u, d, v = smith_normal_form(m)
         _assert_form((u, d, v))
         assert u @ m @ v == d
+
+
+def _entry(rng: random.Random, mixed: bool):
+    """A small int, or with mixed=True sometimes a non-integral Fraction."""
+    x = rng.randrange(-4, 5)
+    return Fraction(x, rng.choice((2, 3))) if mixed and rng.random() < 0.4 else x
+
+
+def _degenerate_matrix(rng: random.Random, nrows: int, ncols: int, mixed: bool) -> Matrix:
+    """Matrix of rank at most 3 (a product through a short inner dimension),
+    with zero and duplicate rows mixed in."""
+    inner = rng.randrange(0, 4)
+    left = [[rng.randrange(-3, 4) for _ in range(inner)] for _ in range(nrows)]
+    right = [[_entry(rng, mixed) for _ in range(ncols)] for _ in range(inner)]
+    rows = [[sum(x * right[k][j] for k, x in enumerate(row)) for j in range(ncols)]
+            for row in left]
+    for _ in range(rng.randrange(0, 3)):
+        i = rng.randrange(nrows)
+        rows[i] = list(rows[rng.randrange(nrows)]) if rng.random() < 0.5 else [0] * ncols
+    return Matrix.from_rows(rows)
+
+
+def test_fraction_free_elimination_matches_gauss_jordan_oracle():
+    rng = random.Random(46)
+    outcomes = {"solution": 0, "infeasible": 0, "inverse": 0}
+    for trial in range(300):
+        mixed = trial % 2 == 1
+        m = _degenerate_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6), mixed)
+        rows = [list(r) for r in m.rows]
+        reduced, pivots = rref(m)
+        assert ([list(r) for r in reduced.rows], pivots) == echelon_oracle(rows)
+        _assert_form(reduced)
+        basis = nullspace(m)
+        assert ("solution", (0,) * m.ncols, tuple(basis)) == gauss_jordan_oracle(
+            rows, [0] * m.nrows
+        )
+        _assert_form(basis)
+        b = list(m.apply([Fraction(rng.randrange(-3, 4), 2) for _ in range(m.ncols)]))
+        if rng.random() < 0.5:
+            b[rng.randrange(m.nrows)] += rng.randrange(1, 4)
+        expected = gauss_jordan_oracle(rows, b)
+        res = solve_affine_exact(m, b)
+        outcomes[expected[0]] += 1
+        if expected[0] == "solution":
+            assert (res.particular, res.basis) == expected[1:]
+            _assert_form((res.particular, res.basis))
+        else:
+            assert res.certificate == expected[1]
+            _assert_form(res.certificate)
+        n = rng.randrange(1, 5)
+        sq = Matrix.from_rows([[_entry(rng, mixed) for _ in range(n)] for _ in range(n)])
+        if sq.det() != 0:
+            outcomes["inverse"] += 1
+            inv = sq.inverse()
+            assert [list(r) for r in inv.rows] == inverse_oracle(sq)
+            _assert_form(inv)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_det_is_exact_on_singular_and_non_unit_pivot_matrices():
+    rng = random.Random(47)
+    singular = 0
+    for trial in range(150):
+        n, mixed = rng.randrange(1, 6), trial % 2 == 1
+        if trial % 3 == 0:
+            m = _degenerate_matrix(rng, n, n, mixed)
+        else:
+            m = Matrix.from_rows([[_entry(rng, mixed) for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.3:
+            # a zero leading entry forces a row swap before the first pivot
+            m = Matrix.from_rows([[0, *m.row(0)[1:]], *m.rows[1:]])
+        d = m.det()
+        _assert_form((d,))
+        assert d == det_oracle(m), m
+        singular += d == 0
+    assert singular >= 30
