@@ -24,12 +24,17 @@ leans on:
   `equivalences` solve in, once per pair of matrices;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
-* Perron root isolation by Sturm bisection, and the exact sign of the pairing
-  of a rational vector against the left Perron eigenvector of an irreducible
+* Perron root isolation by Sturm bisection on the characteristic polynomial
+  itself (no squarefree part), and the exact sign of the pairing of a
+  rational vector against the left Perron eigenvector of an irreducible
   nonnegative matrix: column 0 of adj(xI - A^T) is a positive multiple of
   that eigenvector at the Perron root, so the pairing is one polynomial h,
   whose sign there is one Tarski query (Sylvester's theorem) on the
-  isolating interval.
+  isolating interval.  Both remainder sequences are primitive
+  pseudo-remainder sequences over the integers, read by integer sign
+  evaluation; each element is a positive multiple of its counterpart over
+  the rationals, so every sign is the same and no coefficient grows as
+  rational arithmetic would make it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import Poly, count_roots, squarefree_part, sturm_chain, tarski_query
+from .polynomials import Poly, count_roots, sturm_chain, tarski_query
 
 Rat = Fraction | int
 Vector = tuple[Rat, ...]
@@ -477,19 +482,6 @@ def char_poly(m: Matrix) -> Poly:
     return Poly.from_coeffs(reversed(cs))
 
 
-def adjugate_xi_minus(m: Matrix) -> list[list[Poly]]:
-    """Entries of adj(xI - m) as polynomials (degree <= n-1)."""
-    if not m.is_square:
-        raise ShapeError("adjugate needs a square matrix")
-    _, bs = _faddeev_leverrier(m.to_int_rows())
-    n = m.nrows
-    # ascending coefficients: x^(n-1-k) carries bs[k][i][j]
-    return [
-        [Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Affine systems
 # ---------------------------------------------------------------------------
@@ -716,10 +708,6 @@ def cyclic_structure(m: Matrix) -> tuple[int, list[list[int]]]:
     return p, classes
 
 
-def is_primitive_matrix(m: Matrix) -> bool:
-    return is_irreducible_matrix(m) and cyclic_structure(m)[0] == 1
-
-
 class Sign(IntEnum):
     NEGATIVE = -1
     ZERO = 0
@@ -730,9 +718,13 @@ class Sign(IntEnum):
 class PerronData:
     """Isolating interval (lo, hi) for the Perron root of an irreducible matrix.
 
-    `poly` is the squarefree part of the characteristic polynomial; the
-    interval contains exactly one of its roots, namely the spectral radius,
-    and neither endpoint is a root.
+    `poly` is the characteristic polynomial det(xI - A), monic with integer
+    coefficients and possibly repeated roots; the interval contains exactly
+    one of its distinct roots, namely the spectral radius, and neither
+    endpoint is a root.  Both Sturm counting and the Tarski query count
+    distinct roots under that condition, and both read their signed
+    remainder sequences over the integers (`polynomials.sturm_chain`), whose
+    elements are positive multiples of the sequences over the rationals.
     """
 
     poly: Poly
@@ -762,21 +754,23 @@ def _isolate(m: Matrix, cp: Poly) -> PerronData:
     """`isolate_perron_root` for a checked m whose characteristic polynomial is cp.
 
     The start values -hi, hi lie beyond every eigenvalue, and a midpoint that
-    is a root is moved toward hi, so no endpoint is ever a root.
+    is a root is moved toward hi, so no endpoint is ever a root.  That is
+    what lets the Sturm chain of cp itself count distinct roots even when cp
+    has repeated roots (as J_n's x^(n-1) (x - n) does): no squarefree part is
+    taken.
     """
-    p = squarefree_part(cp)
-    chain = sturm_chain(p)
+    chain = sturm_chain(cp)
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
     lo = -hi
-    while count_roots(p, lo, hi, chain) > 1:
+    while count_roots(cp, lo, hi, chain) > 1:
         mid = (lo + hi) / 2
-        while p(mid) == 0:
+        while cp.sign_at(mid) == 0:
             mid = (mid + hi) / 2
-        if count_roots(p, mid, hi, chain) >= 1:
+        if count_roots(cp, mid, hi, chain) >= 1:
             lo = mid
         else:
             hi = mid
-    return PerronData(p, lo, hi)
+    return PerronData(cp, lo, hi)
 
 
 def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:

@@ -2,17 +2,25 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and held as
 `fractions.Fraction`, so everything here is exact.  One remainder loop,
-`sturm_chain`, builds every signed remainder sequence.  `count_roots` counts
-distinct real roots in a half-open interval (a, b]; with a squarefree input
-this is the textbook sign-variation difference and tolerates roots landing
-exactly on the right endpoint.  `tarski_query` sums the signs of q over the
-roots of p in (a, b) by Sylvester's theorem (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 2): the sequence of p and p'q
-mod p, read at two endpoints that are not roots of p.
+`sturm_chain`, builds every signed remainder sequence, and it runs over the
+integers: only the signs of the sequence are ever read, so it is a primitive
+pseudo-remainder sequence (Collins 1967; Brown & Traub 1971) whose every
+element is a positive rational multiple of the element at the same position
+of the signed remainder sequence over the rationals.  Signs are read with
+integer arithmetic only (`Poly.sign_at`): the sign of an integer polynomial
+of degree d at a/b, b > 0, is the sign of sum c_i a^i b^(d-i).
+
+`count_roots` counts distinct real roots in a half-open interval (a, b];
+with a squarefree input this is the textbook sign-variation difference and
+tolerates roots landing exactly on the right endpoint.  `tarski_query` sums
+the signs of q over the roots of p in (a, b) by Sylvester's theorem (Basu,
+Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 2): the sequence
+of p and p'q mod p, read at two endpoints that are not roots of p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -128,6 +136,21 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: Rat) -> int:
+        """Sign (-1, 0 or 1) of self(x), computed with integers only.
+
+        Homogeneous Horner at x = a/b, b > 0, on the coefficients with their
+        denominators cleared: the value times a positive integer is
+        sum c_i a^i b^(d-i).
+        """
+        x = _frac(x)
+        a, b = x.numerator, x.denominator
+        acc, bk = 0, 1
+        for c in reversed(_integral(self)):
+            acc = acc * a + c * bk
+            bk *= b
+        return (acc > 0) - (acc < 0)
+
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
@@ -172,33 +195,79 @@ def squarefree_part(p: Poly) -> Poly:
     return q.monic()
 
 
+def _integral(p: Poly) -> list[int]:
+    """Coefficients of p times the lcm of their denominators, a positive integer."""
+    dens = [c.denominator for c in p.coeffs]
+    lcm = math.lcm(*dens)
+    if lcm == 1:
+        return [c.numerator for c in p.coeffs]
+    return [c.numerator * (lcm // d) for c, d in zip(p.coeffs, dens)]
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials (ascending coefficient lists)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """prem(a, b) divided by its content: a positive multiple of a mod b.
+
+    Each elimination step multiplies the remainder by |lc(b)| / g and
+    subtracts (lead / g) sgn(lc(b)) x^k b, g the gcd of the two leading
+    coefficients, so the multiplier of a stays positive and divides
+    |lc(b)|^(deg a - deg b + 1).  The result is [] for a zero remainder.
+    """
+    lc = b[-1]
+    alc, sgn = abs(lc), (1 if lc > 0 else -1)
+    r = a
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        g = math.gcd(r[-1], alc)
+        f, t = alc // g, sgn * (r[-1] // g)
+        r = [f * c for c in r[:k]] + [f * c - t * d for c, d in zip(r[k:], b)]
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return [c // g for c in r]
+
+
 def sturm_chain(p: Poly, q: Poly | None = None) -> list[Poly]:
     """Signed remainder sequence p, q, then negated remainders; q defaults to p'.
 
-    With the default this is the canonical Sturm chain of p.
+    With the default this is the canonical Sturm chain of p.  The sequence is
+    computed over the integers: p and q are each multiplied by the lcm of
+    their coefficient denominators, and each further element is the negated
+    pseudo-remainder of the previous two divided by its content.  Every
+    element is therefore a positive rational multiple of the corresponding
+    element of the sequence over the rationals (p, q, -(p mod q), ...): the
+    signs at every point, hence every sign-variation count, are the same.
     """
-    chain = [p, p.derivative() if q is None else q]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
+    chain = [_integral(p), _integral(p.derivative() if q is None else q)]
+    while chain[-1] and len(chain[-1]) > 1:
+        chain.append([-c for c in _primitive_prem(chain[-2], chain[-1])])
+    if not chain[-1]:
         chain.pop()
-    return chain
+    return [Poly.from_coeffs(cs) for cs in chain]
 
 
 def _variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    """Sign changes along chain at x, zeros skipped, each sign read over the integers."""
+    signs = [s for q in chain if (s := q.sign_at(x))]
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
 
 def count_roots(p: Poly, lo: Rat, hi: Rat, chain: Sequence[Poly] | None = None) -> int:
     """Number of distinct real roots of p in (lo, hi].
 
-    The chain of the squarefree part may be passed in to amortize repeated
-    queries against the same polynomial.
+    The Sturm chain of p or of its squarefree part may be passed in to
+    amortize repeated queries against the same polynomial; the chain of a p
+    with repeated roots counts correctly only if neither endpoint is a root.
     """
     lo, hi = _frac(lo), _frac(hi)
     if hi < lo:
@@ -217,10 +286,13 @@ def tarski_query(p: Poly, q: Poly, lo: Rat, hi: Rat) -> int:
 
     Sylvester's theorem: the sign-variation difference of the signed
     remainder sequence of p and p'q (taken mod p, which leaves the Cauchy
-    index unchanged).  Neither endpoint may be a root of p.
+    index unchanged).  Neither endpoint may be a root of p.  The second
+    element is formed over the integers too, as a positive multiple of
+    p'q mod p.
     """
     lo, hi = _frac(lo), _frac(hi)
-    if p(lo) == 0 or p(hi) == 0:
+    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ShapeError("Tarski query endpoints must not be roots of p")
-    chain = sturm_chain(p, p.derivative() * q % p)
+    p_q = _product(_integral(p.derivative()), _integral(q))
+    chain = sturm_chain(p, Poly.from_coeffs(_primitive_prem(p_q, _integral(p))))
     return _variations(chain, lo) - _variations(chain, hi)

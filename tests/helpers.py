@@ -11,8 +11,14 @@ import random
 from fractions import Fraction
 
 from sftkit.graphs import Graph, classify, from_adjacency
-from sftkit.linalg import Matrix
+from sftkit.linalg import (
+    Matrix,
+    _faddeev_leverrier,
+    cyclic_structure,
+    is_irreducible_matrix,
+)
 from sftkit.moves import EdgePartition
+from sftkit.polynomials import Poly
 
 
 def random_adjacency(rng: random.Random, n: int, entry_max: int) -> Matrix:
@@ -263,6 +269,54 @@ def perron_sign_oracle(m: Matrix, v) -> int:
     assert kind == "solution" and not basis and all(x > 0 for x in w)
     s = sum(x * y for x, y in zip(w, v))
     return (s > 0) - (s < 0)
+
+
+def is_primitive_matrix(m: Matrix) -> bool:
+    """Irreducible with period 1; False (not an error) for a reducible m."""
+    return is_irreducible_matrix(m) and cyclic_structure(m)[0] == 1
+
+
+def adjugate_xi_minus(m: Matrix) -> list[list[Poly]]:
+    """Entries of adj(xI - m) as polynomials, read off the B_k of the
+    library's Faddeev-LeVerrier run: adj(xI - m) = sum B_k x^(n-1-k)."""
+    _, bs = _faddeev_leverrier(m.to_int_rows())
+    n = m.nrows
+    return [
+        [Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def sturm_chain_oracle(p, q) -> list[list[Fraction]]:
+    """Signed remainder sequence p, q, -(p mod q), ... over the rationals.
+
+    p and q are ascending coefficient lists; each remainder is taken by
+    schoolbook long division in `Fraction`s, and the sequence stops after
+    the first constant or before the first zero element.
+    """
+
+    def trim(cs):
+        cs = [Fraction(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            a = trim(a)
+        return a
+
+    chain = [trim(p), trim(q)]
+    while chain[-1] and len(chain[-1]) > 1:
+        chain.append([-c for c in rem(chain[-2], chain[-1])])
+    if not chain[-1]:
+        chain.pop()
+    return chain
 
 
 def kron_oracle(a: Matrix, b: Matrix) -> Matrix:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_adjacency
+from helpers import is_primitive_matrix, random_adjacency
 
 from sftkit.dimension import (
     Candidate,
@@ -43,7 +43,7 @@ from sftkit.dimension import (
 )
 from sftkit.errors import HasSinks, ShapeError
 from sftkit.graphs import from_adjacency, transpose
-from sftkit.linalg import Matrix, is_primitive_matrix
+from sftkit.linalg import Matrix
 
 
 def _m(rows) -> Matrix:

@@ -4,14 +4,17 @@ bounded integer enumeration, and Perron sign arithmetic."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from helpers import (
+    adjugate_xi_minus,
     cofactor_det,
     det_oracle,
     gauss_jordan_oracle,
+    is_primitive_matrix,
     perron_sign_oracle,
     random_int_matrix,
     rank_oracle,
@@ -21,13 +24,11 @@ from sftkit.errors import InvalidMatrix, NotIrreducible, ShapeError
 from sftkit.linalg import (
     Matrix,
     Sign,
-    adjugate_xi_minus,
     char_poly,
     cyclic_structure,
     integer_points,
     intertwiner_space,
     is_irreducible_matrix,
-    is_primitive_matrix,
     isolate_perron_root,
     nullspace,
     perron_pairing_sign,
@@ -39,6 +40,7 @@ from sftkit.linalg import (
     AffineSolution,
     vector,
 )
+from sftkit.polynomials import Poly, count_roots
 
 
 def _gcd_of_minors(m: Matrix, k: int) -> int:
@@ -359,10 +361,18 @@ def test_isolate_perron_root_brackets_largest_root():
     p = char_poly(m)
     assert p(pd.lo) * p(pd.hi) < 0
 
+    # J_n has char poly x^(n-1) (x - n), with 0 a repeated root for n >= 3;
+    # the isolation runs on that polynomial itself, not its squarefree part
+    for n in range(2, 9):
+        j = Matrix.from_rows([[1] * n] * n)
+        pd = isolate_perron_root(j)
+        assert pd.poly == char_poly(j) == Poly.from_coeffs([0] * (n - 1) + [-n, 1])
+        assert pd.lo < n < pd.hi
+        assert pd.poly(pd.lo) != 0 and pd.poly(pd.hi) != 0
+        assert count_roots(pd.poly, pd.lo, pd.hi) == 1
+
 
 def test_sign_at_perron_root():
-    from sftkit.polynomials import Poly
-
     m = Matrix.from_rows([[2]])
     pd = isolate_perron_root(m)
     x = Poly.x()
@@ -399,12 +409,18 @@ def test_sign_at_perron_root():
     ]:
         assert sign_at_perron_root(h, pd) == expected, h.pretty()
 
-    # J_2 has char poly x(x - 2): the first bisection midpoint 0 is a root
-    pd = isolate_perron_root(Matrix.from_rows([[1, 1], [1, 1]]))
-    assert pd.poly(pd.lo) != 0 and pd.poly(pd.hi) != 0
-    assert sign_at_perron_root(x, pd) == Sign.POSITIVE
-    assert sign_at_perron_root(x - c(2), pd) == Sign.ZERO
-    assert sign_at_perron_root(x - c(3), pd) == Sign.NEGATIVE
+    # J_n has char poly x^(n-1) (x - n): the first bisection midpoint 0 is a
+    # root, a repeated one for n >= 3
+    for n in range(2, 9):
+        pd = isolate_perron_root(Matrix.from_rows([[1] * n] * n))
+        assert pd.lo < n < pd.hi
+        assert pd.poly(pd.lo) != 0 and pd.poly(pd.hi) != 0
+        assert sign_at_perron_root(x, pd) == Sign.POSITIVE
+        assert sign_at_perron_root(x * x - c(n * n), pd) == Sign.ZERO
+        assert sign_at_perron_root(x - c(n), pd) == Sign.ZERO
+        assert sign_at_perron_root(x - c(n + 1), pd) == Sign.NEGATIVE
+        assert sign_at_perron_root(p * (x - c(n)), pd) == Sign.ZERO
+        assert sign_at_perron_root(x * x * (c(n) - x) + c(1), pd) == Sign.POSITIVE
 
 
 @pytest.mark.parametrize(
@@ -444,6 +460,32 @@ def _constant_row_sum_matrix(rng: random.Random, n: int, r: int, period: int) ->
             return m
 
 
+def _constant_row_sum_01_matrix(rng: random.Random, n: int, r: int) -> Matrix:
+    """Primitive 0/1 matrix with r ones in each row, at distinct random places."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in rng.sample(range(n), r):
+                rows[i][j] = 1
+        m = Matrix.from_rows(rows)
+        if is_primitive_matrix(m):
+            return m
+
+
+def _pairings_to_check(rng: random.Random, m: Matrix) -> list:
+    """An integer, a rational, a zero and a nearly zero pairing for m, whose
+    rows all sum to the same r."""
+    n = m.nrows
+    x = [rng.randrange(-3, 4) for _ in range(n)]
+    zero_pairing = (m - Matrix.identity(n).scale(sum(m.rows[0]))).apply(x)  # w (m - rI) x = 0
+    return [
+        vector(rng.randrange(-4, 5) for _ in range(n)),
+        vector(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)),
+        zero_pairing,
+        vector(y + Fraction(rng.choice([-1, 1]), 7) * (i == 0) for i, y in enumerate(zero_pairing)),
+    ]
+
+
 def test_perron_pairing_sign_matches_constant_row_sum_oracle():
     rng = random.Random(23)
     cases = [Matrix.from_rows([[1] * n] * n) for n in range(1, 9)]
@@ -455,25 +497,32 @@ def test_perron_pairing_sign_matches_constant_row_sum_oracle():
         if n % period == 0
         for _ in range(2)
     ]
+    checks = [(m, v) for m in cases for _ in range(3) for v in _pairings_to_check(rng, m)]
+    # sizes where the remainder sequences over the rationals grew large: the
+    # zero and the nearly zero pairing only
+    for n in (16, 24, 32, 40):
+        m = _constant_row_sum_matrix(rng, n, rng.randrange(2, 4), 1 + n % 3)
+        checks += [(m, v) for v in _pairings_to_check(rng, m)[2:]]
     counts = {Sign.NEGATIVE: 0, Sign.ZERO: 0, Sign.POSITIVE: 0}
-    for m in cases:
-        n = m.nrows
-        r = sum(m.rows[0])
-        shifted = m - Matrix.identity(n).scale(r)
-        for _ in range(3):
-            x = [rng.randrange(-3, 4) for _ in range(n)]
-            zero_pairing = shifted.apply(x)  # w (m - rI) x = 0
-            for v in [
-                vector(rng.randrange(-4, 5) for _ in range(n)),
-                vector(Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)),
-                zero_pairing,
-                vector(y + Fraction(rng.choice([-1, 1]), 7) * (i == 0)
-                       for i, y in enumerate(zero_pairing)),
-            ]:
-                got = perron_pairing_sign(m, v)
-                assert got == perron_sign_oracle(m, v), (m, v)
-                counts[got] += 1
+    for m, v in checks:
+        got = perron_pairing_sign(m, v)
+        assert got == perron_sign_oracle(m, v), (m, v)
+        counts[got] += 1
     assert min(counts.values()) > 30, counts
+
+
+def test_perron_pairing_sign_at_n48_within_budget():
+    # on a 2-vCPU VM this pairing takes about 0.8 s with the remainder
+    # sequences over the integers and about 35 s with those over the
+    # rationals, so the budget catches a return of the latter
+    rng = random.Random(48)
+    m = _constant_row_sum_01_matrix(rng, 48, 6)
+    v = _pairings_to_check(rng, m)[3]
+    start = time.perf_counter()
+    got = perron_pairing_sign(m, v)
+    elapsed = time.perf_counter() - start
+    assert got == perron_sign_oracle(m, v)
+    assert elapsed < 5, f"n = 48 Perron pairing took {elapsed:.1f}s (budget 5s)"
 
 
 def test_perron_pairing_sign_matches_functional():

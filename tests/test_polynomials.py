@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import sturm_chain_oracle
 
 from sftkit.errors import ShapeError
 from sftkit.polynomials import (
@@ -115,6 +116,67 @@ def test_sturm_chain_second_polynomial_defaults_to_derivative():
     assert sturm_chain(p, _poly(2)) == [p, _poly(2)]
 
 
+def _random_pair(rng: random.Random, kind: str) -> tuple[Poly, Poly | None]:
+    """A seeded (p, q) of the given kind; q is None for the default p'."""
+
+    def coeff():
+        c = rng.randrange(-6, 7)
+        return Fraction(c, rng.randrange(1, 5)) if rng.random() < 0.5 else c
+
+    def rand(deg):
+        return Poly.from_coeffs([coeff() for _ in range(deg)] + [rng.choice([-3, -1, 1, 2])])
+
+    p = rand(rng.randrange(0, 7))
+    if kind == "repeated":
+        f = rand(rng.randrange(1, 3))
+        p = p * f * f * (f if rng.random() < 0.3 else Poly.constant(1))
+    if kind in ("derivative", "repeated"):
+        return p, None
+    if kind == "zero":
+        return p, Poly(())
+    if kind == "constant":
+        return p, Poly.constant(rng.choice([-2, Fraction(-1, 3), 1, Fraction(5, 2)]))
+    if kind == "integer":
+        return (Poly.from_coeffs([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 9))]),
+                Poly.from_coeffs([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 9))]))
+    return p, rand(rng.randrange(0, 9))
+
+
+def test_sturm_chain_is_positive_multiple_of_rational_chain():
+    rng = random.Random(31)
+    kinds = ("derivative", "repeated", "other", "integer", "zero", "constant")
+    seen = {k: 0 for k in kinds}
+    for i in range(360):
+        kind = kinds[i % len(kinds)]
+        p, q = _random_pair(rng, kind)
+        chain = sturm_chain(p, q)
+        expected = sturm_chain_oracle(p.coeffs, (p.derivative() if q is None else q).coeffs)
+        assert len(chain) == len(expected), (p, q)
+        for got, want in zip(chain, expected):
+            assert got.is_integral()
+            assert got.degree == len(want) - 1
+            if not want:
+                continue
+            ratio = got.leading / want[-1]
+            assert ratio > 0
+            assert list(got.coeffs) == [ratio * c for c in want], (p, q)
+        seen[kind] += len(chain) > 2
+    assert min(seen[k] for k in ("derivative", "repeated", "other", "integer")) > 20, seen
+
+
+def test_sign_at_matches_rational_evaluation():
+    rng = random.Random(37)
+    for _ in range(200):
+        p = _poly(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                    for _ in range(rng.randrange(0, 7))))
+        x = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
+        v = p(x)
+        assert p.sign_at(x) == (v > 0) - (v < 0)
+    p = _poly(-1, 1) * _poly(2, 3)  # roots 1 and -2/3
+    assert p.sign_at(1) == 0 and p.sign_at(Fraction(-2, 3)) == 0
+    assert p.sign_at(0) == -1 and p.sign_at(Fraction(-3, 2)) == 1
+
+
 def test_tarski_query_sums_signs_over_distinct_roots():
     rng = random.Random(8)
     roots = (-3, 1, 2)
@@ -125,5 +187,7 @@ def test_tarski_query_sums_signs_over_distinct_roots():
         hi = lo + Fraction(rng.randrange(1, 12), 2)
         expected = sum((q(r) > 0) - (q(r) < 0) for r in roots if lo < r < hi)
         assert tarski_query(p, q, lo, hi) == expected
+        # rational coefficients, and a negative multiple of p: same roots
+        assert tarski_query(p * Fraction(-3, 2), q * Fraction(2, 7), lo, hi) == expected
     with pytest.raises(ShapeError):
         tarski_query(p, _poly(1), Fraction(0), Fraction(1))
