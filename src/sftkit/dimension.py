@@ -195,6 +195,13 @@ def dg_positive(
     up to the bound yields certificates; for irreducible M the Perron pairing
     sign finishes the decision, handling periodic matrices blockwise on the
     cyclic classes of M^p.  Reducible matrices past the bound report Unknown.
+
+    For period p, M^p is block diagonal on the cyclic classes C_r with
+    primitive blocks, and a is in the cone iff every part a_{C_r} is
+    eventually nonnegative under its block, so one pass over the classes
+    decides.  Shifting a by M first would not change the verdict: on the
+    classes, w_{C_r} . (M a)_{C_r} = rho w_{C_(r+1)} . a_{C_(r+1)} for the
+    left Perron vector w, so a shift only rotates the per-class verdicts.
     """
     _check_element(t, x)
     bound = max(iterate_bound, t.n)
@@ -216,23 +223,13 @@ def dg_positive(
     period, classes = cyclic_structure(m)
     if period > 1:
         mp = m**period
-        blocks = [
-            Matrix.from_rows([[mp[i, j] for j in classes[ci]] for i in classes[ci]])
-            for ci in range(period)
-        ]
-        shifted = x.a
-        feasible = False
-        for _ in range(period):
-            if all(
-                _eventually_nonneg_primitive(
-                    blocks[ci], tuple(shifted[i] for i in classes[ci])
-                )
-                for ci in range(period)
-            ):
-                feasible = True
-                break
-            shifted = m.apply(shifted)
-        if not feasible:
+        if not all(
+            _eventually_nonneg_primitive(
+                Matrix.from_rows([[mp[i, j] for j in cls] for i in cls]),
+                tuple(x.a[i] for i in cls),
+            )
+            for cls in classes
+        ):
             return NotInCone("some cyclic class stays negative")
     # positive pairing and per-class feasibility prove membership; the extra
     # iterations only look for a certificate power to report with it

@@ -8,7 +8,9 @@ witness strong shift equivalence; a shift equivalence of lag l is (R, S) with
 
 Searches here are bounded and sound: any returned witness has been verified,
 and a miss is reported as "not found within the bounds", never as a proof of
-inequivalence.
+inequivalence.  An ESSE is a lag-1 shift equivalence (a R = R S R = R b and
+S a = S R S = b S), so `search_esse` is the lag-1 run of the one witness loop
+that `search_se` runs over lags 1..lag_max.
 """
 
 from __future__ import annotations
@@ -224,6 +226,34 @@ def _solve_for_partner(
     return None
 
 
+def _witnesses(
+    a: Matrix, b: Matrix, lag_max: int, entry_bound: int, candidate_budget: int
+) -> Iterator[SEWitness]:
+    """The witness loop: candidate (R, S, l) for lags 1..lag_max, to be verified.
+
+    Candidates R are the integer points of the rational intertwiner space
+    {R : a R = R b} with entries in [0, entry_bound], at most
+    candidate_budget per lag; for each one, the partner S is solved for
+    exactly in the partner space {S : S a = b S}, whose basis is computed
+    once per call.  Lags ascend and candidates are lexicographic, so the
+    first witness to verify is deterministic.
+    """
+    # {R : a R = R b} is the intertwiner space with the roles swapped
+    space = intertwiner_space(b, a)
+    partner = intertwiner_space(a, b)
+    al, bl = a, b
+    for lag in range(1, lag_max + 1):
+        for r in _candidate_matrices(
+            space, (a.nrows, b.nrows), entry_bound, candidate_budget
+        ):
+            if r.is_zero():
+                continue
+            s = _solve_for_partner(partner, r, al, bl, entry_bound)
+            if s is not None:
+                yield SEWitness(r, s, lag)
+        al, bl = al @ a, bl @ b
+
+
 def search_se(
     a: Matrix,
     b: Matrix,
@@ -233,34 +263,17 @@ def search_se(
 ) -> SEWitness | None:
     """Bounded search for a shift equivalence witness; None means not found.
 
-    Candidates R are the integer points of the rational intertwiner space
-    {R : a R = R b} with entries in [0, entry_bound]; for each one, the
-    partner S is solved for exactly in the partner space {S : S a = b S},
-    whose basis is computed once per call.  The first verified witness (lags
-    ascending, candidates lexicographic) is returned, so the search is
-    deterministic and complete within its bounds up to two budgets: at most
+    Runs the witness loop (`_witnesses`) over lags 1..lag_max after the SE
+    invariant prefilters.  The first verified witness (lags ascending,
+    candidates lexicographic) is returned, so the search is deterministic
+    and complete within its bounds up to two budgets: at most
     candidate_budget candidates R per lag, and at most PARTNER_SCAN_BUDGET
     (5000) integer points scanned for the partner of each R.
     """
     if not _prefilters_pass(a, b):
         return None
-    # {R : a R = R b} is the intertwiner space with the roles swapped
-    space = intertwiner_space(b, a)
-    partner = intertwiner_space(a, b)
-    for lag in range(1, lag_max + 1):
-        al, bl = a**lag, b**lag
-        for r in _candidate_matrices(
-            space, (a.nrows, b.nrows), entry_bound, candidate_budget
-        ):
-            if r.is_zero():
-                continue
-            s = _solve_for_partner(partner, r, al, bl, entry_bound)
-            if s is None:
-                continue
-            w = SEWitness(r, s, lag)
-            if verify_se(a, b, w):
-                return w
-    return None
+    found = _witnesses(a, b, lag_max, entry_bound, candidate_budget)
+    return next((w for w in found if verify_se(a, b, w)), None)
 
 
 def search_esse(
@@ -272,14 +285,12 @@ def search_esse(
 ) -> SSEWitness | None:
     """Bounded search for an elementary SSE pair a = R S, b = S R.
 
-    The inner dimension of the factorization is forced by b (R is n x m), so
-    inner_dim_max acts as a refusal bound on the size of b.  Any witness
-    satisfies a R = R b automatically (a R = R S R = R b), so candidates are
-    drawn from the intertwiner space rather than the full entry box; this
-    prunes hard while staying complete within the bounds.  As in search_se,
-    each partner S is solved for in the partner space {S : S a = b S},
-    computed once per call, and at most PARTNER_SCAN_BUDGET (5000) integer
-    points are scanned for the partner of each candidate R.
+    An elementary SSE is exactly a lag-1 shift equivalence: a = R S and
+    b = S R give a R = R S R = R b and S a = S R S = b S.  So after its own
+    guards this runs the witness loop of `search_se` with lag 1 only, and
+    the same budgets.  The inner dimension of the factorization is forced by
+    b (R is n x m), so inner_dim_max acts as a refusal bound on the size of
+    b, and equal traces are a further necessary condition.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("search needs square matrices")
@@ -287,20 +298,8 @@ def search_esse(
         return None
     if a.trace() != b.trace() or not _prefilters_pass(a, b):
         return None
-    space = intertwiner_space(b, a)
-    partner = intertwiner_space(a, b)
-    for r in _candidate_matrices(
-        space, (a.nrows, b.nrows), entry_bound, candidate_budget
-    ):
-        if r.is_zero():
-            continue
-        s = _solve_for_partner(partner, r, a, b, entry_bound)
-        if s is None:
-            continue
-        w = SSEWitness(r, s)
-        if verify_esse(a, b, w):
-            return w
-    return None
+    found = (SSEWitness(w.r, w.s) for w in _witnesses(a, b, 1, entry_bound, candidate_budget))
+    return next((w for w in found if verify_esse(a, b, w)), None)
 
 
 # ---------------------------------------------------------------------------

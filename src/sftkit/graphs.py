@@ -4,6 +4,11 @@ A graph here is the presentation object for an edge shift: vertex order fixes
 the adjacency matrix, and edges carry stable string ids so edge partitions,
 splittings and term expressions can refer to them.  Parallel edges and loops
 are allowed.
+
+`classify` reads every structural flag, purely infinite simplicity (the
+paper's hypothesis) included, off one strong-component pass
+(`linalg.strong_components`): which components carry a cycle, which of them
+are bare cycles, and which components reach a cycle-carrying one.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from .errors import (
     ParseError,
     WouldEmpty,
 )
-from .linalg import (
-    Matrix,
-    carries_cycle,
-    is_irreducible_digraph,
-    strong_components,
-)
+from .linalg import Matrix, carries_cycle, strong_components
 
 
 @dataclass(frozen=True)
@@ -160,74 +160,47 @@ def _successors(g: Graph) -> list[list[int]]:
     return [sorted(s) for s in succ]
 
 
-def _is_trivial(g: Graph) -> bool:
-    """True when the graph is exactly one cycle through all its vertices."""
-    if not g.vertices or len(g.edges) != len(g.vertices):
-        return False
-    if any(len(g.out_edges(v)) != 1 or len(g.in_edges(v)) != 1 for v in g.vertices):
-        return False
-    # out-degree one everywhere: follow the unique walk and demand one orbit
-    seen = [g.vertices[0]]
-    while True:
-        nxt = g.out_edges(seen[-1])[0].dst
-        if nxt == seen[0]:
-            break
-        if nxt in seen:
-            return False
-        seen.append(nxt)
-    return len(seen) == len(g.vertices)
-
-
-def _every_cycle_has_exit(g: Graph) -> bool:
-    """No cycle may consist entirely of vertices with out-degree one.
-
-    A cycle without an exit is exactly a cycle all of whose vertices emit a
-    single edge, so it suffices to chase the unique out-edges of out-degree-1
-    vertices and look for a loop among them.
-    """
-    ones = {v for v in g.vertices if len(g.out_edges(v)) == 1}
-    for start in ones:
-        v = start
-        trail = set()
-        while v in ones and v not in trail:
-            trail.add(v)
-            v = g.out_edges(v)[0].dst
-            if v == start:
-                return False
-    return True
-
-
 def classify(g: Graph) -> GraphReport:
-    """Structural report: sinks, sources and the standard dynamical predicates."""
+    """Structural report, every flag read off one strong-component pass.
+
+    - `essential`: no sinks and no sources.
+    - `irreducible`: one strong component, and it carries a cycle.
+    - `trivial`: irreducible with as many edges as vertices.  Every vertex of
+      an irreducible graph has in- and out-degree at least one, so |E| = |V|
+      leaves exactly one cycle through all the vertices.
+    - `purely_infinite_simple` (Abrams and Aranda Pino, for finite graphs:
+      cofinal, every cycle has an exit, every vertex reaches a cycle):
+      every vertex reaches a component that carries a cycle, no such
+      component is a bare cycle (all its vertices emitting exactly one edge,
+      parallel edges counted), and exactly one component carries a cycle,
+      which is what makes the essential part (`essentialize`) irreducible.
+    - `strongly_graded`: no sinks.
+    """
     sinks = g.sinks()
     sources = g.sources()
-    essential = not sinks and not sources
     adj = _successors(g)
     comps = strong_components(adj)
-    irreducible = len(comps) == 1 and carries_cycle(comps[0], adj)
-    trivial = _is_trivial(g)
+    cyclic = 0
+    exits = True
     # components arrive sinks first, so every successor outside a component
     # is already settled when the component is reached
     reaches = [False] * len(adj)
     for comp in comps:
-        hit = carries_cycle(comp, adj) or any(reaches[w] for v in comp for w in adj[v])
+        hit = carries_cycle(comp, adj)
+        if hit:
+            cyclic += 1
+            exits = exits and any(len(g.out_edges(g.vertices[v])) != 1 for v in comp)
+        hit = hit or any(reaches[w] for v in comp for w in adj[v])
         for v in comp:
             reaches[v] = hit
-    reaches_cycle = bool(g.vertices) and all(reaches)
-    exits = _every_cycle_has_exit(g)
-    ess = essentialize(g)
-    pis = (
-        reaches_cycle
-        and exits
-        and is_irreducible_digraph(_successors(ess))
-    )
+    irreducible = len(comps) == 1 and cyclic == 1
     return GraphReport(
         sinks=sinks,
         sources=sources,
-        essential=essential,
+        essential=not sinks and not sources,
         irreducible=irreducible,
-        trivial=trivial,
-        purely_infinite_simple=pis,
+        trivial=irreducible and len(g.edges) == len(g.vertices),
+        purely_infinite_simple=all(reaches) and exits and cyclic == 1,
         strongly_graded=not sinks,
     )
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import Poly, count_roots, sturm_chain, tarski_query
+from .polynomials import Poly, _variations, sturm_chain, tarski_query
 
 Rat = Fraction | int
 Vector = tuple[Rat, ...]
@@ -667,17 +667,13 @@ def carries_cycle(comp: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
     return len(comp) > 1 or comp[0] in adj[comp[0]]
 
 
-def is_irreducible_digraph(adj: Sequence[Sequence[int]]) -> bool:
-    """One strong component that carries a cycle; the empty digraph is not irreducible."""
-    comps = strong_components(adj)
-    return len(comps) == 1 and carries_cycle(comps[0], adj)
-
-
 def is_irreducible_matrix(m: Matrix) -> bool:
     """Strong connectivity of the support digraph; a lone vertex needs a loop."""
     if not m.is_square:
         raise ShapeError("irreducibility needs a square matrix")
-    return is_irreducible_digraph(support_digraph(m))
+    adj = support_digraph(m)
+    comps = strong_components(adj)
+    return len(comps) == 1 and carries_cycle(comps[0], adj)
 
 
 def cyclic_structure(m: Matrix) -> tuple[int, list[list[int]]]:
@@ -762,14 +758,18 @@ def _isolate(m: Matrix, cp: Poly) -> PerronData:
     chain = sturm_chain(cp)
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
     lo = -hi
-    while count_roots(cp, lo, hi, chain) > 1:
+    # sign variations of the chain at lo and hi; their difference counts the
+    # distinct roots in (lo, hi], so each step reads the chain at mid only
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
         while cp.sign_at(mid) == 0:
             mid = (mid + hi) / 2
-        if count_roots(cp, mid, hi, chain) >= 1:
-            lo = mid
+        v_mid = _variations(chain, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
         else:
-            hi = mid
+            hi, v_hi = mid, v_mid
     return PerronData(cp, lo, hi)
 
 

@@ -2,11 +2,12 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) and held as
 `fractions.Fraction`, so everything here is exact.  One remainder loop,
-`sturm_chain`, builds every signed remainder sequence, and it runs over the
-integers: only the signs of the sequence are ever read, so it is a primitive
-pseudo-remainder sequence (Collins 1967; Brown & Traub 1971) whose every
-element is a positive rational multiple of the element at the same position
-of the signed remainder sequence over the rationals.  Signs are read with
+`sturm_chain`, builds every signed remainder sequence and every gcd
+(`poly_gcd`), and it runs over the integers: only the signs of the sequence
+are ever read, so it is a primitive pseudo-remainder sequence (Collins 1967;
+Brown & Traub 1971) whose every element is a positive rational multiple of
+the element at the same position of the signed remainder sequence over the
+rationals.  Signs are read with
 integer arithmetic only (`Poly.sign_at`): the sign of an integer polynomial
 of degree d at a/b, b > 0, is the sign of sum c_i a^i b^(d-i).
 
@@ -177,10 +178,12 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    """Monic greatest common divisor over the rationals; zero when a = b = 0.
+
+    The last element of the signed remainder sequence of a and b
+    (`sturm_chain`, run over the integers) is a nonzero multiple of the gcd.
+    """
+    return sturm_chain(a, b)[-1].monic()
 
 
 def squarefree_part(p: Poly) -> Poly:

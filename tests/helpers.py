@@ -252,9 +252,8 @@ def stacked_partner_oracle(a: Matrix, b: Matrix, r: Matrix, lag: int):
     return gauss_jordan_oracle(rows, rhs)
 
 
-def perron_sign_oracle(m: Matrix, v) -> int:
-    """Sign of w . v for the left Perron vector w of an irreducible m whose
-    rows all sum to r.
+def row_sum_perron_vector(m: Matrix) -> list[Fraction]:
+    """Left Perron vector w of an irreducible m whose rows all sum to r.
 
     The all-ones vector is then a positive right eigenvector, so the Perron
     root is r exactly and w solves w (m - rI) = 0, scaled by w_0 = 1.
@@ -267,8 +266,77 @@ def perron_sign_oracle(m: Matrix, v) -> int:
     rows.append([1] + [0] * (n - 1))
     kind, w, basis = gauss_jordan_oracle(rows, [0] * n + [1])
     assert kind == "solution" and not basis and all(x > 0 for x in w)
-    s = sum(x * y for x, y in zip(w, v))
+    return w
+
+
+def perron_sign_oracle(m: Matrix, v) -> int:
+    """Sign of w . v for the left Perron vector w of an irreducible m whose
+    rows all sum to r."""
+    s = sum(x * y for x, y in zip(row_sum_perron_vector(m), v))
     return (s > 0) - (s < 0)
+
+
+def random_block_cyclic(
+    rng: random.Random, period: int, class_max: int, r: int
+) -> tuple[Matrix, list[list[int]]]:
+    """Irreducible m of period exactly `period` with all row sums r, and its classes.
+
+    Vertex labels are shuffled.  Each vertex of class c sends r arcs (with
+    multiplicity) into class c + 1 mod period.  A draw is kept when every
+    vertex has an incoming arc and the return map of class 0, the block of
+    m^period on it, is primitive (for s vertices, its power (s - 1)^2 + 1 is
+    positive, by Wielandt's bound): then every vertex reaches and is reached
+    from class 0, and no finer cyclic classes exist.
+    """
+    while True:
+        sizes = [rng.randint(1, class_max) for _ in range(period)]
+        n = sum(sizes)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        classes = [labels[sum(sizes[:c]):sum(sizes[:c + 1])] for c in range(period)]
+        rows = [[0] * n for _ in range(n)]
+        for c, cls in enumerate(classes):
+            for i in cls:
+                for _ in range(r):
+                    rows[i][rng.choice(classes[(c + 1) % period])] += 1
+        if not all(any(row[j] for row in rows) for j in range(n)):
+            continue
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for _ in range(period):
+            reach = [[any(reach[i][k] and rows[k][j] for k in range(n)) for j in range(n)]
+                     for i in range(n)]
+        ret = [[reach[i][j] for j in classes[0]] for i in classes[0]]
+        power = ret
+        for _ in range((len(ret) - 1) ** 2):
+            power = [[any(x and ret[k][j] for k, x in enumerate(row)) for j in range(len(ret))]
+                     for row in power]
+        if all(all(row) for row in power):
+            return Matrix.from_rows(rows), classes
+
+
+def cyclic_cone_oracle(m: Matrix, classes: list[list[int]], a) -> bool:
+    """Is a eventually nonnegative under m, for m from `random_block_cyclic`?
+
+    m^period is block diagonal on the classes, with primitive blocks whose
+    left Perron vectors are the restrictions of the left Perron vector w of
+    m.  So a is eventually nonnegative iff each part a_C (a on C, zero
+    elsewhere) pairs positively with w, or pairs to zero and dies:
+    m^n a_C = 0.
+    """
+    n = m.nrows
+    w = row_sum_perron_vector(m)
+    for cls in classes:
+        part = [a[i] if i in cls else 0 for i in range(n)]
+        pairing = sum(x * y for x, y in zip(w, part))
+        if pairing > 0:
+            continue
+        if pairing < 0:
+            return False
+        for _ in range(n):
+            part = [sum(m[i, j] * part[j] for j in range(n)) for i in range(n)]
+        if any(part):
+            return False
+    return True
 
 
 def is_primitive_matrix(m: Matrix) -> bool:

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from helpers import is_primitive_matrix, random_adjacency
+from helpers import (
+    cyclic_cone_oracle,
+    is_primitive_matrix,
+    random_adjacency,
+    random_block_cyclic,
+    row_sum_perron_vector,
+)
 
+from sftkit import dimension
 from sftkit.dimension import (
     Candidate,
     DimElement,
@@ -192,6 +201,51 @@ def test_periodic_matrix_blockwise_decision():
     assert isinstance(dg_positive(swap, DimElement((1, 0), 0)), InCone)
     # positive total weight but one coordinate stays negative forever
     assert isinstance(dg_positive(swap, DimElement((3, -1), 0)), NotInCone)
+
+
+def _class_vector(rng: random.Random, m: Matrix, classes) -> tuple[int, ...]:
+    """Per cyclic class: mostly positive, mostly negative, mixed, a difference
+    of two vertices, or a large near-cancelling part pairing to +-w_i."""
+    a = [0] * m.nrows
+    for cls in classes:
+        kind = rng.randrange(5) if len(cls) > 1 else rng.randrange(3)
+        if kind < 3:
+            lo, hi = ((-1, 3), (-3, 1), (-2, 2))[kind]
+            for i in cls:
+                a[i] = rng.randint(lo, hi)
+            continue
+        i, j = rng.sample(cls, 2)
+        if kind == 3:
+            a[i], a[j] = 1, -1
+        else:
+            w, k = row_sum_perron_vector(m), rng.randint(20, 80)
+            a[i] = k * w[j].numerator * w[i].denominator + rng.choice((1, 1, -1))
+            a[j] = -k * w[i].numerator * w[j].denominator
+    return tuple(a)
+
+
+def test_periodic_cone_decision_matches_class_oracle():
+    # one pass over the cyclic classes: the Perron sign of M, then at most
+    # one per class
+    rng = random.Random(31)
+    seen = Counter()
+    with mock.patch.object(
+        dimension, "perron_pairing_sign", wraps=dimension.perron_pairing_sign
+    ) as spy:
+        for trial in range(400):
+            period = 2 + trial % 3
+            m, classes = random_block_cyclic(rng, period, 3, rng.randint(1, 3))
+            a = _class_vector(rng, m, classes)
+            spy.reset_mock()
+            res = dg_positive(DimensionTriple(m), DimElement(a, 0), (0, 2)[trial % 2])
+            assert isinstance(res, InCone) == cyclic_cone_oracle(m, classes, a), (m, a)
+            assert spy.call_count <= 1 + period, (m, a, spy.call_count)
+            if isinstance(res, NotInCone):
+                seen[res.reason] += 1
+            elif res.power is None or res.power > m.nrows:
+                seen["in cone past the iteration bound"] += 1
+    assert seen["some cyclic class stays negative"] >= 60, seen
+    assert seen["in cone past the iteration bound"] >= 2, seen
 
 
 def test_proven_positive_class_past_the_certificate_cap_is_in_cone():

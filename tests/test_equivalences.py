@@ -228,18 +228,38 @@ def test_partner_space_solutions_match_stacked_oracle():
 # criterion 08 finds, recorded before the partner space and the fraction-free
 # elimination replaced the stacked system over the rationals
 _CRITERION_08_WITNESSES = "be55ffb730b01b9ab1349cf4210790570a1bcc7c39fca026b886df202982c646"
+# the same for the ESSE pairs (R, S) search_esse finds on those split pairs,
+# recorded while search_esse still ran a loop of its own
+_CRITERION_08_ESSE_WITNESSES = "f80538012d6bd14f3abf0bc5c38137b990793218e04eb98e6221bd24df805793"
 
 
-def test_criterion_08_witnesses_are_pinned():
+def _criterion_08_pairs():
     rng = random.Random(8)
-    found = []
     for trial in range(100):
         base = random_irreducible_nontrivial(rng, 3, 2)
         if trial % 2 == 0:
             h, _ = out_split(base, random_out_partition(rng, base))
         else:
             h, _ = in_split(base, random_in_partition(rng, base))
-        w = search_se(base.adjacency(), h.adjacency(), lag_max=1, entry_bound=3)
+        yield base.adjacency(), h.adjacency()
+
+
+def _digest(found) -> str:
+    return hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_criterion_08_witnesses_are_pinned():
+    found = []
+    for a, b in _criterion_08_pairs():
+        w = search_se(a, b, lag_max=1, entry_bound=3)
         found.append(None if w is None else se_witness_to_json(w))
-    digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
-    assert digest == _CRITERION_08_WITNESSES
+    assert _digest(found) == _CRITERION_08_WITNESSES
+
+
+def test_criterion_08_esse_witnesses_are_pinned():
+    found = []
+    for a, b in _criterion_08_pairs():
+        w = search_esse(a, b, inner_dim_max=8, entry_bound=3)
+        found.append(None if w is None else sse_witness_to_json(w))
+    assert None not in found
+    assert _digest(found) == _CRITERION_08_ESSE_WITNESSES

@@ -89,7 +89,8 @@ def test_classification_flags():
 
 def test_classify_matches_transitive_closure_oracle():
     rng = random.Random(25)
-    seen = {"sources_and_sinks": 0, "irreducible": 0, "pis": 0, "reducible_pis": 0}
+    seen = {"sources_and_sinks": 0, "irreducible": 0, "trivial": 0, "pis": 0,
+            "reducible_pis": 0}
     for _ in range(400):
         n = rng.randrange(0, 8)
         m = Matrix.from_rows(
@@ -102,9 +103,13 @@ def test_classify_matches_transitive_closure_oracle():
         r = classify(from_adjacency(m))
         irreducible = n > 0 and all(all(row) for row in reach)
         assert r.irreducible == irreducible
+        # one cycle through every vertex: irreducible with every out-degree 1
+        trivial = irreducible and all(sum(m.row(i)) == 1 for i in range(n))
+        assert r.trivial == trivial
         assert r.purely_infinite_simple == purely_infinite_simple_oracle(m)
         seen["sources_and_sinks"] += bool(r.sources and r.sinks)
         seen["irreducible"] += irreducible
+        seen["trivial"] += trivial
         seen["pis"] += r.purely_infinite_simple
         seen["reducible_pis"] += r.purely_infinite_simple and not irreducible
     assert min(seen.values()) >= 10, seen

@@ -70,6 +70,19 @@ def test_gcd_of_shared_factor():
     q = shared * _poly(3, 0, 1)
     g = poly_gcd(p, q)
     assert g == shared.monic()
+    # rational coefficients: the gcd is the same monic polynomial
+    half = Fraction(1, 2)
+    assert poly_gcd(p * half, q * Fraction(-2, 3)) == shared.monic()
+    rp = _poly(Fraction(-1, 3), 1) * _poly(Fraction(5, 7), 0, 1)
+    rq = rp * _poly(3, half)
+    assert poly_gcd(rp, rq) == rp.monic()
+    assert poly_gcd(rq, rp * 4) == rp.monic()
+    assert poly_gcd(_poly(1, 1), _poly(Fraction(-1, 2), 1)) == _poly(1)
+    # zero operands: gcd(a, 0) = gcd(0, a) = a made monic, gcd(0, 0) = 0
+    zero = _poly()
+    assert poly_gcd(rq, zero) == poly_gcd(zero, rq) == rq.monic()
+    assert poly_gcd(zero, _poly(Fraction(-3, 4))) == _poly(1)
+    assert poly_gcd(zero, zero).is_zero
 
 
 def test_squarefree_part_drops_multiplicity():
