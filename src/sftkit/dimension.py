@@ -10,7 +10,8 @@ equality is decidable.
 
 Positivity of a class is decided exactly: iteration gives certificates, and
 for irreducible M the sign of the pairing against the left Perron eigenvector
-(computed exactly, see `linalg.perron_pairing_sign`) settles the rest.  For
+(computed exactly, see `linalg.perron_pairing_sign`) settles the rest, class
+by class for periodic M, every pairing read off one `linalg.PerronData`.  For
 reducible M beyond the iteration bound the honest answer is Unknown.
 """
 
@@ -31,6 +32,7 @@ from .linalg import (
     cyclic_structure,
     intertwiner_matrix,
     is_irreducible_matrix,
+    isolate_perron_root,
     perron_pairing_sign,
     solve_affine_exact,
 )
@@ -169,22 +171,6 @@ class Unknown:
 Positivity = InCone | NotInCone | Unknown
 
 
-def _eventually_nonneg_primitive(block: Matrix, c: Vector) -> bool:
-    """Does block^q c become entrywise nonnegative for a primitive block?"""
-    if all(x == 0 for x in c):
-        return True
-    s = perron_pairing_sign(block, c)
-    if s == Sign.POSITIVE:
-        return True
-    if s == Sign.NEGATIVE:
-        return False
-    # pairing zero: nonnegativity can only be reached through the zero vector
-    cur = c
-    for _ in range(block.nrows):
-        cur = block.apply(cur)
-    return all(x == 0 for x in cur)
-
-
 def dg_positive(
     t: DimensionTriple, x: DimElement, iterate_bound: int = DEFAULT_ITERATE_BOUND
 ) -> Positivity:
@@ -192,16 +178,19 @@ def dg_positive(
 
     The cone consists of classes whose vector becomes entrywise nonnegative
     under iteration of M (once nonnegative, always nonnegative).  Iteration
-    up to the bound yields certificates; for irreducible M the Perron pairing
-    sign finishes the decision, handling periodic matrices blockwise on the
-    cyclic classes of M^p.  Reducible matrices past the bound report Unknown.
+    up to the bound yields certificates; for irreducible M Perron pairing
+    signs, all read off one `PerronData` of M, finish the decision.
+    Reducible matrices past the bound report Unknown.
 
     For period p, M^p is block diagonal on the cyclic classes C_r with
     primitive blocks, and a is in the cone iff every part a_{C_r} is
-    eventually nonnegative under its block, so one pass over the classes
-    decides.  Shifting a by M first would not change the verdict: on the
-    classes, w_{C_r} . (M a)_{C_r} = rho w_{C_(r+1)} . a_{C_(r+1)} for the
-    left Perron vector w, so a shift only rotates the per-class verdicts.
+    eventually nonnegative under its block.  As w M^p = rho^p w for the left
+    Perron vector w of M, w_{C_r} is the block's left Perron vector, so the
+    block pairing is the pairing of w with a masked to C_r (zeros elsewhere).
+    No nonzero nonnegative vector pairs to zero with w, so a part pairing to
+    zero must die: M^n a_{C_r} = 0.  A shift by M only rotates the per-class
+    verdicts (w_{C_r} . (M a)_{C_r} = rho w_{C_(r+1)} . a_{C_(r+1)}), so one
+    pass over the classes decides.
     """
     _check_element(t, x)
     bound = max(iterate_bound, t.n)
@@ -213,7 +202,8 @@ def dg_positive(
         cur = m.apply(cur)
     if not is_irreducible_matrix(m):
         return Unknown(bound)
-    s = perron_pairing_sign(m, x.a)
+    pd = isolate_perron_root(m)
+    s = perron_pairing_sign(pd, x.a)
     if s == Sign.NEGATIVE:
         return NotInCone("negative Perron pairing")
     if s == Sign.ZERO:
@@ -221,15 +211,12 @@ def dg_positive(
             return InCone(None)
         return NotInCone("zero Perron pairing but nonzero class")
     period, classes = cyclic_structure(m)
-    if period > 1:
-        mp = m**period
-        if not all(
-            _eventually_nonneg_primitive(
-                Matrix.from_rows([[mp[i, j] for j in cls] for i in cls]),
-                tuple(x.a[i] for i in cls),
-            )
-            for cls in classes
-        ):
+    for cls in classes if period > 1 else ():
+        part = tuple(v if i in cls else 0 for i, v in enumerate(x.a))
+        if not any(part):
+            continue
+        s = perron_pairing_sign(pd, part)
+        if s == Sign.NEGATIVE or s == Sign.ZERO and not dg_equal(t, DimElement(part, 0), zero(t)):
             return NotInCone("some cyclic class stays negative")
     # positive pairing and per-class feasibility prove membership; the extra
     # iterations only look for a certificate power to report with it

@@ -126,8 +126,9 @@ def _power_mod(m: Matrix, k: int) -> Matrix:
     while k:
         if k & 1:
             acc = _mod(acc @ base)
-        base = _mod(base @ base)
         k >>= 1
+        if k:
+            base = _mod(base @ base)
     return acc
 
 

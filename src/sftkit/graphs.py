@@ -218,10 +218,7 @@ def eliminate_source(g: Graph, v: str) -> Graph:
         raise NotASource(f"{v!r} has incoming edges")
     if len(g.vertices) == 1:
         raise WouldEmpty("refusing to delete the last vertex")
-    return Graph(
-        tuple(w for w in g.vertices if w != v),
-        tuple(e for e in g.edges if e.src != v and e.dst != v),
-    )
+    return _drop(g, {v})
 
 
 def _drop(g: Graph, victims: set[str]) -> Graph:

@@ -24,13 +24,13 @@ leans on:
   `equivalences` solve in, once per pair of matrices;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
-* Perron root isolation by Sturm bisection on the characteristic polynomial
-  itself (no squarefree part), and the exact sign of the pairing of a
-  rational vector against the left Perron eigenvector of an irreducible
-  nonnegative matrix: column 0 of adj(xI - A^T) is a positive multiple of
-  that eigenvector at the Perron root, so the pairing is one polynomial h,
-  whose sign there is one Tarski query (Sylvester's theorem) on the
-  isolating interval.  Both remainder sequences are primitive
+* Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
+  polynomial, an isolating interval of the Perron root by Sturm bisection
+  on that polynomial itself (no squarefree part), and column 0 of
+  adj(xI - A^T), a positive multiple of the left Perron eigenvector at the
+  Perron root.  The exact sign of the pairing of a rational vector against
+  that eigenvector is then one polynomial h, whose sign there is one Tarski
+  query (Sylvester's theorem) on the isolating interval.  Both remainder sequences are primitive
   pseudo-remainder sequences over the integers, read by integer sign
   evaluation; each element is a positive multiple of its counterpart over
   the rationals, so every sign is the same and no coefficient grows as
@@ -163,8 +163,9 @@ class Matrix:
         while k:
             if k & 1:
                 acc = acc @ base
-            base = base @ base
             k >>= 1
+            if k:
+                base = base @ base
         return acc
 
     def apply(self, v: Sequence[Rat]) -> Vector:
@@ -712,20 +713,23 @@ class Sign(IntEnum):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Isolating interval (lo, hi) for the Perron root of an irreducible matrix.
+    """Perron data of an irreducible matrix A, from one Faddeev-LeVerrier run on A^T.
 
-    `poly` is the characteristic polynomial det(xI - A), monic with integer
-    coefficients and possibly repeated roots; the interval contains exactly
-    one of its distinct roots, namely the spectral radius, and neither
-    endpoint is a root.  Both Sturm counting and the Tarski query count
-    distinct roots under that condition, and both read their signed
-    remainder sequences over the integers (`polynomials.sturm_chain`), whose
-    elements are positive multiples of the sequences over the rationals.
+    `poly` is det(xI - A), monic with integer coefficients and possibly
+    repeated roots; the interval (lo, hi) contains exactly one of its
+    distinct roots, namely the spectral radius, and neither endpoint is a
+    root.  Both Sturm counting and the Tarski query count distinct roots
+    under that condition, and both read their signed remainder sequences over
+    the integers (`polynomials.sturm_chain`).  `column` is column 0 of
+    adj(xI - A^T), row j as its integer coefficients, constant term first;
+    at the Perron root it is a positive multiple of the left Perron vector,
+    so one PerronData serves every pairing against A.
     """
 
     poly: Poly
     lo: Fraction
     hi: Fraction
+    column: tuple[tuple[int, ...], ...]
 
 
 def _check_perron_matrix(m: Matrix) -> None:
@@ -736,25 +740,19 @@ def _check_perron_matrix(m: Matrix) -> None:
 
 
 def isolate_perron_root(m: Matrix) -> PerronData:
-    """Bracket the spectral radius of an irreducible nonnegative matrix.
+    """Perron data of an irreducible nonnegative integer matrix.
 
-    The Perron root is the rightmost real root of the characteristic
-    polynomial, so bisect for the rightmost root starting from the row-sum
-    bound.
+    One Faddeev-LeVerrier run on m^T gives det(xI - m^T) = det(xI - m) and
+    the adjugate column.  Bisection for the rightmost real root, the Perron
+    root, starts from the row-sum bound: -hi, hi lie beyond every eigenvalue
+    and a midpoint that is a root moves toward hi, so no endpoint is ever a
+    root.  The Sturm chain of the polynomial itself then counts distinct
+    roots even when they repeat (as in J_n's x^(n-1) (x - n)): no squarefree
+    part is taken.
     """
     _check_perron_matrix(m)
-    return _isolate(m, char_poly(m))
-
-
-def _isolate(m: Matrix, cp: Poly) -> PerronData:
-    """`isolate_perron_root` for a checked m whose characteristic polynomial is cp.
-
-    The start values -hi, hi lie beyond every eigenvalue, and a midpoint that
-    is a root is moved toward hi, so no endpoint is ever a root.  That is
-    what lets the Sturm chain of cp itself count distinct roots even when cp
-    has repeated roots (as J_n's x^(n-1) (x - n) does): no squarefree part is
-    taken.
-    """
+    cs, bs = _faddeev_leverrier(m.transpose().to_int_rows())
+    cp = Poly.from_coeffs(reversed(cs))
     chain = sturm_chain(cp)
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
     lo = -hi
@@ -770,7 +768,8 @@ def _isolate(m: Matrix, cp: Poly) -> PerronData:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    return PerronData(cp, lo, hi)
+    column = tuple(tuple(b[j][0] for b in reversed(bs)) for j in range(m.nrows))
+    return PerronData(cp, lo, hi, column)
 
 
 def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
@@ -783,24 +782,22 @@ def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
     return Sign(tarski_query(pd.poly, h, pd.lo, pd.hi))
 
 
-def perron_pairing_sign(a: Matrix, v: Sequence[Rat]) -> Sign:
+def perron_pairing_sign(a: Matrix | PerronData, v: Sequence[Rat]) -> Sign:
     """Exact sign of w . v for the strictly positive left Perron eigenvector w of a.
 
-    a must be an irreducible nonnegative integer matrix.  Its Perron root
-    lambda is a simple root of the monic characteristic polynomial p and
-    its largest real root, so p'(lambda) > 0, and adj(lambda I - a^T) =
+    a is an irreducible nonnegative integer matrix, or its `PerronData`
+    (which pairs many vectors for one isolation).  The Perron root lambda
+    is a simple root of the monic characteristic polynomial p and its
+    largest real root, so p'(lambda) > 0, and adj(lambda I - a^T) =
     p'(lambda) w y^T / (y^T w) with w, y > 0 is entrywise positive.  Column 0
     is therefore a positive multiple of w, and w . v has the sign of
     h = sum_j v_j adj(x I - a^T)[j][0] at lambda: no eigenvector coordinate is
     ever approximated.
     """
-    if len(v) != a.nrows:
+    n = len(a.column) if isinstance(a, PerronData) else a.nrows
+    if len(v) != n:
         raise ShapeError("vector length does not match matrix size")
-    _check_perron_matrix(a)
-    # one Faddeev-LeVerrier run on a^T: det(xI - a^T) = det(xI - a), and adj(xI - a^T)
-    cs, bs = _faddeev_leverrier(a.transpose().to_int_rows())
-    pd = _isolate(a, Poly.from_coeffs(reversed(cs)))
+    pd = a if isinstance(a, PerronData) else isolate_perron_root(a)
     v = vector(v)
-    n = a.nrows
-    h = Poly.from_coeffs(sum(v[j] * bs[n - 1 - d][j][0] for j in range(n)) for d in range(n))
+    h = Poly.from_coeffs(sum(x * c[d] for x, c in zip(v, pd.column)) for d in range(n))
     return sign_at_perron_root(h, pd)

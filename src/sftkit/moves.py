@@ -80,13 +80,8 @@ def trivial_out_partition(g: Graph) -> EdgePartition:
 
 
 def trivial_in_partition(g: Graph) -> EdgePartition:
-    return EdgePartition(
-        tuple(
-            (v, (tuple(e.id for e in g.in_edges(v)),))
-            for v in g.vertices
-            if g.in_edges(v)
-        )
-    )
+    """One block per non-source vertex holding all its incoming edges."""
+    return trivial_out_partition(transpose(g))
 
 
 def _check_partition(

@@ -7,8 +7,10 @@ against genuinely independent computations.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 from sftkit.graphs import Graph, classify, from_adjacency
 from sftkit.linalg import (
@@ -25,6 +27,21 @@ def random_adjacency(rng: random.Random, n: int, entry_max: int) -> Matrix:
     return Matrix.from_rows(
         [[rng.randrange(0, entry_max + 1) for _ in range(n)] for _ in range(n)]
     )
+
+
+def matmul_count(fn):
+    """fn() and the number of `Matrix` products (`@`) it ran."""
+    calls = 0
+    inner = Matrix.__matmul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return inner(self, other)
+
+    with mock.patch.object(Matrix, "__matmul__", counting):
+        out = fn()
+    return out, calls
 
 
 def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> Matrix:
@@ -252,11 +269,13 @@ def stacked_partner_oracle(a: Matrix, b: Matrix, r: Matrix, lag: int):
     return gauss_jordan_oracle(rows, rhs)
 
 
-def row_sum_perron_vector(m: Matrix) -> list[Fraction]:
+@functools.lru_cache(maxsize=None)
+def row_sum_perron_vector(m: Matrix) -> tuple[Fraction, ...]:
     """Left Perron vector w of an irreducible m whose rows all sum to r.
 
     The all-ones vector is then a positive right eigenvector, so the Perron
     root is r exactly and w solves w (m - rI) = 0, scaled by w_0 = 1.
+    Cached per matrix: the oracles pair many vectors against one m.
     """
     n = m.nrows
     r = sum(m[0, j] for j in range(n))
@@ -266,7 +285,7 @@ def row_sum_perron_vector(m: Matrix) -> list[Fraction]:
     rows.append([1] + [0] * (n - 1))
     kind, w, basis = gauss_jordan_oracle(rows, [0] * n + [1])
     assert kind == "solution" and not basis and all(x > 0 for x in w)
-    return w
+    return tuple(w)
 
 
 def perron_sign_oracle(m: Matrix, v) -> int:

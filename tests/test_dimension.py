@@ -16,7 +16,7 @@ from helpers import (
     row_sum_perron_vector,
 )
 
-from sftkit import dimension
+from sftkit import dimension, linalg
 from sftkit.dimension import (
     Candidate,
     DimElement,
@@ -226,20 +226,24 @@ def _class_vector(rng: random.Random, m: Matrix, classes) -> tuple[int, ...]:
 
 def test_periodic_cone_decision_matches_class_oracle():
     # one pass over the cyclic classes: the Perron sign of M, then at most
-    # one per class
+    # one per class, all off one Faddeev-LeVerrier run
     rng = random.Random(31)
     seen = Counter()
     with mock.patch.object(
         dimension, "perron_pairing_sign", wraps=dimension.perron_pairing_sign
-    ) as spy:
+    ) as spy, mock.patch.object(
+        linalg, "_faddeev_leverrier", wraps=linalg._faddeev_leverrier
+    ) as runs:
         for trial in range(400):
             period = 2 + trial % 3
             m, classes = random_block_cyclic(rng, period, 3, rng.randint(1, 3))
             a = _class_vector(rng, m, classes)
             spy.reset_mock()
+            runs.reset_mock()
             res = dg_positive(DimensionTriple(m), DimElement(a, 0), (0, 2)[trial % 2])
             assert isinstance(res, InCone) == cyclic_cone_oracle(m, classes, a), (m, a)
             assert spy.call_count <= 1 + period, (m, a, spy.call_count)
+            assert runs.call_count <= 1, (m, a, runs.call_count)
             if isinstance(res, NotInCone):
                 seen[res.reason] += 1
             elif res.power is None or res.power > m.nrows:

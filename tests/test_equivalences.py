@@ -10,6 +10,7 @@ import random
 import pytest
 from helpers import (
     affine_set_oracle,
+    matmul_count,
     random_in_partition,
     random_irreducible_nontrivial,
     random_out_partition,
@@ -34,7 +35,9 @@ from sftkit.equivalences import (
     verify_chain,
     verify_esse,
     verify_se,
+    _mod,
     _partner_solutions,
+    _power_mod,
 )
 from sftkit.errors import InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
@@ -113,6 +116,13 @@ def test_verify_se_power_identities_at_large_lag():
     assert not verify_se(fib, fib, SEWitness(fib, ident, 3))
     # the identity matrix is its own power at any lag
     assert verify_se(ident, ident, SEWitness(ident, ident, 10**30))
+
+
+def test_power_mod_squares_only_while_bits_remain():
+    fib = _m([[1, 1], [1, 0]])
+    got = [matmul_count(lambda: _power_mod(fib, k)) for k in range(9)]
+    assert [calls for _, calls in got] == [0, 1, 2, 3, 3, 4, 4, 5, 4]
+    assert all(power == _mod(fib**k) for k, (power, _) in enumerate(got))
 
 
 def test_transpose_witness():

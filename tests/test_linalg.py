@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     det_oracle,
     gauss_jordan_oracle,
     is_primitive_matrix,
+    matmul_count,
     perron_sign_oracle,
     random_int_matrix,
     rank_oracle,
@@ -66,6 +67,17 @@ def test_matmul_pow_and_trace():
     assert a**0 == Matrix.identity(2)
     assert a**3 == a @ a @ a
     assert a.trace() == 1
+
+
+def test_power_squares_only_while_bits_remain():
+    # one product per set bit of k, one squaring per bit after the lowest
+    a = Matrix.from_rows([[1, 2], [1, 0]])
+    got = [matmul_count(lambda: a**k) for k in range(9)]
+    assert [calls for _, calls in got] == [0, 1, 2, 3, 3, 4, 4, 5, 4]
+    expected = Matrix.identity(2)
+    for power, _ in got:
+        assert power == expected
+        expected = expected @ a
 
 
 def test_kron_matches_oracle():
@@ -442,8 +454,9 @@ def test_perron_functions_reject_bad_matrices(rows, error):
 def test_perron_pairing_rejects_wrong_length_vector():
     m = Matrix.from_rows([[1, 1], [1, 0]])
     for v in [(), (1,), (1, 2, 3)]:
-        with pytest.raises(ShapeError):
-            perron_pairing_sign(m, v)
+        for a in (m, isolate_perron_root(m)):
+            with pytest.raises(ShapeError):
+                perron_pairing_sign(a, v)
 
 
 def _constant_row_sum_matrix(rng: random.Random, n: int, r: int, period: int) -> Matrix:
@@ -509,6 +522,20 @@ def test_perron_pairing_sign_matches_constant_row_sum_oracle():
         assert got == perron_sign_oracle(m, v), (m, v)
         counts[got] += 1
     assert min(counts.values()) > 30, counts
+    # the same pairings off one PerronData per matrix and, for period > 1,
+    # those of v masked to each cyclic class, as `dg_positive` reads them
+    masked = {Sign.NEGATIVE: 0, Sign.ZERO: 0, Sign.POSITIVE: 0}
+    for m, group in groupby(checks, key=lambda check: check[0]):
+        pd = isolate_perron_root(m)
+        period, classes = cyclic_structure(m)
+        for _, v in group:
+            assert perron_pairing_sign(pd, v) == perron_sign_oracle(m, v), (m, v)
+            for cls in classes if period > 1 else ():
+                part = [x if i in cls else 0 for i, x in enumerate(v)]
+                got = perron_pairing_sign(pd, part)
+                assert got == perron_sign_oracle(m, part), (m, part)
+                masked[got] += 1
+    assert min(masked.values()) > 30, masked
 
 
 def test_perron_pairing_sign_at_n48_within_budget():
