@@ -295,17 +295,22 @@ def _cmd_se_verify(run: _Run, args) -> tuple[int, dict, str | None]:
     return (EXIT_OK if ok else EXIT_NEGATIVE), {"verified": ok, "lag": w.lag}, None
 
 
+def _witness_not_found() -> tuple[int, dict, None]:
+    """The report of a witness search that stopped at its bounds without a witness."""
+    results = {
+        "outcome": "not_found_within_bounds",
+        "conclusive": False,
+        "note": "absence of a witness within these bounds does not decide inequivalence",
+    }
+    return EXIT_NEGATIVE, results, None
+
+
 def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_se(a, b, lag_max=args.lag_max, entry_bound=args.entry_bound,
                       candidate_budget=args.budget)
     if w is None:
-        results = {
-            "outcome": "not_found_within_bounds",
-            "conclusive": False,
-            "note": "absence of a witness within these bounds does not decide inequivalence",
-        }
-        return EXIT_NEGATIVE, results, None
+        return _witness_not_found()
     return EXIT_OK, {"outcome": "found", "witness": eqv.se_witness_to_json(w)}, None
 
 
@@ -321,12 +326,7 @@ def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
     w = eqv.search_esse(a, b, inner_dim_max=args.inner_dim_max,
                         entry_bound=args.entry_bound, candidate_budget=args.budget)
     if w is None:
-        results = {
-            "outcome": "not_found_within_bounds",
-            "conclusive": False,
-            "note": "absence of a witness within these bounds does not decide inequivalence",
-        }
-        return EXIT_NEGATIVE, results, None
+        return _witness_not_found()
     return EXIT_OK, {"outcome": "found", "witness": eqv.sse_witness_to_json(w)}, None
 
 

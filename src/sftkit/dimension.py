@@ -29,7 +29,6 @@ from .linalg import (
     Matrix,
     Sign,
     Vector,
-    cyclic_structure,
     intertwiner_matrix,
     is_irreducible_matrix,
     isolate_perron_root,
@@ -182,15 +181,21 @@ def dg_positive(
     signs, all read off one `PerronData` of M, finish the decision.
     Reducible matrices past the bound report Unknown.
 
+    The bound is at least n, and the kernel chain of M is stable from n on,
+    so a class that dies (M^n a = 0) has already been certified InCone by
+    the iteration.  Past it a zero total pairing therefore means a nonzero
+    class, which is not in the cone: no nonzero nonnegative vector pairs to
+    zero with the positive left Perron vector w.
+
     For period p, M^p is block diagonal on the cyclic classes C_r with
     primitive blocks, and a is in the cone iff every part a_{C_r} is
-    eventually nonnegative under its block.  As w M^p = rho^p w for the left
-    Perron vector w of M, w_{C_r} is the block's left Perron vector, so the
-    block pairing is the pairing of w with a masked to C_r (zeros elsewhere).
-    No nonzero nonnegative vector pairs to zero with w, so a part pairing to
-    zero must die: M^n a_{C_r} = 0.  A shift by M only rotates the per-class
-    verdicts (w_{C_r} . (M a)_{C_r} = rho w_{C_(r+1)} . a_{C_(r+1)}), so one
-    pass over the classes decides.
+    eventually nonnegative under its block.  As w M^p = rho^p w, w_{C_r} is
+    the block's left Perron vector, so the block pairing is the pairing of w
+    with a masked to C_r (zeros elsewhere), and a part pairing to zero must
+    die.  M maps vectors on C_r to vectors on C_(r-1), so the iterates
+    rotate the parts: M^(bound+1) a, left over from the iteration, holds
+    M^(bound+1) a_{C_r} on C_(r-bound-1), and the part dies exactly when
+    that block of it vanishes.  One pass over the classes decides.
     """
     _check_element(t, x)
     bound = max(iterate_bound, t.n)
@@ -207,16 +212,15 @@ def dg_positive(
     if s == Sign.NEGATIVE:
         return NotInCone("negative Perron pairing")
     if s == Sign.ZERO:
-        if dg_equal(t, x, zero(t)):
-            return InCone(None)
         return NotInCone("zero Perron pairing but nonzero class")
-    period, classes = cyclic_structure(m)
-    for cls in classes if period > 1 else ():
+    p = pd.period
+    for r, cls in enumerate(pd.classes if p > 1 else ()):
         part = tuple(v if i in cls else 0 for i, v in enumerate(x.a))
         if not any(part):
             continue
         s = perron_pairing_sign(pd, part)
-        if s == Sign.NEGATIVE or s == Sign.ZERO and not dg_equal(t, DimElement(part, 0), zero(t)):
+        dies = not any(cur[i] for i in pd.classes[(r - bound - 1) % p])
+        if s == Sign.NEGATIVE or s == Sign.ZERO and not dies:
             return NotInCone("some cyclic class stays negative")
     # positive pairing and per-class feasibility prove membership; the extra
     # iterations only look for a certificate power to report with it

@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     WouldEmpty,
 )
-from .linalg import Matrix, carries_cycle, strong_components
+from .linalg import Matrix, carries_cycle, strong_components, support_digraph
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,6 @@ def transpose(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _successors(g: Graph) -> list[list[int]]:
-    """Vertex-index adjacency lists, one entry per successor."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    succ: list[set[int]] = [set() for _ in g.vertices]
-    for e in g.edges:
-        succ[idx[e.src]].add(idx[e.dst])
-    return [sorted(s) for s in succ]
-
-
 def classify(g: Graph) -> GraphReport:
     """Structural report, every flag read off one strong-component pass.
 
@@ -178,7 +169,7 @@ def classify(g: Graph) -> GraphReport:
     """
     sinks = g.sinks()
     sources = g.sources()
-    adj = _successors(g)
+    adj = support_digraph(g.adjacency())
     comps = strong_components(adj)
     cyclic = 0
     exits = True

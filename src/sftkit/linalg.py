@@ -3,7 +3,8 @@
 Everything is computed with arbitrary-precision integers and
 `fractions.Fraction`; no floating point enters any decision.  Every matrix or
 vector entry the module hands out is an `int` when integral and a `Fraction`
-only otherwise.  The module supplies the kernels the rest of the package
+only otherwise, by the same rule (`polynomials._num`) that keeps polynomial
+coefficients.  The module supplies the kernels the rest of the package
 leans on:
 
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
@@ -26,15 +27,17 @@ leans on:
   irreducibility and the vertices on cycles are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
   polynomial, an isolating interval of the Perron root by Sturm bisection
-  on that polynomial itself (no squarefree part), and column 0 of
+  on that polynomial itself (no squarefree part), column 0 of
   adj(xI - A^T), a positive multiple of the left Perron eigenvector at the
-  Perron root.  The exact sign of the pairing of a rational vector against
-  that eigenvector is then one polynomial h, whose sign there is one Tarski
-  query (Sylvester's theorem) on the isolating interval.  Both remainder sequences are primitive
-  pseudo-remainder sequences over the integers, read by integer sign
-  evaluation; each element is a positive multiple of its counterpart over
-  the rationals, so every sign is the same and no coefficient grows as
-  rational arithmetic would make it.
+  Perron root, and the period and cyclic classes of A from the one
+  irreducibility check the data needs.  The exact sign of the pairing of a
+  rational vector against that eigenvector is then one polynomial h, whose
+  sign there is one Tarski query (Sylvester's theorem) on the isolating
+  interval.  Both remainder sequences are primitive pseudo-remainder
+  sequences over the integers, read by integer sign evaluation; each
+  element is a positive multiple of its counterpart over the rationals, so
+  every sign is the same and no coefficient grows as rational arithmetic
+  would make it.
 """
 
 from __future__ import annotations
@@ -47,18 +50,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import Poly, _variations, sturm_chain, tarski_query
+from .polynomials import Poly, Rat, _num, _variations, sturm_chain, tarski_query
 
-Rat = Fraction | int
 Vector = tuple[Rat, ...]
-
-
-def _num(x) -> Rat:
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    return f.numerator if f.denominator == 1 else f
 
 
 def vector(entries: Iterable[Rat]) -> Vector:
@@ -723,27 +717,31 @@ class PerronData:
     the integers (`polynomials.sturm_chain`).  `column` is column 0 of
     adj(xI - A^T), row j as its integer coefficients, constant term first;
     at the Perron root it is a positive multiple of the left Perron vector,
-    so one PerronData serves every pairing against A.
+    so one PerronData serves every pairing against A.  `period` and
+    `classes` are `cyclic_structure(A)`: every arc of A runs from class r to
+    class r + 1 mod period.
     """
 
     poly: Poly
     lo: Fraction
     hi: Fraction
     column: tuple[tuple[int, ...], ...]
+    period: int
+    classes: tuple[tuple[int, ...], ...]
 
 
 def _check_perron_matrix(m: Matrix) -> None:
     if not m.is_integral() or not m.is_nonnegative():
         raise InvalidMatrix("Perron data needs a nonnegative integer matrix")
-    if not is_irreducible_matrix(m):
-        raise NotIrreducible("Perron data needs an irreducible matrix")
 
 
 def isolate_perron_root(m: Matrix) -> PerronData:
     """Perron data of an irreducible nonnegative integer matrix.
 
-    One Faddeev-LeVerrier run on m^T gives det(xI - m^T) = det(xI - m) and
-    the adjugate column.  Bisection for the rightmost real root, the Perron
+    Irreducibility is checked once, by `cyclic_structure`, whose period and
+    classes the data keeps (NotIrreducible otherwise).  One
+    Faddeev-LeVerrier run on m^T gives det(xI - m^T) = det(xI - m) and the
+    adjugate column.  Bisection for the rightmost real root, the Perron
     root, starts from the row-sum bound: -hi, hi lie beyond every eigenvalue
     and a midpoint that is a root moves toward hi, so no endpoint is ever a
     root.  The Sturm chain of the polynomial itself then counts distinct
@@ -751,6 +749,7 @@ def isolate_perron_root(m: Matrix) -> PerronData:
     part is taken.
     """
     _check_perron_matrix(m)
+    period, classes = cyclic_structure(m)
     cs, bs = _faddeev_leverrier(m.transpose().to_int_rows())
     cp = Poly.from_coeffs(reversed(cs))
     chain = sturm_chain(cp)
@@ -769,7 +768,7 @@ def isolate_perron_root(m: Matrix) -> PerronData:
         else:
             hi, v_hi = mid, v_mid
     column = tuple(tuple(b[j][0] for b in reversed(bs)) for j in range(m.nrows))
-    return PerronData(cp, lo, hi, column)
+    return PerronData(cp, lo, hi, column, period, tuple(map(tuple, classes)))
 
 
 def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:

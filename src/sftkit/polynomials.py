@@ -1,7 +1,9 @@
 """Dense univariate polynomials over the rationals, plus Sturm root counting.
 
-Coefficients are stored ascending (coeffs[i] multiplies x**i) and held as
-`fractions.Fraction`, so everything here is exact.  One remainder loop,
+Coefficients are stored ascending (coeffs[i] multiplies x**i), each an `int`
+when it is integral and a `fractions.Fraction` only otherwise (`_num`, the
+one number rule of the package, which `linalg` applies to matrices too), so
+everything here is exact and no float ever enters.  One remainder loop,
 `sturm_chain`, builds every signed remainder sequence and every gcd
 (`poly_gcd`), and it runs over the integers: only the signs of the sequence
 are ever read, so it is a primitive pseudo-remainder sequence (Collins 1967;
@@ -31,19 +33,23 @@ from .errors import ShapeError
 Rat = Fraction | int
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _num(x) -> Rat:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Immutable polynomial; the zero polynomial has an empty coefficient tuple."""
+    """Immutable polynomial (zero: the empty tuple); `from_coeffs` keeps ints when integral."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rat, ...]
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Rat]) -> "Poly":
-        cs = [_frac(c) for c in coeffs]
+        cs = [_num(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -66,7 +72,7 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Rat:
         if self.is_zero:
             raise ShapeError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -95,7 +101,7 @@ class Poly:
             return Poly.from_coeffs([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -109,7 +115,7 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        quo = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lead = other.leading
         while len(rem) - 1 >= d and any(c != 0 for c in rem):
@@ -118,7 +124,7 @@ class Poly:
             if len(rem) - 1 < d:
                 break
             k = len(rem) - 1 - d
-            q = rem[-1] / lead
+            q = Fraction(rem[-1], lead)
             quo[k] = q
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= q * c
@@ -130,12 +136,12 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.from_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x: Rat) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
+    def __call__(self, x: Rat) -> Rat:
+        x = _num(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _num(acc)
 
     def sign_at(self, x: Rat) -> int:
         """Sign (-1, 0 or 1) of self(x), computed with integers only.
@@ -144,7 +150,7 @@ class Poly:
         denominators cleared: the value times a positive integer is
         sum c_i a^i b^(d-i).
         """
-        x = _frac(x)
+        x = _num(x)
         a, b = x.numerator, x.denominator
         acc, bk = 0, 1
         for c in reversed(_integral(self)):
@@ -155,7 +161,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self * (1 / self.leading)
+        return self * Fraction(1, self.leading)
 
     def pretty(self, var: str = "x") -> str:
         if self.is_zero:
@@ -207,17 +213,6 @@ def _integral(p: Poly) -> list[int]:
     return [c.numerator * (lcm // d) for c, d in zip(p.coeffs, dens)]
 
 
-def _product(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer polynomials (ascending coefficient lists)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return out
-
-
 def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
     """prem(a, b) divided by its content: a positive multiple of a mod b.
 
@@ -259,7 +254,7 @@ def sturm_chain(p: Poly, q: Poly | None = None) -> list[Poly]:
     return [Poly.from_coeffs(cs) for cs in chain]
 
 
-def _variations(chain: Sequence[Poly], x: Fraction) -> int:
+def _variations(chain: Sequence[Poly], x: Rat) -> int:
     """Sign changes along chain at x, zeros skipped, each sign read over the integers."""
     signs = [s for q in chain if (s := q.sign_at(x))]
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
@@ -272,7 +267,6 @@ def count_roots(p: Poly, lo: Rat, hi: Rat, chain: Sequence[Poly] | None = None) 
     amortize repeated queries against the same polynomial; the chain of a p
     with repeated roots counts correctly only if neither endpoint is a root.
     """
-    lo, hi = _frac(lo), _frac(hi)
     if hi < lo:
         raise ShapeError("empty interval: hi < lo")
     if p.is_zero:
@@ -293,9 +287,8 @@ def tarski_query(p: Poly, q: Poly, lo: Rat, hi: Rat) -> int:
     element is formed over the integers too, as a positive multiple of
     p'q mod p.
     """
-    lo, hi = _frac(lo), _frac(hi)
     if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ShapeError("Tarski query endpoints must not be roots of p")
-    p_q = _product(_integral(p.derivative()), _integral(q))
+    p_q = _integral(p.derivative() * q)
     chain = sturm_chain(p, Poly.from_coeffs(_primitive_prem(p_q, _integral(p))))
     return _variations(chain, lo) - _variations(chain, hi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from helpers import (
     cyclic_cone_oracle,
     is_primitive_matrix,
+    matmul_count,
     random_adjacency,
     random_block_cyclic,
     row_sum_perron_vector,
@@ -173,9 +175,36 @@ def test_cone_closure_under_addition():
         assert isinstance(dg_positive(_FULL2, s), InCone)
 
 
-def test_cone_decision_against_brute_iteration_on_primitive_matrices():
+def _dying_vectors(m: Matrix) -> list[tuple[int, ...]]:
+    """Nonzero integer vectors a with M^n a = 0: each echelon basis vector of
+    ker M^n with its denominators cleared, its negative, and the alternating
+    sum of the basis."""
+    basis = [
+        tuple(int(x * math.lcm(*(y.denominator for y in v))) for x in v)
+        for v in linalg.nullspace(m ** m.nrows)
+    ]
+    out = [w for v in basis for w in (v, tuple(-x for x in v))]
+    if len(basis) > 1:
+        out.append(tuple(sum((-1) ** i * v[j] for i, v in enumerate(basis))
+                         for j in range(m.nrows)))
+    return out
+
+
+def _assert_dying_class_certified(m: Matrix, a) -> None:
+    """A nonzero a with M^n a = 0 is the zero class: every bound is raised to
+    at least n, so the iteration certifies it before any Perron pairing."""
+    for stage, bound in enumerate((0, 2, 24)):
+        res = dg_positive(DimensionTriple(m), DimElement(a, stage), bound)
+        assert isinstance(res, InCone) and res.power <= m.nrows, (m, a, res)
+        assert all(v >= 0 for v in (m ** res.power).apply(a)), (m, a, res)
+
+
+def test_cone_decision_against_brute_iteration():
+    # random vectors on primitive M against brute iteration, plus the dying
+    # vectors of those M and of reducible M
     rng = random.Random(67)
     checked = 0
+    seen = Counter()
     while checked < 40:
         n = rng.randrange(2, 4)
         m = random_adjacency(rng, n, 3)
@@ -193,6 +222,17 @@ def test_cone_decision_against_brute_iteration_on_primitive_matrices():
                 break
             cur = m.apply(cur)
         assert isinstance(res, InCone) == brute
+        for a in _dying_vectors(m):
+            _assert_dying_class_certified(m, a)
+            seen["primitive"] += 1
+    while seen["reducible"] < 40:
+        m = random_adjacency(rng, rng.randrange(2, 5), 2)
+        if linalg.is_irreducible_matrix(m):
+            continue
+        for a in _dying_vectors(m):
+            _assert_dying_class_certified(m, a)
+            seen["reducible"] += 1
+    assert seen["primitive"] >= 10, seen
 
 
 def test_periodic_matrix_blockwise_decision():
@@ -224,32 +264,78 @@ def _class_vector(rng: random.Random, m: Matrix, classes) -> tuple[int, ...]:
     return tuple(a)
 
 
+def _dying_class_vector(rng: random.Random, m: Matrix, classes):
+    """A nonzero part in ker M^n on one cyclic class (M maps the parts of a
+    vector to disjoint classes, so each part of a dying vector dies), and on
+    every other class a near-cancelling part pairing to +w_i (a large
+    multiple of w_j e_i - w_i e_j, plus e_i) or, on a one-vertex class, a
+    positive entry; None when M is invertible."""
+    w = row_sum_perron_vector(m)
+    dying = [
+        (cls, [x if i in cls else 0 for i, x in enumerate(v)])
+        for v in _dying_vectors(m)
+        for cls in classes
+        if any(v[i] for i in cls)
+    ]
+    if not dying:
+        return None
+    home, a = rng.choice(dying)
+    for cls in classes:
+        if cls is home:
+            continue
+        if len(cls) == 1:
+            a[cls[0]] = rng.randint(1, 3)
+            continue
+        i, j = rng.sample(cls, 2)
+        k = rng.randint(10**3, 10**4)
+        a[i] = k * w[j].numerator * w[i].denominator + 1
+        a[j] = -k * w[i].numerator * w[j].denominator
+    return tuple(a)
+
+
 def test_periodic_cone_decision_matches_class_oracle():
     # one pass over the cyclic classes: the Perron sign of M, then at most
-    # one per class, all off one Faddeev-LeVerrier run
-    rng = random.Random(31)
+    # one per class, all off one Faddeev-LeVerrier run; irreducibility is
+    # checked at most twice (the gate, then the PerronData), and whether a
+    # part dies is read off the iterates, not off a matrix power.  Besides
+    # the class vector, each matrix with a kernel part decides a vector whose
+    # dying part sits beside near-cancelling parts: it is in the cone, often
+    # past the iteration bound, where the dying part is recognised in
+    # M^(bound+1) a on the class the iterates rotated it to
+    rng, dying_rng = random.Random(31), random.Random(32)
     seen = Counter()
     with mock.patch.object(
         dimension, "perron_pairing_sign", wraps=dimension.perron_pairing_sign
     ) as spy, mock.patch.object(
         linalg, "_faddeev_leverrier", wraps=linalg._faddeev_leverrier
-    ) as runs:
+    ) as runs, mock.patch.object(
+        linalg, "strong_components", wraps=linalg.strong_components
+    ) as passes:
         for trial in range(400):
             period = 2 + trial % 3
             m, classes = random_block_cyclic(rng, period, 3, rng.randint(1, 3))
-            a = _class_vector(rng, m, classes)
-            spy.reset_mock()
-            runs.reset_mock()
-            res = dg_positive(DimensionTriple(m), DimElement(a, 0), (0, 2)[trial % 2])
-            assert isinstance(res, InCone) == cyclic_cone_oracle(m, classes, a), (m, a)
-            assert spy.call_count <= 1 + period, (m, a, spy.call_count)
-            assert runs.call_count <= 1, (m, a, runs.call_count)
-            if isinstance(res, NotInCone):
-                seen[res.reason] += 1
-            elif res.power is None or res.power > m.nrows:
-                seen["in cone past the iteration bound"] += 1
+            vectors = (_class_vector(rng, m, classes), _dying_class_vector(dying_rng, m, classes))
+            for kind, a in zip(("class", "dying part"), vectors):
+                if a is None:
+                    continue
+                spy.reset_mock()
+                runs.reset_mock()
+                passes.reset_mock()
+                res, products = matmul_count(
+                    lambda: dg_positive(DimensionTriple(m), DimElement(a, 0), (0, 2)[trial % 2])
+                )
+                assert isinstance(res, InCone) == cyclic_cone_oracle(m, classes, a), (m, a)
+                assert spy.call_count <= 1 + period, (m, a, spy.call_count)
+                assert runs.call_count <= 1, (m, a, runs.call_count)
+                assert passes.call_count <= 2, (m, a, passes.call_count)
+                assert products == 0, (m, a, products)
+                if isinstance(res, NotInCone):
+                    seen[res.reason] += 1
+                elif res.power is None or res.power > m.nrows:
+                    seen[f"{kind} in cone past the iteration bound"] += 1
     assert seen["some cyclic class stays negative"] >= 60, seen
-    assert seen["in cone past the iteration bound"] >= 2, seen
+    assert seen["class in cone past the iteration bound"] >= 2, seen
+    assert seen["dying part in cone past the iteration bound"] >= 20, seen
 
 
 def test_proven_positive_class_past_the_certificate_cap_is_in_cone():

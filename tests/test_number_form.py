@@ -1,7 +1,8 @@
 """The number form of exact results: every entry of a matrix or vector that
-`linalg` hands out is an int when it is integral and a Fraction otherwise,
-never a float; determinant, inverse and echelon values are checked against
-the independent oracles of helpers.py."""
+`linalg` hands out, and every coefficient of a `Poly`, is an int when it is
+integral and a Fraction otherwise, never a float; determinant, inverse,
+echelon and polynomial division values are checked against independent
+oracles."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from sftkit.linalg import (
     AffineInfeasible,
     AffineSolution,
     Matrix,
+    char_poly,
     integer_points,
     intertwiner_space,
     nullspace,
@@ -28,6 +30,7 @@ from sftkit.linalg import (
     solve_affine_exact,
     vector,
 )
+from sftkit.polynomials import Poly, sturm_chain
 
 
 def _entries(x):
@@ -243,3 +246,69 @@ def test_det_is_exact_on_singular_and_non_unit_pivot_matrices():
         assert d == det_oracle(m), m
         singular += d == 0
     assert singular >= 30
+
+
+def _random_poly(rng: random.Random, mixed: bool) -> Poly:
+    """Degree 0-4, with a non-unit int leading coefficient about half the time."""
+    cs = [_entry(rng, mixed) for _ in range(rng.randrange(0, 5))]
+    return Poly.from_coeffs(cs + [rng.choice((1, -1, 2, 3, -3, 4, Fraction(2, 3)))])
+
+
+def _divmod_oracle(p: Poly, d: Poly) -> tuple[list[Fraction], list[Fraction]]:
+    """Schoolbook long division over the rationals, every step a Fraction."""
+    rem = [Fraction(c) for c in p.coeffs]
+    quo = [Fraction(0)] * max(0, len(rem) - len(d.coeffs) + 1)
+    while len(rem) >= len(d.coeffs):
+        k = len(rem) - len(d.coeffs)
+        quo[k] = rem[-1] / Fraction(d.coeffs[-1])
+        for i, c in enumerate(d.coeffs):
+            rem[k + i] -= quo[k] * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem
+
+
+def test_poly_from_coeffs_normalises_every_coefficient():
+    p = Poly.from_coeffs([Fraction(4, 2), 0.5, "3/4", -0.0, 0])
+    assert p.coeffs == (2, Fraction(1, 2), Fraction(3, 4))
+    _assert_form(p.coeffs)
+    assert Poly.from_coeffs([Fraction(0), 0.0]).coeffs == ()
+
+
+def test_poly_arithmetic_keeps_the_number_form():
+    rng = random.Random(48)
+    divisions = 0
+    for trial in range(300):
+        p, d = _random_poly(rng, trial % 2 == 1), _random_poly(rng, trial % 3 == 1)
+        q, r = divmod(p, d)
+        want_q, want_r = _divmod_oracle(p, d)
+        assert (list(q.coeffs), list(r.coeffs)) == (want_q, want_r), (p, d)
+        divisions += d.leading not in (1, -1)
+        results = [p + d, p - d, -p, p * d, d * 3, p * Fraction(3, 2), q, r, p % d,
+                   p.monic(), d.monic(), p.derivative(), d.derivative()]
+        for x in results:
+            _assert_form(x.coeffs)
+        assert p.monic().leading == 1 and type(p.monic().leading) is int
+    assert divisions >= 100
+    # products and derivatives of rational polynomials come back as ints
+    half = Poly.from_coeffs([0, 0, Fraction(1, 2)])
+    assert half.derivative().coeffs == (0, 1)
+    assert (half * Poly.from_coeffs([2])).coeffs == (0, 0, 1)
+    _assert_form((half.derivative().coeffs, (half * 2).coeffs))
+    # a non-unit integer leading coefficient: 3x^2 + 1 = (3x) x + 1
+    q, r = divmod(Poly.from_coeffs([1, 0, 3]), Poly.from_coeffs([0, 3]))
+    assert (q.coeffs, r.coeffs) == ((0, 1), (1,))
+    q, r = divmod(Poly.from_coeffs([1, 1]), Poly.from_coeffs([0, 3]))
+    assert (q.coeffs, r.coeffs) == ((Fraction(1, 3),), (1,))
+
+
+def test_sturm_chain_and_char_poly_hold_ints():
+    rng = random.Random(49)
+    for trial in range(60):
+        m = random_int_matrix(rng, rng.randrange(1, 6), 0, 3)
+        cp = char_poly(m)
+        assert all(type(c) is int for c in cp.coeffs), cp
+        q = _random_poly(rng, True)
+        for chain in (sturm_chain(cp), sturm_chain(cp, q), sturm_chain(q * Fraction(1, 3))):
+            for x in chain:
+                assert all(type(c) is int for c in x.coeffs), chain
