@@ -34,6 +34,7 @@ from .linalg import (
     isolate_perron_root,
     perron_pairing_sign,
     solve_affine_exact,
+    vector,
 )
 
 DEFAULT_ITERATE_BOUND = 24
@@ -95,8 +96,12 @@ def _check_element(t: DimensionTriple, x: DimElement) -> None:
         raise ShapeError(f"element lives in Z^{len(x.a)}, triple needs Z^{t.n}")
 
 
-def _apply_pow(t: DimensionTriple, p: int, a: Sequence[int]) -> tuple[int, ...]:
-    return (t.matrix**p).apply(a)
+def _apply_pow(t: DimensionTriple, p: int, a: Sequence[Fraction | int]) -> Vector:
+    """M^p a by p matrix-vector products; the power M^p is never formed."""
+    v = vector(a)
+    for _ in range(p):
+        v = t.matrix.apply(v)
+    return v
 
 
 def dg_equal(t: DimensionTriple, x: DimElement, y: DimElement) -> bool:
@@ -267,7 +272,7 @@ def rational_to_element(
     k = lattice_level(t, v)
     if k is None:
         return None
-    return DimElement((t.matrix**k).apply(v), k)
+    return DimElement(_apply_pow(t, k, v), k)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ leans on:
   Bareiss elimination;
 * Smith normal form with unimodular transforms (elementary operations,
   pivoting on the minimal absolute value);
-* characteristic polynomials via Faddeev-LeVerrier, which also yields the
-  adjugate of (xI - A) as a polynomial matrix for free;
+* characteristic polynomials via Faddeev-LeVerrier, each product running
+  over the nonzero entries of each row only (the matrices are mostly sparse
+  0/1), which also yields column 0 of the adjugate of (xI - A) for free;
 * exact affine solving by one reduction of [A | b]; only an
   inconsistent system is reduced again, as [A | b | I], where the identity
   block records the row operations and yields the infeasibility certificate
@@ -166,7 +167,7 @@ class Matrix:
         if len(v) != self.ncols:
             raise ShapeError("vector length does not match column count")
         v = vector(v)
-        return vector(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        return vector(sum(a * x for a, x in zip(row, v) if a) for row in self.rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
@@ -441,21 +442,32 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 # ---------------------------------------------------------------------------
 
 
-def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
-    """Integer Faddeev-LeVerrier.
+def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Integer Faddeev-LeVerrier over the nonzero entries of each row of A.
 
-    Returns (c, B) where det(xI - A) = sum c[k] x^(n-k) for k = 0..n and
-    adj(xI - A) = sum B[k] x^(n-1-k) for k = 0..n-1.  All intermediate
-    divisions are exact for integer input.
+    With B_0 = I, each step forms A B_(k-1), takes c_k = -tr(A B_(k-1)) / k
+    (an exact division for integer input) and sets B_k = A B_(k-1) + c_k I,
+    so that det(xI - A) = sum c[k] x^(n-k) for k = 0..n and
+    adj(xI - A) = sum B_k x^(n-1-k) for k = 0..n-1; Cayley-Hamilton makes
+    B_n zero, which is asserted.  Row i of A B_(k-1) is the sum of
+    x * (row l of B_(k-1)) over the nonzero entries a[i][l] = x, so a step
+    costs nnz(A) * n rather than n^3.  Only column 0 of the adjugate is
+    kept: returns (c, column) with column[j] the coefficients of
+    adj(xI - A)[j][0], constant term first.
     """
     n = len(a)
+    nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in a]
+    zero = [0] * n
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     cs = [1]
-    bs = [b]
+    firsts = [[row[0] for row in b]]  # column 0 of B_0, B_1, ...
     for k in range(1, n + 1):
+        # row i of A B_(k-1): the rows l of B_(k-1), each scaled by its
+        # a[i][l] = x, summed column by column (zeros for a zero row of A)
         b = [
-            [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
-            for i in range(n)
+            [sum(col) for col in zip(zero, *(b[l] if x == 1 else [x * y for y in b[l]]
+                                             for l, x in terms))]
+            for terms in nonzero
         ]
         tr = sum(b[i][i] for i in range(n))
         assert tr % k == 0, "Faddeev-LeVerrier trace division must be exact"
@@ -464,9 +476,9 @@ def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[in
         for i in range(n):
             b[i][i] += c
         if k < n:
-            bs.append(b)
+            firsts.append([row[0] for row in b])
     assert all(x == 0 for row in b for x in row), "Cayley-Hamilton check failed"
-    return cs, bs
+    return cs, tuple(zip(*reversed(firsts)))
 
 
 def char_poly(m: Matrix) -> Poly:
@@ -662,25 +674,31 @@ def carries_cycle(comp: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
     return len(comp) > 1 or comp[0] in adj[comp[0]]
 
 
-def is_irreducible_matrix(m: Matrix) -> bool:
-    """Strong connectivity of the support digraph; a lone vertex needs a loop."""
+def _irreducible_support(m: Matrix) -> list[list[int]] | None:
+    """The support digraph of m if m is irreducible, else None."""
     if not m.is_square:
         raise ShapeError("irreducibility needs a square matrix")
     adj = support_digraph(m)
     comps = strong_components(adj)
-    return len(comps) == 1 and carries_cycle(comps[0], adj)
+    return adj if len(comps) == 1 and carries_cycle(comps[0], adj) else None
+
+
+def is_irreducible_matrix(m: Matrix) -> bool:
+    """Strong connectivity of the support digraph; a lone vertex needs a loop."""
+    return _irreducible_support(m) is not None
 
 
 def cyclic_structure(m: Matrix) -> tuple[int, list[list[int]]]:
     """Period p and the cyclic classes of an irreducible nonnegative matrix.
 
+    One support digraph serves the irreducibility check and the levels.
     Period is the gcd over all arcs (u, w) of level(u) + 1 - level(w) for BFS
     levels from vertex 0; classes collect indices by level mod p.
     """
-    if not is_irreducible_matrix(m):
+    adj = _irreducible_support(m)
+    if adj is None:
         raise NotIrreducible("cyclic structure needs an irreducible matrix")
     n = m.nrows
-    adj = support_digraph(m)
     level = [-1] * n
     level[0] = 0
     queue = [0]
@@ -715,11 +733,12 @@ class PerronData:
     root.  Both Sturm counting and the Tarski query count distinct roots
     under that condition, and both read their signed remainder sequences over
     the integers (`polynomials.sturm_chain`).  `column` is column 0 of
-    adj(xI - A^T), row j as its integer coefficients, constant term first;
-    at the Perron root it is a positive multiple of the left Perron vector,
-    so one PerronData serves every pairing against A.  `period` and
-    `classes` are `cyclic_structure(A)`: every arc of A runs from class r to
-    class r + 1 mod period.
+    adj(xI - A^T), row j as its integer coefficients, constant term first,
+    collected entry by entry as the Faddeev-LeVerrier run forms each B_k (no
+    other adjugate entry is kept); at the Perron root it is a positive
+    multiple of the left Perron vector, so one PerronData serves every
+    pairing against A.  `period` and `classes` are `cyclic_structure(A)`:
+    every arc of A runs from class r to class r + 1 mod period.
     """
 
     poly: Poly
@@ -750,7 +769,7 @@ def isolate_perron_root(m: Matrix) -> PerronData:
     """
     _check_perron_matrix(m)
     period, classes = cyclic_structure(m)
-    cs, bs = _faddeev_leverrier(m.transpose().to_int_rows())
+    cs, column = _faddeev_leverrier(m.transpose().to_int_rows())
     cp = Poly.from_coeffs(reversed(cs))
     chain = sturm_chain(cp)
     hi = Fraction(max(sum(row) for row in m.rows) + 1)
@@ -767,7 +786,6 @@ def isolate_perron_root(m: Matrix) -> PerronData:
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    column = tuple(tuple(b[j][0] for b in reversed(bs)) for j in range(m.nrows))
     return PerronData(cp, lo, hi, column, period, tuple(map(tuple, classes)))
 
 

@@ -1,8 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here are written from scratch (cofactor determinants, brute-force
-rank, entrywise Kronecker products) so that library results are checked
-against genuinely independent computations.
+rank, entrywise Kronecker products, dense Faddeev-LeVerrier) so that
+library results are checked against genuinely independent computations.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 from sftkit.graphs import Graph, classify, from_adjacency
-from sftkit.linalg import (
-    Matrix,
-    _faddeev_leverrier,
-    cyclic_structure,
-    is_irreducible_matrix,
-)
+from sftkit.linalg import Matrix, cyclic_structure, is_irreducible_matrix
 from sftkit.moves import EdgePartition
 from sftkit.polynomials import Poly
 
@@ -42,6 +37,15 @@ def matmul_count(fn):
     with mock.patch.object(Matrix, "__matmul__", counting):
         out = fn()
     return out, calls
+
+
+def apply_power_oracle(m: Matrix, p: int, v) -> tuple:
+    """m^p v by p plain matrix-vector loops, entry by entry."""
+    n = m.nrows
+    v = list(v)
+    for _ in range(p):
+        v = [sum(m[i, j] * v[j] for j in range(n)) for i in range(n)]
+    return tuple(v)
 
 
 def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> Matrix:
@@ -363,10 +367,36 @@ def is_primitive_matrix(m: Matrix) -> bool:
     return is_irreducible_matrix(m) and cyclic_structure(m)[0] == 1
 
 
+def faddeev_leverrier_oracle(m: Matrix) -> tuple[list[int], list[list[list[int]]]]:
+    """Dense textbook Faddeev-LeVerrier on an integer matrix.
+
+    Returns (coeffs, bs): det(xI - m) = sum coeffs[d] x^d (constant term
+    first) and adj(xI - m) = sum bs[k] x^(n-1-k), with every B_k kept.  The
+    recurrence is B_0 = I, c_k = -tr(m B_(k-1)) / k, B_k = m B_(k-1) + c_k I,
+    each product a full row-by-column product over all n^3 entry pairs and
+    each division checked exact; B_n = m B_(n-1) + c_n I must vanish
+    (Cayley-Hamilton).
+    """
+    n = m.nrows
+    a = [list(row) for row in m.rows]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    cs, bs = [1], []
+    for k in range(1, n + 1):
+        bs.append(b)
+        cols = list(zip(*b))
+        prod = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        c, rest = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert rest == 0
+        cs.append(c)
+        b = [[prod[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    assert all(x == 0 for row in b for x in row)
+    return cs[::-1], bs
+
+
 def adjugate_xi_minus(m: Matrix) -> list[list[Poly]]:
-    """Entries of adj(xI - m) as polynomials, read off the B_k of the
-    library's Faddeev-LeVerrier run: adj(xI - m) = sum B_k x^(n-1-k)."""
-    _, bs = _faddeev_leverrier(m.to_int_rows())
+    """Entries of adj(xI - m) as polynomials, read off the B_k of
+    `faddeev_leverrier_oracle`: adj(xI - m) = sum B_k x^(n-1-k)."""
+    _, bs = faddeev_leverrier_oracle(m)
     n = m.nrows
     return [
         [Poly.from_coeffs([bs[n - 1 - d][i][j] for d in range(n)]) for j in range(n)]

@@ -10,6 +10,7 @@ from unittest import mock
 
 import pytest
 from helpers import (
+    apply_power_oracle,
     cyclic_cone_oracle,
     is_primitive_matrix,
     matmul_count,
@@ -142,6 +143,59 @@ def test_add_neg_scale():
         )
         assert dg_equal(_FULL2, dg_add(_FULL2, x, dg_neg(_FULL2, x)), zero(_FULL2))
         assert dg_equal(_FULL2, dg_scale(_FULL2, 3, x), dg_add(_FULL2, x, dg_add(_FULL2, x, x)))
+
+
+def test_element_maps_match_matrix_vector_loop():
+    # dg_shift, dg_add, dg_equal, tensor_phi and rational_to_element apply
+    # M^p as p matrix-vector products, never forming a matrix power; each
+    # result must equal the plain loop's, for p = 0, 1, n and 3n
+    rng = random.Random(66)
+    seen = Counter()
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        t = DimensionTriple(random_adjacency(rng, n, 2))
+        u = DimensionTriple(random_adjacency(rng, rng.randint(1, 4), 2))
+        m = t.matrix
+        basis = linalg.nullspace(m)
+        den = math.lcm(*(e.denominator for e in basis[0])) if basis else 1
+        kernel = [int(e * den) for e in basis[0]] if basis else None
+        for p in (0, 1, n, 3 * n):
+            a = tuple(rng.randrange(-5, 6) for _ in range(n))
+            b = tuple(rng.randrange(-5, 6) for _ in range(n))
+            c = tuple(rng.randrange(-5, 6) for _ in range(u.n))
+            k = rng.randrange(0, 3)
+            x, y = DimElement(a, k), DimElement(b, p)
+            pa = apply_power_oracle(m, p, a)
+            # [M^p a + z, k + p] is the class of x for z in the kernel of a
+            # singular M; for an invertible M, z is random and it is not
+            scale = rng.randrange(-2, 3)
+            z = [scale * e for e in kernel] if kernel else b
+            moved = tuple(s + r for s, r in zip(pa, z))
+            merges = not any(apply_power_oracle(m, n, [s - r for s, r in zip(pa, moved)]))
+            seen[merges] += 1
+            uc = apply_power_oracle(u.matrix, k, c)
+            got, products = matmul_count(lambda: (
+                dg_shift(t, x, p),
+                dg_add(t, x, y),
+                dg_equal(t, x, DimElement(pa, k + p)),
+                dg_equal(t, x, DimElement(moved, k + p)),
+                tensor_phi(t, u, x, DimElement(c, p)),
+            ))
+            assert products == 0
+            assert got == (
+                DimElement(pa, k),
+                DimElement(tuple(s + r for s, r in zip(pa, apply_power_oracle(m, k, b))), k + p),
+                True,
+                merges,
+                DimElement(tuple(s * r for s in pa for r in uc), k + p),
+            ), (m, p)
+        v = [Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 4])) for _ in range(n)]
+        el = rational_to_element(t, v)
+        if el is not None:
+            assert el.a == apply_power_oracle(m, el.k, v)
+            assert all(type(e) is int for e in el.a)
+            seen["rational"] += 1
+    assert min(seen.values()) >= 8, seen
 
 
 def test_cone_decision_matches_perron_functional():

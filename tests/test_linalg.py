@@ -7,23 +7,28 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, groupby, product
+from unittest import mock
 
 import pytest
 from helpers import (
     adjugate_xi_minus,
     cofactor_det,
     det_oracle,
+    faddeev_leverrier_oracle,
     gauss_jordan_oracle,
     is_primitive_matrix,
     matmul_count,
     perron_sign_oracle,
+    random_block_cyclic,
     random_int_matrix,
     rank_oracle,
 )
 
+from sftkit import linalg
 from sftkit.errors import InvalidMatrix, NotIrreducible, ShapeError
 from sftkit.linalg import (
     Matrix,
+    _faddeev_leverrier,
     Sign,
     char_poly,
     cyclic_structure,
@@ -225,6 +230,71 @@ def test_char_poly_and_adjugate_commute_with_transpose():
         adj = adjugate_xi_minus(m)
         adj_t = adjugate_xi_minus(m.transpose())
         assert adj_t == [[adj[j][i] for j in range(n)] for i in range(n)]
+
+
+def _sparse_primitive_01(rng: random.Random, n: int) -> Matrix:
+    """Primitive 0/1 matrix: a cycle through all n vertices plus one random
+    arc per row (an arc already there adds nothing), redrawn until primitive."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = 1
+            rows[i][rng.randrange(n)] = 1
+        m = Matrix.from_rows(rows)
+        if is_primitive_matrix(m):
+            return m
+
+
+def _perron_column_oracle(m: Matrix) -> tuple:
+    """Column 0 of adj(xI - m^T) from the oracle's B_k, constant term first."""
+    n = m.nrows
+    _, bs = faddeev_leverrier_oracle(m.transpose())
+    return tuple(tuple(bs[n - 1 - d][j][0] for d in range(n)) for j in range(n))
+
+
+def test_char_poly_and_perron_column_match_faddeev_leverrier_oracle():
+    # the library's Faddeev-LeVerrier runs over the nonzero entries of each
+    # row and keeps only column 0 of the adjugate; the oracle multiplies
+    # densely and keeps every B_k
+    rng = random.Random(17)
+    irreducible = [_sparse_primitive_01(rng, n) for n in range(1, 25)]
+    dense = [random_int_matrix(rng, n, 0, 3) for n in (2, 3, 5, 8, 12, 16, 24)]
+    irreducible += [m for m in dense if is_irreducible_matrix(m)]
+    assert len(irreducible) >= 28
+    signed = [random_int_matrix(rng, n, -4, 4) for n in range(1, 13)]
+    zero_rows = []
+    for n in range(1, 9):
+        m = [list(row) for row in random_int_matrix(rng, n, 0, 2).rows]
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            m[i] = [0] * n
+        zero_rows.append(Matrix.from_rows(m))
+    diagonal = [
+        Matrix.from_rows([[rng.randint(-3, 3) * (i == j) for j in range(n)] for i in range(n)])
+        for n in range(1, 9)
+    ]
+    for m in irreducible + dense + signed + zero_rows + diagonal:
+        coeffs, _ = faddeev_leverrier_oracle(m)
+        assert char_poly(m) == Poly.from_coeffs(coeffs), m
+    for m in irreducible:
+        assert isolate_perron_root(m).column == _perron_column_oracle(m), m
+    # the reducible ones have no PerronData; read their column off the run
+    for m in zero_rows + diagonal:
+        assert _faddeev_leverrier(m.transpose().to_int_rows())[1] == _perron_column_oracle(m), m
+
+
+def test_cyclic_structure_builds_one_support_digraph():
+    rng = random.Random(18)
+    cases = [random_block_cyclic(rng, period, 3, rng.randint(1, 3))[0] for period in (1, 2, 3, 4)]
+    cases += [_sparse_primitive_01(rng, n) for n in (1, 5, 9)]
+    with mock.patch.object(linalg, "support_digraph", wraps=linalg.support_digraph) as built:
+        for m in cases:
+            built.reset_mock()
+            cyclic_structure(m)
+            assert built.call_count == 1, m
+        built.reset_mock()
+        with pytest.raises(NotIrreducible, match="cyclic structure needs an irreducible matrix"):
+            cyclic_structure(Matrix.from_rows([[1, 1], [0, 1]]))
+        assert built.call_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +620,27 @@ def test_perron_pairing_sign_at_n48_within_budget():
     elapsed = time.perf_counter() - start
     assert got == perron_sign_oracle(m, v)
     assert elapsed < 5, f"n = 48 Perron pairing took {elapsed:.1f}s (budget 5s)"
+
+
+def test_perron_data_and_pairing_at_n64_within_budget():
+    # a cycle plus one random arc per row (arcs counted with multiplicity, so
+    # every row sums to 2): on a 2-vCPU VM the PerronData and one pairing take
+    # about 2.4 s with dense Faddeev-LeVerrier products and about 0.2 s with
+    # products over the nonzero entries, so the budget catches a return of
+    # the former
+    rng = random.Random(64)
+    n = 64
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] += 1
+        rows[i][rng.randrange(n)] += 1
+    m = Matrix.from_rows(rows)
+    v = _pairings_to_check(rng, m)[3]
+    start = time.perf_counter()
+    got = perron_pairing_sign(isolate_perron_root(m), v)
+    elapsed = time.perf_counter() - start
+    assert got == perron_sign_oracle(m, v)
+    assert elapsed < 1, f"n = 64 Perron data and pairing took {elapsed:.2f}s (budget 1s)"
 
 
 def test_perron_pairing_sign_matches_functional():
