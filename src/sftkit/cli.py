@@ -24,13 +24,11 @@ from .errors import ParseError, SftkitError
 from .graphs import (
     Graph,
     classify,
-    from_adjacency,
     graph_from_json_text,
     graph_to_dot,
     graph_to_json,
 )
 from .invariants import (
-    BratteliDiagram,
     bratteli,
     bratteli_to_dot,
     flow_equivalent,
@@ -138,16 +136,6 @@ def _check_bounds(args: argparse.Namespace) -> None:
             raise ParseError(f"{flag} must be at least {least}, got {value}")
 
 
-def emit_dot(obj) -> str:
-    """DOT text for a graph or a Bratteli diagram."""
-    if isinstance(obj, Graph):
-        return graph_to_dot(obj)
-    if isinstance(obj, BratteliDiagram):
-        shape = from_adjacency(obj.step.transpose())
-        return bratteli_to_dot(shape, obj)
-    raise ParseError(f"no DOT rendering for {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Human-readable rendering
 # ---------------------------------------------------------------------------
@@ -196,7 +184,7 @@ def _human(obj, indent: int = 0) -> list[str]:
 def _cmd_analyze(run: _Run, args) -> tuple[int, dict, str | None]:
     g = run.graph(args.graph)
     if args.dot:
-        return EXIT_OK, {}, emit_dot(g)
+        return EXIT_OK, {}, graph_to_dot(g)
     r = classify(g)
     results = {
         "vertices": len(g.vertices),
@@ -334,7 +322,7 @@ def _cmd_product(run: _Run, args) -> tuple[int, dict, str | None]:
     g, h = run.graph(args.g1), run.graph(args.g2)
     k = moves.kronecker_product(g, h)
     if args.dot:
-        return EXIT_OK, {}, emit_dot(k)
+        return EXIT_OK, {}, graph_to_dot(k)
     results = {"graph": graph_to_json(k), "adjacency": k.adjacency().to_json_rows()}
     return EXIT_OK, results, None
 

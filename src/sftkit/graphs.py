@@ -256,13 +256,17 @@ def graph_from_json(obj: Mapping | Iterable) -> Graph:
         if "adjacency" in obj:
             g = from_adjacency(_int_rows(obj["adjacency"]))
         elif "vertices" in obj and "edges" in obj:
+            vertices, edges = obj["vertices"], obj["edges"]
+            if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
+                raise ParseError("graph 'vertices' and 'edges' must be arrays")
             try:
-                edges = tuple(
-                    Edge(e["src"], e["dst"], e["id"]) for e in obj["edges"]
-                )
-                g = Graph(tuple(obj["vertices"]), edges)
+                edges = tuple(Edge(e["src"], e["dst"], e["id"]) for e in edges)
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"malformed graph object: {exc}") from exc
+            names = [*vertices, *(x for e in edges for x in (e.src, e.dst, e.id))]
+            if not all(isinstance(x, str) for x in names):
+                raise ParseError("vertex names and edge src, dst and id must be strings")
+            g = Graph(tuple(vertices), edges)
         else:
             raise ParseError("graph object needs either 'adjacency' or 'vertices'+'edges'")
     elif isinstance(obj, (list, tuple)):

@@ -4,11 +4,13 @@ Splittings return the moved graph together with the elementary strong shift
 equivalence witness relating the two adjacency matrices, so "this move
 preserves conjugacy" is a checkable artifact, not a promise.  Bridge graphs
 package a matrix factorization a = r s as a two-class graph whose crossing
-length-2 paths biject with the edges of the factors.
+length-2 paths biject with the edges of the factors: each factor edge is
+laid out from its crossing path, path by path, together with its theta entry.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -51,15 +53,22 @@ class EdgePartition:
 
 
 def partition_from_json(obj) -> EdgePartition:
+    """Read [{"vertex": v, "blocks": [[edge id, ...], ...]}, ...]; names must be
+    strings and blocks arrays, nothing is coerced."""
     try:
-        return EdgePartition(
-            tuple(
-                (entry["vertex"], tuple(tuple(b) for b in entry["blocks"]))
-                for entry in obj
-            )
-        )
+        entries = [(entry["vertex"], entry["blocks"]) for entry in obj]
     except (KeyError, TypeError) as exc:
         raise BadPartition(f"malformed partition payload: {exc}") from exc
+    array = (list, tuple)
+    for v, blocks in entries:
+        if not isinstance(v, str) or not isinstance(blocks, array) or not all(
+            isinstance(b, array) and all(isinstance(e, str) for e in b) for b in blocks
+        ):
+            raise BadPartition(
+                "malformed partition payload: each 'vertex' must be a string and "
+                "its 'blocks' an array of arrays of edge ids"
+            )
+    return EdgePartition(tuple((v, tuple(tuple(b) for b in blocks)) for v, blocks in entries))
 
 
 def partition_to_json(p: EdgePartition) -> list:
@@ -117,6 +126,11 @@ def _block_index(p: EdgePartition, v: str, edge_id: str) -> int:
     raise BadPartition(f"edge {edge_id!r} missing from blocks at {v!r}")
 
 
+def _copy_name(name: str, i: int) -> str:
+    """Name of copy i (counted from 0) of a split vertex or edge: name.(i + 1)."""
+    return f"{name}.{i + 1}"
+
+
 def out_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
     """Out-split g along a partition of each non-sink vertex's outgoing edges.
 
@@ -154,7 +168,7 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
     split_vertices: list[str] = []
     for v in g.vertices:
         if v in required:
-            names = [f"{v}.{i + 1}" for i in range(len(p.blocks_at(v)))]
+            names = [_copy_name(v, i) for i in range(len(p.blocks_at(v)))]
         else:
             names = [v]
         copies[v] = names
@@ -165,7 +179,7 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
         i = _block_index(p, e.src, e.id)
         src_name = copies[e.src][i]
         for j, dst_name in enumerate(copies[e.dst]):
-            split_edges.append(Edge(src_name, dst_name, f"{e.id}.{j + 1}"))
+            split_edges.append(Edge(src_name, dst_name, _copy_name(e.id, j)))
     h = Graph(tuple(split_vertices), tuple(split_edges))
 
     col_of = {name: idx for idx, name in enumerate(split_vertices)}
@@ -230,10 +244,13 @@ class BridgeGraph:
 def bridge_from_factorization(a: Matrix, r: Matrix, s: Matrix) -> BridgeGraph:
     """Build the bridge graph of a factorization a = r s.
 
-    Crossing edges u_i -> w_l appear r[i, l] times and w_l -> u_j appear
-    s[l, j] times; factor edges are matched with crossing length-2 paths in
-    lexicographic order (middle vertex, then copy indices), which makes the
-    construction deterministic.
+    Crossing edges x.. u_i -> w_l appear r[i, l] times and y.. w_l -> u_j
+    appear s[l, j] times.  Each crossing length-2 path u_i -> w_l -> u_j
+    gives one factor edge p.. u_i -> u_j with that path as its theta1 entry,
+    laid out in lexicographic order ((i, j), middle vertex, then copy
+    indices); the paths w -> u -> w give the q.. edges and theta2 the same
+    way.  So e1 has adjacency a, e2 has s r, and the construction is
+    deterministic.
     """
     for name, m in (("a", a), ("r", r), ("s", s)):
         if not m.is_integral() or not m.is_nonnegative():
@@ -248,70 +265,42 @@ def bridge_from_factorization(a: Matrix, r: Matrix, s: Matrix) -> BridgeGraph:
         )
     if r @ s != a:
         raise NotAFactorization("r s differs from a")
-    b = s @ r
 
     class1 = tuple(f"u{i + 1}" for i in range(n))
     class2 = tuple(f"w{l + 1}" for l in range(k))
-
-    x_ids: list[list[list[str]]] = [[[] for _ in range(k)] for _ in range(n)]
-    y_ids: list[list[list[str]]] = [[[] for _ in range(n)] for _ in range(k)]
     bridge_edges: list[Edge] = []
-    counter = 1
-    for i in range(n):
-        for l in range(k):
-            for _ in range(r[i, l]):
-                eid = f"x{counter}"
-                counter += 1
-                x_ids[i][l].append(eid)
-                bridge_edges.append(Edge(class1[i], class2[l], eid))
-    counter = 1
-    for l in range(k):
-        for j in range(n):
-            for _ in range(s[l, j]):
-                eid = f"y{counter}"
-                counter += 1
-                y_ids[l][j].append(eid)
-                bridge_edges.append(Edge(class2[l], class1[j], eid))
 
-    def factor_graph(vertices: tuple[str, ...], m: Matrix, prefix: str) -> Graph:
-        edges = []
-        c = 1
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                for _ in range(m[i, j]):
-                    edges.append(Edge(vertices[i], vertices[j], f"{prefix}{c}"))
-                    c += 1
-        return Graph(vertices, tuple(edges))
+    def cross(m: Matrix, sources, ranges, prefix: str) -> list[list[list[str]]]:
+        """Lay out m[i, l] edges sources[i] -> ranges[l], numbered row-major;
+        returns their ids per (i, l)."""
+        ids: list[list[list[str]]] = [[[] for _ in ranges] for _ in sources]
+        number = itertools.count(1)
+        for i, u in enumerate(sources):
+            for l, w in enumerate(ranges):
+                for _ in range(m[i, l]):
+                    eid = f"{prefix}{next(number)}"
+                    ids[i][l].append(eid)
+                    bridge_edges.append(Edge(u, w, eid))
+        return ids
 
-    e1 = factor_graph(class1, a, "p")
-    e2 = factor_graph(class2, b, "q")
+    def factor(home, first, second, prefix: str) -> tuple[Graph, dict[str, tuple[str, str]]]:
+        """The factor graph on `home` with its theta: one edge home[i] -> home[j]
+        per crossing path first[i][l], second[l][j], for (i, j) row-major."""
+        edges: list[Edge] = []
+        theta: dict[str, tuple[str, str]] = {}
+        for i, u in enumerate(home):
+            for j, v in enumerate(home):
+                for l, firsts in enumerate(first[i]):
+                    for path in itertools.product(firsts, second[l][j]):
+                        eid = f"{prefix}{len(edges) + 1}"
+                        edges.append(Edge(u, v, eid))
+                        theta[eid] = path
+        return Graph(home, tuple(edges)), theta
 
-    theta1: dict[str, tuple[str, str]] = {}
-    for i in range(n):
-        for j in range(n):
-            edge_pool = [e.id for e in e1.edges if e.src == class1[i] and e.dst == class1[j]]
-            paths = [
-                (x, y)
-                for l in range(k)
-                for x in x_ids[i][l]
-                for y in y_ids[l][j]
-            ]
-            assert len(edge_pool) == len(paths)
-            theta1.update(zip(edge_pool, paths))
-
-    theta2: dict[str, tuple[str, str]] = {}
-    for l in range(k):
-        for l2 in range(k):
-            edge_pool = [e.id for e in e2.edges if e.src == class2[l] and e.dst == class2[l2]]
-            paths = [
-                (y, x)
-                for j in range(n)
-                for y in y_ids[l][j]
-                for x in x_ids[j][l2]
-            ]
-            assert len(edge_pool) == len(paths)
-            theta2.update(zip(edge_pool, paths))
-
+    x = cross(r, class1, class2, "x")
+    y = cross(s, class2, class1, "y")
+    e1, theta1 = factor(class1, x, y, "p")
+    e2, theta2 = factor(class2, y, x, "q")
     graph = Graph(class1 + class2, tuple(bridge_edges))
     return BridgeGraph(graph, class1, class2, e1, e2, theta1, theta2)
 
@@ -323,15 +312,15 @@ def verify_bridge(bg: BridgeGraph) -> bool:
     the classes, and each theta must biject the factor edges onto the
     crossing length-2 paths based in its class, preserving source and range.
     """
+    g = bg.graph
     c1, c2 = set(bg.class1), set(bg.class2)
     if not c1 or not c2 or c1 & c2:
         return False
-    if c1 | c2 != set(bg.graph.vertices):
+    if c1 | c2 != set(g.vertices):
         return False
-    for e in bg.graph.edges:
+    for e in g.edges:
         if (e.src in c1) == (e.dst in c1):
             return False
-    edge_by_id = {e.id: e for e in bg.graph.edges}
 
     def check_theta(
         factor: Graph, theta: Mapping[str, tuple[str, str]], home: set[str]
@@ -340,10 +329,9 @@ def verify_bridge(bg: BridgeGraph) -> bool:
             return False
         images = set()
         for fid, (first, second) in theta.items():
-            if first not in edge_by_id or second not in edge_by_id:
+            if not g.has_edge(first) or not g.has_edge(second):
                 return False
-            fe = factor.edge(fid)
-            f1, f2 = edge_by_id[first], edge_by_id[second]
+            fe, f1, f2 = factor.edge(fid), g.edge(first), g.edge(second)
             if f1.dst != f2.src:
                 return False
             if f1.src != fe.src or f2.dst != fe.dst:
@@ -355,10 +343,10 @@ def verify_bridge(bg: BridgeGraph) -> bool:
             return False
         all_paths = {
             (f1.id, f2.id)
-            for f1 in bg.graph.edges
-            if f1.src in home
-            for f2 in bg.graph.edges
-            if f2.src == f1.dst and f2.dst in home
+            for v in home
+            for f1 in g.out_edges(v)
+            for f2 in g.out_edges(f1.dst)
+            if f2.dst in home
         }
         return images == all_paths
 

@@ -73,21 +73,15 @@ def zero_element() -> AlgebraElement:
 
 
 def vertex_element(g: Graph, v: str) -> AlgebraElement:
-    if not g.has_vertex(v):
-        raise UnknownGenerator(f"vertex {v!r} not in graph")
-    return AlgebraElement({(("v", v),): Fraction(1)})
+    return word_element(g, (("v", v),))
 
 
 def edge_element(g: Graph, e: str) -> AlgebraElement:
-    if not g.has_edge(e):
-        raise UnknownGenerator(f"edge {e!r} not in graph")
-    return AlgebraElement({(("e", e),): Fraction(1)})
+    return word_element(g, (("e", e),))
 
 
 def ghost_element(g: Graph, e: str) -> AlgebraElement:
-    if not g.has_edge(e):
-        raise UnknownGenerator(f"edge {e!r} not in graph")
-    return AlgebraElement({(("g", e),): Fraction(1)})
+    return word_element(g, (("g", e),))
 
 
 def word_element(g: Graph, atoms: Iterable[Atom]) -> AlgebraElement:
@@ -300,11 +294,6 @@ def ck2_expand(g: Graph, x: AlgebraElement, v: str) -> AlgebraElement:
     return AlgebraElement(out)
 
 
-def _monomial_key(g: Graph, word: Word) -> tuple[tuple[str, ...], tuple[str, ...], str]:
-    m = word_to_monomial(g, word)
-    return (m.mu, m.gamma, m.base)
-
-
 def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
     """Decide x == y modulo all relations, including the summation relation.
 
@@ -319,8 +308,8 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
         return True
     groups: dict[int, list[tuple[tuple[str, ...], tuple[str, ...], str, Fraction]]] = {}
     for word, coeff in diff.terms.items():
-        mu, gamma, base = _monomial_key(g, word)
-        groups.setdefault(len(mu) - len(gamma), []).append((mu, gamma, base, coeff))
+        m = word_to_monomial(g, word)
+        groups.setdefault(len(m.mu) - len(m.gamma), []).append((m.mu, m.gamma, m.base, coeff))
     for monos in groups.values():
         depth = max(len(gamma) for _, gamma, _, _ in monos)
         bucket: dict[tuple, Fraction] = {}
@@ -454,26 +443,19 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     maps to the sum over edges f leaving that range of e.1 f.i f.1*.  The
     source graph must have no sinks for this to be a family.
     """
-    from .moves import in_split
+    from .moves import _block_index, _copy_name, in_split
 
     h, _ = in_split(g, p)
-    non_source = {v for v in g.vertices if g.in_edges(v)}
-
-    def copy_name(v: str, i: int) -> str:
-        return f"{v}.{i}" if v in non_source else v
-
-    q = {v: vertex_element(h, copy_name(v, 1)) for v in g.vertices}
+    q = {v: vertex_element(h, _copy_name(v, 0) if g.in_edges(v) else v) for v in g.vertices}
     t: dict[str, AlgebraElement] = {}
     for e in g.edges:
-        v = e.dst
-        blocks = p.blocks_at(v)
-        i = next(idx + 1 for idx, b in enumerate(blocks) if e.id in b)
+        i = _block_index(p, e.dst, e.id)
         total = zero_element()
-        for f in g.out_edges(v):
+        for f in g.out_edges(e.dst):
             word: Word = (
-                ("e", f"{e.id}.1"),
-                ("e", f"{f.id}.{i}"),
-                ("g", f"{f.id}.1"),
+                ("e", _copy_name(e.id, 0)),
+                ("e", _copy_name(f.id, i)),
+                ("g", _copy_name(f.id, 0)),
             )
             total = total + word_element(h, word)
         t[e.id] = total

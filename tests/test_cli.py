@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,9 @@ _FULL_REV = f"{_DATA}/two_vertex_full_reversed.json"
 _CHAIN = f"{_DATA}/transpose_chain.json"
 _OUT_PART = f"{_DATA}/out_partition.json"
 _IN_PART = f"{_DATA}/in_partition.json"
+# one vertex v with two loops a and b
+_AB = ('{"vertices": ["v"], "edges": [{"src": "v", "dst": "v", "id": "a"}, '
+       '{"src": "v", "dst": "v", "id": "b"}]}')
 
 
 def _run(capsys, *argv):
@@ -296,6 +300,14 @@ _MALFORMED = [
     ("sse", "verify-chain", "[[1, 1], [1, 0]]", "[[1, 1], [1, 0]]",
      '{"links": [{"matrix": [[1, 1], [1, 0]], "witness": '
      '{"R": [[true, false], [false, true]], "S": [[1, 1], [1, 0]]}}]}'),
+    ("split", "out", _AB, '[{"vertex": "v", "blocks": ["ab"]}]'),
+    ("split", "out", _AB, '[{"vertex": "v", "blocks": "ab"}]'),
+    ("split", "out", _AB, '[{"vertex": ["v"], "blocks": [["a", "b"]]}]'),
+    ("split", "out", _AB, '{"vertex": "v", "blocks": [["a", "b"]]}'),
+    ("analyze", '{"vertices": "ab", "edges": []}'),
+    ("analyze", '{"vertices": [1, 2], "edges": []}'),
+    ("analyze", '{"vertices": ["a"], "edges": {}}'),
+    ("analyze", '{"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "id": 1}]}'),
 ]
 
 
@@ -320,3 +332,25 @@ def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["dimgroup"])
     assert exc.value.code == 2
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_commands() -> list[str]:
+    """The `sftkit ...` lines of README's command-line block."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sftkit ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    lines = _readme_commands()
+    assert len(lines) >= 10
+    assert any("# exits 1" in line for line in lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code, out = _run(capsys, *argv)
+        assert code == (1 if "# exits 1" in line else 0), line
+        assert not out.startswith('{"error"'), line

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,14 +16,15 @@ from helpers import (
     random_sink_free,
 )
 
-from sftkit.equivalences import verify_esse
+from sftkit.equivalences import sse_witness_to_json, verify_esse
 from sftkit.errors import BadPartition, NotAFactorization
-from sftkit.graphs import classify, from_adjacency
+from sftkit.graphs import Edge, Graph, classify, from_adjacency, graph_to_json
 from sftkit.linalg import Matrix
 from sftkit.moves import (
     BridgeGraph,
     EdgePartition,
     bridge_from_factorization,
+    bridge_to_json,
     in_split,
     kronecker_product,
     out_split,
@@ -30,6 +34,7 @@ from sftkit.moves import (
     trivial_out_partition,
     verify_bridge,
 )
+from sftkit.terms import format_element, in_split_family
 
 
 def _m(rows) -> Matrix:
@@ -195,16 +200,96 @@ def test_bridge_rejects_bad_factorization():
         bridge_from_factorization(a, _m([[1, 0, 0], [0, 1, 0]]), _m([[1, 1], [1, 1]]))
 
 
-def test_tampered_bridge_fails_verification():
+def _example_bridge() -> BridgeGraph:
     a = _m([[1, 2], [1, 0]])
     r = _m([[1, 1, 0], [0, 0, 1]])
     s = _m([[1, 1], [0, 1], [1, 0]])
-    bg = bridge_from_factorization(a, r, s)
-    ids = sorted(bg.theta1)
-    first = bg.theta1[ids[0]]
-    tampered = dict(bg.theta1)
-    tampered[ids[1]] = first  # two factor edges now map to the same path
-    bad = BridgeGraph(
-        bg.graph, bg.class1, bg.class2, bg.e1, bg.e2, tampered, bg.theta2
-    )
-    assert not verify_bridge(bad)
+    return bridge_from_factorization(a, r, s)
+
+
+def _with_theta1(**changes):
+    return lambda bg: dataclasses.replace(bg, theta1={**bg.theta1, **changes})
+
+
+# each entry breaks one bridge condition of the example bridge, whose theta1
+# is p1: u1 -> u1 to (x1, y1), p2 and p3: u1 -> u2 to (x1, y2) and (x2, y3),
+# p4: u2 -> u1 to (x3, y4)
+_TAMPERED = [
+    ("path with another range", _with_theta1(p2=("x1", "y1"))),
+    ("paths swapped between edges of other ranges", _with_theta1(p1=("x1", "y2"), p2=("x1", "y1"))),
+    ("an extra factor edge shares a path", lambda bg: dataclasses.replace(
+        bg, e1=Graph(bg.e1.vertices, bg.e1.edges + (Edge("u1", "u2", "p9"),)),
+        theta1={**bg.theta1, "p9": ("x1", "y2")})),
+    ("image with an unknown edge id", _with_theta1(p1=("x1", "nope"))),
+    ("image with an unknown first edge id", _with_theta1(p1=("nope", "y1"))),
+    ("path whose two edges do not compose", _with_theta1(p1=("x1", "x2"))),
+    ("paths leaving their home class", lambda bg: dataclasses.replace(
+        bg, e1=bg.e2, e2=bg.e1, theta1=bg.theta2, theta2=bg.theta1)),
+    ("factor edge missing from theta", lambda bg: dataclasses.replace(
+        bg, e1=Graph(bg.e1.vertices, bg.e1.edges + (Edge("u1", "u1", "p9"),)))),
+    ("unknown edge id in theta2", lambda bg: dataclasses.replace(
+        bg, theta2={**bg.theta2, "q1": ("y1", "nope")})),
+]
+
+
+def test_tampered_bridge_fails_verification():
+    bg = _example_bridge()
+    assert verify_bridge(bg)
+    assert bg.theta1 == {"p1": ("x1", "y1"), "p2": ("x1", "y2"), "p3": ("x2", "y3"), "p4": ("x3", "y4")}
+    for label, tamper in _TAMPERED:
+        bad = tamper(bg)
+        assert bad != bg, label
+        assert not verify_bridge(bad), label
+
+
+# sha256 of the JSON outputs of the moves on seeded inputs, recorded before the
+# bridge builder laid its factor edges out path by path and before the in-split
+# family took its copy names from `moves`: bridge_to_json of 60 factorizations
+# a = r s with n, k <= 4 and entries 0-2; the split graphs and witnesses of an
+# out- and an in-split of 40 sink-free graphs; every in_split_family image of
+# 30 sink-free graphs, formatted
+_BRIDGES = "6a74578d77db5ed748f36e14d5734913fd641de8f7a75013f49235e3d157cf67"
+_SPLITS = "076bf491b346d0d294e418c73bbad63e997c658cba89b501f9c48b44ded20fae"
+_IN_SPLIT_FAMILIES = "197b3021cb13e4ab59bb088cdf3eaec5aec886413082c30ac001600287eda26e"
+
+
+def _digest(found) -> str:
+    return hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_bridges_are_pinned():
+    rng = random.Random(55)
+    found = []
+    for _ in range(60):
+        n, k = rng.randrange(1, 5), rng.randrange(1, 5)
+        r = _m([[rng.randrange(0, 3) for _ in range(k)] for _ in range(n)])
+        s = _m([[rng.randrange(0, 3) for _ in range(n)] for _ in range(k)])
+        bg = bridge_from_factorization(r @ s, r, s)
+        assert verify_bridge(bg)
+        found.append(bridge_to_json(bg))
+    assert _digest(found) == _BRIDGES
+
+
+def test_splits_are_pinned():
+    rng = random.Random(56)
+    found = []
+    for _ in range(40):
+        g = random_sink_free(rng, 4, 2)
+        for split, part in ((out_split, random_out_partition), (in_split, random_in_partition)):
+            h, w = split(g, part(rng, g))
+            found.append([graph_to_json(h), sse_witness_to_json(w)])
+    assert _digest(found) == _SPLITS
+
+
+def test_in_split_families_are_pinned():
+    rng = random.Random(57)
+    found = []
+    for _ in range(30):
+        g = random_sink_free(rng, 4, 2)
+        h, fa = in_split_family(g, random_in_partition(rng, g))
+        found.append([
+            graph_to_json(h),
+            [[name, format_element(x)] for images in
+             (fa.vertex_images, fa.edge_images, fa.ghost_images) for name, x in images],
+        ])
+    assert _digest(found) == _IN_SPLIT_FAMILIES
