@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import HasSinks, InvalidMatrix, ShapeError, UndecidedError
 from .graphs import Graph, _int_entry
@@ -29,6 +29,8 @@ from .linalg import (
     Matrix,
     Sign,
     Vector,
+    _combine,
+    _reshape,
     intertwiner_matrix,
     is_irreducible_matrix,
     isolate_perron_root,
@@ -420,24 +422,19 @@ def search_module_iso(
     are solved exactly first; genuine inconsistency is returned as Infeasible
     with a rational certificate.  Otherwise the affine solution space is
     scanned over a grid of small rationals, each candidate checked with
-    verify_module_iso, and the first verified one returned.
+    verify_module_iso, and the first verified one returned.  At most
+    candidate_budget grid points are scanned (none for a budget of 0 or
+    less); a miss reports how many were.
     """
     system = _intertwiner_system(t_a, t_b, pointed)
     res = solve_affine_exact(system.coefficients, system.rhs)
     if isinstance(res, AffineInfeasible):
         return Infeasible(system, res.certificate)
     n, m = t_a.n, t_b.n
-    grid = _grid_values(denominator_max, value_max)
+    combos = itertools.product(_grid_values(denominator_max, value_max), repeat=len(res.basis))
     tried = 0
-    for combo in itertools.product(grid, repeat=len(res.basis)):
-        tried += 1
-        if tried > candidate_budget:
-            return NotFoundWithinBounds(tried - 1)
-        flat = list(res.particular)
-        for t, direction in zip(combo, res.basis):
-            if t:
-                flat = [x + t * y for x, y in zip(flat, direction)]
-        u = Matrix.from_rows([[flat[i * n + j] for j in range(n)] for i in range(m)])
+    for tried, combo in enumerate(itertools.islice(combos, max(candidate_budget, 0)), 1):
+        u = _reshape(_combine(res.particular, combo, res.basis), m, n)
         try:
             if n == m and verify_module_iso(
                 t_a, t_b, ModuleIsoCandidate(u, pointed), iterate_bound

@@ -26,6 +26,9 @@ from .linalg import (
     AffineSolution,
     Matrix,
     Vector,
+    _combine,
+    _flat,
+    _reshape,
     integer_points,
     intertwiner_space,
     solve_affine_exact,
@@ -154,27 +157,6 @@ def _prefilters_pass(a: Matrix, b: Matrix) -> bool:
     return bowen_franks(a) == bowen_franks(b)
 
 
-def _flat(m: Matrix) -> list:
-    """Entries of m, row-major."""
-    return [x for row in m.rows for x in row]
-
-
-def _candidate_matrices(
-    space: Sequence[Matrix],
-    shape: tuple[int, int],
-    entry_bound: int,
-    budget: int,
-) -> Iterator[Matrix]:
-    """Integer points of span(space) with entries in [0, entry_bound], lexicographic."""
-    nrows, ncols = shape
-    flat_basis = [_flat(m) for m in space]
-    origin = (0,) * (nrows * ncols)
-    for flat in integer_points(origin, flat_basis, 0, entry_bound, budget=budget):
-        yield Matrix.from_rows(
-            [[flat[i * ncols + j] for j in range(ncols)] for i in range(nrows)]
-        )
-
-
 def _partner_solutions(
     partner: Sequence[Matrix], r: Matrix, al: Matrix, bl: Matrix
 ) -> AffineSolution | None:
@@ -199,7 +181,7 @@ def _partner_solutions(
     size = bl.nrows * al.nrows
 
     def lift(c: Vector) -> Vector:
-        return vector(sum(ck * v[i] for ck, v in zip(c, flat_partner)) for i in range(size))
+        return vector(_combine([0] * size, c, flat_partner))
 
     return AffineSolution(lift(res.particular), tuple(lift(v) for v in res.basis))
 
@@ -216,15 +198,9 @@ def _solve_for_partner(
     sol = _partner_solutions(partner, r, al, bl)
     if sol is None:
         return None
-    m, n = bl.nrows, al.nrows
     box_hi = max([entry_bound, *_flat(al), *_flat(bl)])
-    for flat in integer_points(
-        sol.particular, sol.basis, 0, box_hi, budget=PARTNER_SCAN_BUDGET
-    ):
-        s = Matrix.from_rows([[flat[i * n + j] for j in range(n)] for i in range(m)])
-        if s.is_nonnegative():
-            return s
-    return None
+    points = integer_points(sol.particular, sol.basis, 0, box_hi, budget=PARTNER_SCAN_BUDGET)
+    return next((_reshape(f, bl.nrows, al.nrows) for f in points), None)
 
 
 def _witnesses(
@@ -240,15 +216,15 @@ def _witnesses(
     first witness to verify is deterministic.
     """
     # {R : a R = R b} is the intertwiner space with the roles swapped
-    space = intertwiner_space(b, a)
+    space = [_flat(m) for m in intertwiner_space(b, a)]
     partner = intertwiner_space(a, b)
+    origin = (0,) * (a.nrows * b.nrows)
     al, bl = a, b
     for lag in range(1, lag_max + 1):
-        for r in _candidate_matrices(
-            space, (a.nrows, b.nrows), entry_bound, candidate_budget
-        ):
-            if r.is_zero():
+        for flat in integer_points(origin, space, 0, entry_bound, budget=candidate_budget):
+            if not any(flat):
                 continue
+            r = _reshape(flat, a.nrows, b.nrows)
             s = _solve_for_partner(partner, r, al, bl, entry_bound)
             if s is not None:
                 yield SEWitness(r, s, lag)

@@ -557,11 +557,26 @@ def intertwiner_space(a: Matrix, b: Matrix) -> list[Matrix]:
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("intertwiner spaces need square matrices")
-    n, m = a.nrows, b.nrows
-    return [
-        Matrix.from_rows([[v[i * n + j] for j in range(n)] for i in range(m)])
-        for v in nullspace(intertwiner_matrix(a, b))
-    ]
+    return [_reshape(v, b.nrows, a.nrows) for v in nullspace(intertwiner_matrix(a, b))]
+
+
+def _flat(m: Matrix) -> list[Rat]:
+    """Entries of m, row-major."""
+    return [x for row in m.rows for x in row]
+
+
+def _reshape(flat: Sequence[Rat], nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols matrix whose row-major entries are flat."""
+    return Matrix.from_rows(flat[i * ncols : (i + 1) * ncols] for i in range(nrows))
+
+
+def _combine(point: Sequence[Rat], coeffs: Iterable[Rat], basis: Sequence[Vector]) -> list[Rat]:
+    """point + sum of t * direction over paired coeffs and basis, skipping t = 0."""
+    out = list(point)
+    for t, direction in zip(coeffs, basis):
+        if t:
+            out = [x + t * y for x, y in zip(out, direction)]
+    return out
 
 
 def integer_points(
@@ -578,34 +593,21 @@ def integer_points(
     leading coordinates vanish.  Both are unique for the affine set, so the
     scan depends only on the set, not on the basis or point passed in.  Any
     boxed solution has integer leading coordinates in [lo, hi], so scanning
-    those tuples lexicographically is complete within the box as long as the
-    budget, counted in scanned tuples, is not exhausted.  Exhaustion raises
-    nothing: the iterator just stops, so callers must treat it as "not found
-    within bounds".
+    those tuples lexicographically is complete within the box.  The budget
+    counts scanned tuples, without exception: an empty basis scans the one
+    empty tuple (the particular point itself), and a budget of 0 or less
+    scans nothing.  A scan cut short by the budget raises nothing: the
+    iterator just stops, so callers must treat it as "not found within
+    bounds".
     """
-    ncols = len(particular)
-    if not basis:
-        if all(x.denominator == 1 and lo <= x <= hi for x in particular):
-            yield vector(particular)
-        return
     reduced, pivots = rref(Matrix.from_rows(basis))
-    ech = [reduced.row(r) for r in range(len(pivots))]
-    # shift the particular point so its leading coordinates vanish
-    part = list(particular)
-    for r, p in enumerate(pivots):
-        c = part[p]
-        if c != 0:
-            part = [x - c * y for x, y in zip(part, ech[r])]
-    spent = 0
-    for combo in itertools.product(range(lo, hi + 1), repeat=len(ech)):
-        if budget is not None:
-            spent += 1
-            if spent > budget:
-                return
-        cand = part[:]
-        for t, direction in zip(combo, ech):
-            if t:
-                cand = [x + t * y for x, y in zip(cand, direction)]
+    ech = reduced.rows[: len(pivots)]
+    # shift the particular point so its leading coordinates vanish; an RREF
+    # row is zero in every other row's pivot column, so one pass does it
+    part = _combine(particular, [-particular[p] for p in pivots], ech)
+    combos = itertools.product(range(lo, hi + 1), repeat=len(ech))
+    for combo in itertools.islice(combos, None if budget is None else max(budget, 0)):
+        cand = _combine(part, combo, ech)
         if all(x.denominator == 1 and lo <= x <= hi for x in cand):
             yield vector(cand)
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .equivalences import SSEWitness
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
-from .graphs import Edge, Graph, transpose
+from .graphs import Edge, Graph, graph_to_json, transpose
 from .linalg import Matrix
 
 
@@ -311,6 +311,7 @@ def verify_bridge(bg: BridgeGraph) -> bool:
     The classes must partition the vertices, every edge must cross between
     the classes, and each theta must biject the factor edges onto the
     crossing length-2 paths based in its class, preserving source and range.
+    A theta image that is not a pair of edge ids makes the answer False.
     """
     g = bg.graph
     c1, c2 = set(bg.class1), set(bg.class2)
@@ -327,20 +328,6 @@ def verify_bridge(bg: BridgeGraph) -> bool:
     ) -> bool:
         if set(theta) != {e.id for e in factor.edges}:
             return False
-        images = set()
-        for fid, (first, second) in theta.items():
-            if not g.has_edge(first) or not g.has_edge(second):
-                return False
-            fe, f1, f2 = factor.edge(fid), g.edge(first), g.edge(second)
-            if f1.dst != f2.src:
-                return False
-            if f1.src != fe.src or f2.dst != fe.dst:
-                return False
-            if f1.src not in home or f2.dst not in home:
-                return False
-            images.add((first, second))
-        if len(images) != len(theta):
-            return False
         all_paths = {
             (f1.id, f2.id)
             for v in home
@@ -348,14 +335,25 @@ def verify_bridge(bg: BridgeGraph) -> bool:
             for f2 in g.out_edges(f1.dst)
             if f2.dst in home
         }
-        return images == all_paths
+        images = set()
+        for fid, image in theta.items():
+            # a path of all_paths composes, and starts and ends in home
+            try:
+                first, second = image
+                if (first, second) not in all_paths:
+                    return False
+            except (TypeError, ValueError):
+                return False
+            fe = factor.edge(fid)
+            if g.edge(first).src != fe.src or g.edge(second).dst != fe.dst:
+                return False
+            images.add((first, second))
+        return len(images) == len(theta) and images == all_paths
 
     return check_theta(bg.e1, bg.theta1, c1) and check_theta(bg.e2, bg.theta2, c2)
 
 
 def bridge_to_json(bg: BridgeGraph) -> dict:
-    from .graphs import graph_to_json
-
     return {
         "graph": graph_to_json(bg.graph),
         "class1": list(bg.class1),

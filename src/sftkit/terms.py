@@ -19,13 +19,14 @@ verifier uses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, SinkVertex, UnknownGenerator
 from .graphs import Graph
+from .moves import _block_index, _copy_name, in_split
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
 Word = tuple[Atom, ...]
@@ -443,8 +444,6 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     maps to the sum over edges f leaving that range of e.1 f.i f.1*.  The
     source graph must have no sinks for this to be a family.
     """
-    from .moves import _block_index, _copy_name, in_split
-
     h, _ = in_split(g, p)
     q = {v: vertex_element(h, _copy_name(v, 0) if g.in_edges(v) else v) for v in g.vertices}
     t: dict[str, AlgebraElement] = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -479,6 +481,66 @@ def test_search_not_found_within_small_bounds_is_inconclusive():
     assert isinstance(res, (NotFoundWithinBounds, Candidate, Infeasible))
     if isinstance(res, NotFoundWithinBounds):
         assert res.tried >= 0
+
+
+# sha256 of the JSON list of search_module_iso outcomes on seeded pairs of
+# small triples (the hard pair, the identity against a Jordan block, then
+# twelve pairs of random 1-3 x 1-3 matrices with entries 0-2: a matrix against
+# its transpose, against itself, or against another), pointed and unpointed,
+# with candidate_budget 0, 1, 5 and the default, over the grids of
+# denominator_max 1-2 and value_max 0-1; each outcome is its kind plus the
+# candidate's rows, the tried count or the certificate.  Recorded while the
+# search kept its own budget counter
+_MODULE_ISO_OUTCOMES = "ae1adc6aaa954986505fa4a6c8cf3a3c2fe2645e1a930712ae567a4e5b6bbd18"
+
+
+def _digest(found) -> str:
+    return hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+
+
+def _outcome(res) -> list:
+    if isinstance(res, Candidate):
+        return ["candidate", res.matrix.to_json_rows()]
+    if isinstance(res, NotFoundWithinBounds):
+        return ["not_found", res.tried]
+    return ["infeasible", [str(x) for x in res.certificate]]
+
+
+def _seeded_triple_pairs():
+    yield _t([[19, 4], [5, 1]]), _t([[19, 5], [4, 1]])
+    yield DimensionTriple(Matrix.identity(2)), _t([[1, 1], [0, 1]])
+    rng = random.Random(132)
+    for k in range(12):
+        n = rng.randint(1, 3)
+        a = _m([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)])
+        if k % 3 == 0:
+            b = a.transpose()
+        elif k % 3 == 1:
+            b = a
+        else:
+            m = rng.randint(1, 2)
+            b = _m([[rng.randint(0, 2) for _ in range(m)] for _ in range(m)])
+        yield DimensionTriple(a), DimensionTriple(b)
+
+
+def test_search_module_iso_outcomes_are_pinned():
+    found = []
+    for ta, tb in _seeded_triple_pairs():
+        for pointed in (True, False):
+            for budget in (0, 1, 5, None):
+                bounds = {} if budget is None else {"candidate_budget": budget}
+                for dmax, vmax in ((1, 0), (1, 1), (2, 0), (2, 1)):
+                    res = search_module_iso(ta, tb, pointed=pointed, denominator_max=dmax,
+                                            value_max=vmax, **bounds)
+                    found.append(_outcome(res))
+    assert _digest(found) == _MODULE_ISO_OUTCOMES
+
+
+def test_search_module_iso_negative_budget_scans_nothing():
+    with mock.patch.object(dimension, "verify_module_iso") as verify:
+        res = search_module_iso(_FULL2, _FULL2, pointed=False, candidate_budget=-1)
+    assert res == NotFoundWithinBounds(0)
+    verify.assert_not_called()
 
 
 def test_product_triple_and_tensor_unit():

@@ -273,3 +273,23 @@ def test_criterion_08_esse_witnesses_are_pinned():
         found.append(None if w is None else sse_witness_to_json(w))
     assert None not in found
     assert _digest(found) == _CRITERION_08_ESSE_WITNESSES
+
+
+# sha256 of the JSON lists of what search_se (lag_max 2) and search_esse find
+# on the criterion 08 pairs when candidate_budget truncates the scan of R, at
+# 1, 3 and 20 candidates per lag, recorded while the scan kept its own budget
+# counter
+_TRUNCATED_SE_WITNESSES = "a202369a62413111e1888822a6929ed3184c1d2627c4cbf186de734407c6625b"
+_TRUNCATED_ESSE_WITNESSES = "1cabec894bc2a5127098daf9f6147612e57fd35d2bb302b18790db888448c473"
+
+
+def test_truncated_witness_searches_are_pinned():
+    se, esse = [], []
+    for a, b in _criterion_08_pairs():
+        for budget in (1, 3, 20):
+            w = search_se(a, b, lag_max=2, entry_bound=3, candidate_budget=budget)
+            se.append(None if w is None else se_witness_to_json(w))
+            w = search_esse(a, b, inner_dim_max=8, entry_bound=3, candidate_budget=budget)
+            esse.append(None if w is None else sse_witness_to_json(w))
+    assert _digest(se) == _TRUNCATED_SE_WITNESSES
+    assert _digest(esse) == _TRUNCATED_ESSE_WITNESSES

@@ -3,6 +3,8 @@ bounded integer enumeration, and Perron sign arithmetic."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -404,6 +406,55 @@ def test_integer_points_complete_within_box():
         if all(v.denominator == 1 and 0 <= v <= 4 for v in x):
             brute.append(tuple(int(v) for v in x))
     assert got == sorted(brute)
+
+
+# sha256 of the JSON list of what integer_points yields on 320 seeded cases:
+# rational particular points of length 1-4, bases of 0-3 rational vectors,
+# boxes [lo, hi] with -2 <= lo <= hi <= lo + 3, and budgets None, 1, 7 and 50
+# in turn, recorded while each scan kept its own budget counter
+_INTEGER_POINTS = "9b8d97dcbe6d282a3c105fa5251ea8ab4c8a4fc679f0defc342de043d591f041"
+
+
+def _digest(found) -> str:
+    return hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+
+
+def _seeded_integer_point_cases():
+    rng = random.Random(131)
+
+    def rat():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+    for case in range(320):
+        n = rng.randint(1, 4)
+        particular = vector(rat() for _ in range(n))
+        basis = [vector(rat() for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        lo = rng.randint(-2, 0)
+        hi = lo + rng.randint(0, 3)
+        yield particular, basis, lo, hi, (None, 1, 7, 50)[case % 4]
+
+
+def test_integer_points_are_pinned():
+    found = [
+        [[str(x) for x in p] for p in integer_points(particular, basis, lo, hi, budget=budget)]
+        for particular, basis, lo, hi, budget in _seeded_integer_point_cases()
+    ]
+    assert _digest(found) == _INTEGER_POINTS
+
+
+def test_integer_points_budget_counts_every_tuple():
+    basis = [vector([1, 0]), vector([0, 1])]
+    assert list(integer_points(vector([0, 0]), basis, 0, 2, budget=-1)) == []
+    assert list(integer_points(vector([0, 0]), basis, 0, 2, budget=0)) == []
+    assert len(list(integer_points(vector([0, 0]), basis, 0, 2, budget=4))) == 4
+    # an empty basis scans the one empty tuple, so a budget of 0 or less
+    # yields nothing there too
+    p = vector([1, 2])
+    assert list(integer_points(p, [], 0, 2)) == [p]
+    assert list(integer_points(p, [], 0, 2, budget=1)) == [p]
+    assert list(integer_points(p, [], 0, 2, budget=0)) == []
+    assert list(integer_points(p, [], 0, 2, budget=-1)) == []
+    assert list(integer_points(vector([Fraction(1, 2), 0]), [], 0, 2)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,11 @@ _TAMPERED = [
         bg, e1=Graph(bg.e1.vertices, bg.e1.edges + (Edge("u1", "u1", "p9"),)))),
     ("unknown edge id in theta2", lambda bg: dataclasses.replace(
         bg, theta2={**bg.theta2, "q1": ("y1", "nope")})),
+    ("image with one edge id", _with_theta1(p1=("x1",))),
+    ("image with three edge ids", _with_theta1(p1=("x1", "y1", "y2"))),
+    ("image with an unhashable edge id", _with_theta1(p1=(["x1"], "y1"))),
+    ("image that is one string", _with_theta1(p1="x1y1")),
+    ("image that is None", _with_theta1(p1=None)),
 ]
 
 
@@ -240,6 +245,8 @@ def test_tampered_bridge_fails_verification():
         bad = tamper(bg)
         assert bad != bg, label
         assert not verify_bridge(bad), label
+    # an image given as a two-element list is still a pair of edge ids
+    assert verify_bridge(_with_theta1(p1=["x1", "y1"])(bg))
 
 
 # sha256 of the JSON outputs of the moves on seeded inputs, recorded before the
