@@ -23,6 +23,7 @@ from . import moves, terms
 from .errors import ParseError, SftkitError
 from .graphs import (
     Graph,
+    _int_entry,
     classify,
     graph_from_json_text,
     graph_to_dot,
@@ -98,20 +99,17 @@ def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
         raw = run.read(text).strip()
     if raw.startswith("["):
         try:
-            items = json.loads(raw)
+            items = [_int_entry(x) for x in json.loads(raw)]
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid vector JSON: {exc}") from exc
     else:
-        items = [p for p in raw.split(",") if p.strip()]
-    out = []
-    for x in items:
-        f = terms.parse_rational(x)
-        if f.denominator != 1:
-            raise ParseError("dimension group vectors have integer entries")
-        out.append(int(f))
-    if not out:
+        try:
+            items = [int(p) for p in raw.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"vector entries must be integers: {exc}") from exc
+    if not items:
         raise ParseError("empty vector")
-    return tuple(out)
+    return tuple(items)
 
 
 # smallest accepted value of each numeric bound a subcommand may take

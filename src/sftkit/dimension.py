@@ -294,7 +294,6 @@ def verify_module_iso(
     t_a: DimensionTriple,
     t_b: DimensionTriple,
     cand: ModuleIsoCandidate,
-    iterate_bound: int = DEFAULT_ITERATE_BOUND,
 ) -> bool:
     """Check that the candidate matrix induces an order isomorphism of triples.
 
@@ -324,7 +323,7 @@ def verify_module_iso(
             elem = rational_to_element(dst, img)
             if elem is None:
                 return False
-            decision = dg_positive(dst, elem, iterate_bound)
+            decision = dg_positive(dst, elem)
             if isinstance(decision, Unknown):
                 raise UndecidedError(
                     "positivity of a generator image undecided within the bound"
@@ -385,7 +384,7 @@ def _intertwiner_system(
     rows = list(intertwiner_matrix(t_a.matrix, t_b.matrix).rows)
     labels = [f"intertwine[{i},{j}]" for i in range(m) for j in range(n)]
     if pointed:
-        rows += Matrix.identity(m).kron(Matrix.from_rows([[1] * n])).rows
+        rows += [tuple(int(c // n == i) for c in range(m * n)) for i in range(m)]
         labels += [f"unit[{i}]" for i in range(m)]
     rhs = [0] * (m * n) + [1] * (m if pointed else 0)
     return IntertwinerSystem(Matrix(tuple(rows)), tuple(rhs), tuple(labels))
@@ -414,7 +413,6 @@ def search_module_iso(
     denominator_max: int = 4,
     value_max: int = 2,
     candidate_budget: int = 4000,
-    iterate_bound: int = DEFAULT_ITERATE_BOUND,
 ) -> PointedSearchResult:
     """Search for a matrix inducing a (pointed) order isomorphism of triples.
 
@@ -436,9 +434,7 @@ def search_module_iso(
     for tried, combo in enumerate(itertools.islice(combos, max(candidate_budget, 0)), 1):
         u = _reshape(_combine(res.particular, combo, res.basis), m, n)
         try:
-            if n == m and verify_module_iso(
-                t_a, t_b, ModuleIsoCandidate(u, pointed), iterate_bound
-            ):
+            if n == m and verify_module_iso(t_a, t_b, ModuleIsoCandidate(u, pointed)):
                 return Candidate(u)
         except UndecidedError:
             continue

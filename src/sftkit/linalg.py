@@ -12,8 +12,9 @@ leans on:
   denominators once and runs Gauss-Jordan with integer row operations kept
   small by gcds, dividing by the pivots only at the end; `Matrix.det` is
   Bareiss elimination;
-* Smith normal form with unimodular transforms (elementary operations,
-  pivoting on the minimal absolute value);
+* Smith normal form with unimodular transforms, by elementary operations
+  pivoting on the minimal absolute value, all on one augmented integer
+  array whose blocks hold U and V;
 * characteristic polynomials via Faddeev-LeVerrier, each product running
   over the nonzero entries of each row only (the matrices are mostly sparse
   0/1), which also yields column 0 of the adjugate of (xI - A) for free;
@@ -21,9 +22,9 @@ leans on:
   inconsistent system is reduced again, as [A | b | I], where the identity
   block records the row operations and yields the infeasibility certificate
   (a rational row combination y with y.A = 0 and y.b = 1);
-* the one linear system of the intertwiner equation U a = b U, whose
-  nullspace is also the partner space the witness searches of
-  `equivalences` solve in, once per pair of matrices;
+* the one linear system of the intertwiner equation U a = b U, written
+  row by row, whose nullspace is also the partner space the witness
+  searches of `equivalences` solve in, once per pair of matrices;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
@@ -342,98 +343,69 @@ def _echelon_basis(reduced: list[list[Rat]], pivots: list[int], ncols: int) -> l
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return unimodular (U, D, V) with U @ m @ V == D diagonal.
 
-    D has nonnegative diagonal entries d1 | d2 | ... ; U and V are built from
-    elementary row/column operations only (so det = +-1).  Pivots are chosen
-    with minimal absolute value, which keeps intermediate entries small.
+    D has nonnegative diagonal entries d1 | d2 | ... .  Everything happens on
+    one integer array W = [[m, I], [I, 0]]: row operations act on its first
+    nrows rows, so U builds up in the right-hand block, and column operations
+    on its first ncols columns, so V builds up in the lower block, leaving
+    U m V = D in the corner.  Each step t picks as pivot the first entry of
+    least absolute value in the remaining block (row-major), which keeps
+    intermediate entries small, moves it to (t, t) and negates its row if the
+    pivot is negative; it then clears the pivot's column, then its row, and
+    picks again while a remainder is left.  If the pivot fails to divide an
+    entry of the rest, that entry's row is added to row t and (t, t) stays
+    the pivot.  No sign pass is needed at the end: every pivot is positive
+    before its row and column are cleared, and no later operation touches a
+    finished row or column.
     """
-    a = m.to_int_rows()
     nr, nc = m.nrows, m.ncols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    w = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(m.to_int_rows())]
+    w += [[int(i == j) for j in range(nc + nr)] for i in range(nc)]
 
     def min_pivot(t):
-        best = None
+        best, least = None, 0
         for i in range(t, nr):
+            row = w[i]
             for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                if row[j] and (best is None or abs(row[j]) < least):
+                    best, least = (i, j), abs(row[j])
         return best
 
-    t = 0
-    while t < min(nr, nc):
+    for t in range(min(nr, nc)):
         pos = min_pivot(t)
-        if pos is None:
-            break
-        while True:
+        while pos is not None:
             i, j = pos
-            if (i, j) != (t, t):
-                if i != t:
-                    swap_rows(t, i)
-                if j != t:
-                    swap_cols(t, j)
-            if a[t][t] < 0:
-                negate_row(t)
-            # clear the pivot's column and row
-            dirty = False
+            w[t], w[i] = w[i], w[t]
+            if j != t:
+                for row in w:
+                    row[t], row[j] = row[j], row[t]
+            top = w[t]
+            if top[t] < 0:
+                w[t] = top = [-x for x in top]
+            p, dirty = top[t], False
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    dirty = dirty or a[i][t] != 0
+                if w[i][t]:
+                    q = w[i][t] // p
+                    w[i] = row = [x - q * y for x, y in zip(w[i], top)]
+                    dirty = dirty or row[t] != 0
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    dirty = dirty or a[t][j] != 0
+                if top[j]:
+                    q = top[j] // p
+                    for row in w:
+                        row[j] -= q * row[t]
+                    dirty = dirty or top[j] != 0
             if dirty:
                 pos = min_pivot(t)
                 continue
-            # divisibility: pivot must divide everything left in the block
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nr)
-                    for j in range(t + 1, nc)
-                    if a[i][j] % a[t][t] != 0
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            add_row(t, bad[0], 1)
-            pos = (t, t)
-        t += 1
-
-    for i in range(min(nr, nc)):
-        if a[i][i] < 0:
-            negate_row(i)
+            # divisibility: the pivot must divide everything left in the block
+            pos = None
+            for row in w[t + 1 : nr]:
+                if any(x % p for x in row[t + 1 : nc]):
+                    w[t], pos = [x + y for x, y in zip(top, row)], (t, t)
+                    break
     return (
-        Matrix.from_rows(u),
-        Matrix.from_rows(a),
-        Matrix.from_rows(v),
+        Matrix.from_rows(row[nc:] for row in w[:nr]),
+        Matrix.from_rows(row[:nc] for row in w[:nr]),
+        Matrix.from_rows(row[:nc] for row in w[nr:]),
     )
 
 
@@ -543,9 +515,19 @@ def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
 
     a is n x n, b is m x m and U is m x n, so the matrix is
     I_m (x) a^T - b (x) I_n, with row i*n + j holding entry (i, j) of
-    U a - b U.
+    U a - b U.  Each row is written directly: a[l][j] at column i*n + l,
+    minus b[i][k] at column k*n + j.
     """
-    return Matrix.identity(b.nrows).kron(a.transpose()) - b.kron(Matrix.identity(a.nrows))
+    n, m, at = a.nrows, b.nrows, a.transpose().rows
+    rows = []
+    for i, b_row in enumerate(b.rows):
+        for j in range(n):
+            row = [0] * (m * n)
+            row[i * n : (i + 1) * n] = at[j]
+            for k, x in enumerate(b_row):
+                row[k * n + j] -= x
+            rows.append(row)
+    return Matrix.from_rows(rows)
 
 
 def intertwiner_space(a: Matrix, b: Matrix) -> list[Matrix]:

@@ -349,15 +349,13 @@ class FamilyAssignment:
         target: Graph,
         vertex_images: Mapping[str, AlgebraElement],
         edge_images: Mapping[str, AlgebraElement],
-        ghost_images: Mapping[str, AlgebraElement] | None = None,
     ) -> "FamilyAssignment":
-        if ghost_images is None:
-            ghost_images = {e: star(x) for e, x in edge_images.items()}
+        """The assignment whose ghost images are the stars of the edge images."""
         return cls(
             target,
             tuple(sorted(vertex_images.items())),
             tuple(sorted(edge_images.items())),
-            tuple(sorted(ghost_images.items())),
+            tuple(sorted((e, star(x)) for e, x in edge_images.items())),
         )
 
     def q(self, v: str) -> AlgebraElement:

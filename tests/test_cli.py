@@ -283,6 +283,9 @@ _MALFORMED = [
     ("dimgroup", "pos", "[[2]]", '["x"]'),
     ("dimgroup", "pos", "[[2]]", "[1e400]"),
     ("dimgroup", "pos", "[[2]]", "[[1]]"),
+    ("dimgroup", "pos", "[[1,2],[1,0]]", "1,,-2"),
+    ("dimgroup", "pos", "[[1,2],[1,0]]", ",1,-2,"),
+    ("dimgroup", "pos", "[[1,2],[1,0]]", '["1",-2]'),
     ("terms", "decompose", _FULL, "v1", "--weights", "[1]"),
     ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": "1/0"}'),
     ("terms", "decompose", _FULL, "v1", "--weights", '{"e1": "x"}'),

@@ -15,6 +15,7 @@ from helpers import (
     apply_power_oracle,
     cyclic_cone_oracle,
     is_primitive_matrix,
+    kron_oracle,
     matmul_count,
     random_adjacency,
     random_block_cyclic,
@@ -457,6 +458,27 @@ def test_search_pointed_intertwiner_infeasible_for_reversed_pair():
     for j in range(coeff.ncols):
         assert sum(y[i] * coeff[i, j] for i in range(coeff.nrows)) == 0
     assert sum(a * b for a, b in zip(y, res.system.rhs)) == 1
+
+
+def test_intertwiner_system_matches_kronecker_oracle():
+    rng = random.Random(151)
+    for _ in range(60):
+        n, m = rng.sample(range(1, 6), 2)
+        ta = DimensionTriple(random_adjacency(rng, n, 3))
+        tb = DimensionTriple(random_adjacency(rng, m, 3))
+        coeffs = kron_oracle(Matrix.identity(m), ta.matrix.transpose()) - kron_oracle(
+            tb.matrix, Matrix.identity(n)
+        )
+        assert linalg.intertwiner_matrix(ta.matrix, tb.matrix) == coeffs
+        units = kron_oracle(Matrix.identity(m), _m([[1] * n]))
+        for pointed in (False, True):
+            system = dimension._intertwiner_system(ta, tb, pointed)
+            expected = coeffs.rows + (units.rows if pointed else ())
+            assert system.coefficients.rows == expected
+            assert all(type(x) is int for row in system.coefficients.rows for x in row)
+            assert all(type(row) is tuple for row in system.coefficients.rows)
+            assert system.rhs == (0,) * (m * n) + (1,) * (m if pointed else 0)
+            assert len(system.labels) == len(expected)
 
 
 def test_search_module_iso_unpointed_finds_candidate():
