@@ -20,7 +20,7 @@ import time
 from . import dimension as dim
 from . import equivalences as eqv
 from . import moves, terms
-from .errors import ParseError, SftkitError
+from .errors import InvalidMatrix, ParseError, SftkitError
 from .graphs import (
     Graph,
     _int_entry,
@@ -91,6 +91,13 @@ class _Run:
         }
 
 
+def _vector_entry(x) -> int:
+    try:
+        return _int_entry(x)
+    except InvalidMatrix as exc:
+        raise ParseError(f"vector entries must be integers, got {x!r}") from exc
+
+
 def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
     if set(text) <= set("0123456789,- "):
         raw = text.strip()
@@ -99,7 +106,7 @@ def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
         raw = run.read(text).strip()
     if raw.startswith("["):
         try:
-            items = [_int_entry(x) for x in json.loads(raw)]
+            items = [_vector_entry(x) for x in json.loads(raw)]
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid vector JSON: {exc}") from exc
     else:

@@ -3,16 +3,20 @@
 The Bowen-Franks group of a nonnegative integer matrix A is the cokernel
 Z^n / (I - A) Z^n, read off the Smith normal form of I - A.  Together with
 the sign of det(I - A) it classifies irreducible nontrivial edge shifts up
-to flow equivalence, which is what `flow_equivalent` decides.
+to flow equivalence, which is what `flow_equivalent` decides.  Both come
+from one Smith elimination of the bare I - A, with no unimodular transforms
+carried: the group from the diagonal D, and det(I - A) as the product of
+that diagonal times the sign det U * det V the elimination returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import HasSinks, InvalidMatrix, NotIrreducibleNontrivial, ShapeError
 from .graphs import Graph, classify
-from .linalg import Matrix, char_poly, smith_normal_form
+from .linalg import Matrix, _smith, char_poly
 from .polynomials import Poly
 
 
@@ -43,21 +47,26 @@ def _check_adjacency(a: Matrix) -> None:
         raise InvalidMatrix("adjacency entries must be nonnegative integers")
 
 
+def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
+    """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a."""
+    _check_adjacency(a)
+    w = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
+    sign = _smith(w, a.nrows, a.ncols)
+    diag = [row[i] for i, row in enumerate(w)]
+    group = AbelianGroupFP(
+        factors=tuple(x for x in diag if x > 1),
+        free_rank=diag.count(0),
+    )
+    return group, sign * math.prod(diag)
+
+
 def bowen_franks(a: Matrix) -> AbelianGroupFP:
     """Cokernel of I - a as an abstract abelian group."""
-    _check_adjacency(a)
-    n = a.nrows
-    _, d, _ = smith_normal_form(Matrix.identity(n) - a)
-    diag = [d[i, i] for i in range(n)]
-    return AbelianGroupFP(
-        factors=tuple(x for x in diag if x > 1),
-        free_rank=sum(1 for x in diag if x == 0),
-    )
+    return _flow_invariants(a)[0]
 
 
 def det_i_minus_a(a: Matrix) -> int:
-    _check_adjacency(a)
-    return (Matrix.identity(a.nrows) - a).det()
+    return _flow_invariants(a)[1]
 
 
 def char_poly_away_from_zero(a: Matrix) -> Poly:
@@ -83,8 +92,7 @@ def flow_equivalent(g: Graph, h: Graph) -> bool:
             raise NotIrreducibleNontrivial(
                 f"{name} graph must be irreducible and not a single cycle"
             )
-    a, b = g.adjacency(), h.adjacency()
-    return bowen_franks(a) == bowen_franks(b) and det_i_minus_a(a) == det_i_minus_a(b)
+    return _flow_invariants(g.adjacency()) == _flow_invariants(h.adjacency())
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +148,12 @@ def bratteli_to_dot(g: Graph, diagram: BratteliDiagram) -> str:
 
 def invariants_report(a: Matrix) -> dict:
     """JSON-ready bundle of the flow invariants of one adjacency matrix."""
-    bf = bowen_franks(a)
+    bf, det = _flow_invariants(a)
     cp = char_poly_away_from_zero(a)
     return {
         "bf": {"factors": list(bf.factors), "rank": bf.free_rank},
         "bf_description": bf.describe(),
-        "det_i_minus_a": det_i_minus_a(a),
+        "det_i_minus_a": det,
         "char_poly_away_from_zero": [str(c) for c in cp.coeffs],
         "char_poly_pretty": cp.pretty(),
     }

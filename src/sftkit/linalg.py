@@ -14,7 +14,9 @@ leans on:
   Bareiss elimination;
 * Smith normal form with unimodular transforms, by elementary operations
   pivoting on the minimal absolute value, all on one augmented integer
-  array whose blocks hold U and V;
+  array whose blocks hold U and V; the same in-place elimination runs on
+  the bare matrix when only D and det U * det V are needed (the flow
+  invariants), with no transform blocks to carry;
 * characteristic polynomials via Faddeev-LeVerrier, each product running
   over the nonzero entries of each row only (the matrices are mostly sparse
   0/1), which also yields column 0 of the adjugate of (xI - A) for free;
@@ -46,19 +48,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import Poly, Rat, _num, _variations, sturm_chain, tarski_query
+from .polynomials import _INT, Poly, Rat, _num, _variations, sturm_chain, tarski_query
 
 Vector = tuple[Rat, ...]
 
 
 def vector(entries: Iterable[Rat]) -> Vector:
-    return tuple(_num(e) for e in entries)
+    """entries by the number rule; an all-int tuple (one type scan) is returned as it is."""
+    v = tuple(entries)
+    return v if _INT.issuperset(map(type, v)) else tuple(map(_num, v))
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,8 @@ class Matrix:
     rows: tuple[tuple[Rat, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise InvalidMatrix("ragged rows")
+        if len(set(map(len, self.rows))) > 1:
+            raise InvalidMatrix("ragged rows")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat]]) -> "Matrix":
@@ -146,7 +149,7 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
         bt = other.transpose().rows
         return Matrix.from_rows(
-            [[sum(a * b for a, b in zip(row, colv)) for colv in bt] for row in self.rows]
+            [[sum(map(operator.mul, row, colv)) for colv in bt] for row in self.rows]
         )
 
     def __pow__(self, k: int) -> "Matrix":
@@ -343,23 +346,40 @@ def _echelon_basis(reduced: list[list[Rat]], pivots: list[int], ncols: int) -> l
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return unimodular (U, D, V) with U @ m @ V == D diagonal.
 
-    D has nonnegative diagonal entries d1 | d2 | ... .  Everything happens on
-    one integer array W = [[m, I], [I, 0]]: row operations act on its first
+    D has nonnegative diagonal entries d1 | d2 | ... .  `_smith` works on one
+    integer array W = [[m, I], [I, 0]]: row operations act on its first
     nrows rows, so U builds up in the right-hand block, and column operations
     on its first ncols columns, so V builds up in the lower block, leaving
-    U m V = D in the corner.  Each step t picks as pivot the first entry of
-    least absolute value in the remaining block (row-major), which keeps
-    intermediate entries small, moves it to (t, t) and negates its row if the
-    pivot is negative; it then clears the pivot's column, then its row, and
-    picks again while a remainder is left.  If the pivot fails to divide an
-    entry of the rest, that entry's row is added to row t and (t, t) stays
-    the pivot.  No sign pass is needed at the end: every pivot is positive
-    before its row and column are cleared, and no later operation touches a
-    finished row or column.
+    U m V = D in the corner.  A caller that needs only D and det U * det V
+    (the flow invariants) runs the same elimination on the bare matrix.
     """
     nr, nc = m.nrows, m.ncols
     w = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(m.to_int_rows())]
     w += [[int(i == j) for j in range(nc + nr)] for i in range(nc)]
+    _smith(w, nr, nc)
+    return (
+        Matrix.from_rows(row[nc:] for row in w[:nr]),
+        Matrix.from_rows(row[:nc] for row in w[:nr]),
+        Matrix.from_rows(row[:nc] for row in w[nr:]),
+    )
+
+
+def _smith(w: list[list[int]], nr: int, nc: int) -> int:
+    """Bring the top-left nr x nc block of w to Smith form in place; return det U * det V.
+
+    Row operations run along whole rows of w and column operations down
+    whole columns, so any blocks beside or below record them.  Each step t
+    picks as pivot the first entry of least absolute value in the remaining
+    block (row-major), which keeps intermediate entries small, moves it to
+    (t, t) and negates its row if the pivot is negative; it then clears the
+    pivot's column, then its row, and picks again while a remainder is left.
+    If the pivot fails to divide an entry of the rest, that entry's row is
+    added to row t and (t, t) stays the pivot.  No sign pass is needed at the
+    end: every pivot is positive before its row and column are cleared, and
+    no later operation touches a finished row or column.  The returned sign
+    flips on each row swap, column swap and row negation; the additions keep
+    it, so for square m, det m = sign * d1 * d2 * ... .
+    """
 
     def min_pivot(t):
         best, least = None, 0
@@ -370,17 +390,22 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     best, least = (i, j), abs(row[j])
         return best
 
+    sign = 1
     for t in range(min(nr, nc)):
         pos = min_pivot(t)
         while pos is not None:
             i, j = pos
-            w[t], w[i] = w[i], w[t]
+            if i != t:
+                w[t], w[i] = w[i], w[t]
+                sign = -sign
             if j != t:
                 for row in w:
                     row[t], row[j] = row[j], row[t]
+                sign = -sign
             top = w[t]
             if top[t] < 0:
                 w[t] = top = [-x for x in top]
+                sign = -sign
             p, dirty = top[t], False
             for i in range(t + 1, nr):
                 if w[i][t]:
@@ -402,11 +427,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 if any(x % p for x in row[t + 1 : nc]):
                     w[t], pos = [x + y for x, y in zip(top, row)], (t, t)
                     break
-    return (
-        Matrix.from_rows(row[nc:] for row in w[:nr]),
-        Matrix.from_rows(row[:nc] for row in w[:nr]),
-        Matrix.from_rows(row[:nc] for row in w[nr:]),
-    )
+    return sign
 
 
 # ---------------------------------------------------------------------------

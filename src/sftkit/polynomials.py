@@ -32,6 +32,9 @@ from .errors import ShapeError
 
 Rat = Fraction | int
 
+# the types an all-int sequence holds: exactly int, so neither bool nor Fraction
+_INT = frozenset({int})
+
 
 def _num(x) -> Rat:
     """x as an int when it is integral, else as a Fraction."""
@@ -206,6 +209,8 @@ def squarefree_part(p: Poly) -> Poly:
 
 def _integral(p: Poly) -> list[int]:
     """Coefficients of p times the lcm of their denominators, a positive integer."""
+    if _INT.issuperset(map(type, p.coeffs)):
+        return list(p.coeffs)
     dens = [c.denominator for c in p.coeffs]
     lcm = math.lcm(*dens)
     if lcm == 1:

@@ -100,20 +100,28 @@ def _random_partition(rng: random.Random, g: Graph, incoming: bool) -> EdgeParti
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by Laplace expansion along the first row."""
+    """Determinant by Laplace expansion along the first row, each minor once.
+
+    The minor left after expanding along the first k rows depends only on the
+    columns those rows took, so minors are memoised by their column set:
+    n 2^n terms instead of n!.
+    """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j, x in enumerate(rows[0]):
-        if x == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * Fraction(x) * cofactor_det(minor)
-    return total
+
+    @functools.lru_cache(maxsize=None)
+    def minor(cols: tuple[int, ...]) -> Fraction:
+        if not cols:
+            return Fraction(1)
+        row = rows[n - len(cols)]
+        total = Fraction(0)
+        for pos, j in enumerate(cols):
+            if row[j] == 0:
+                continue
+            sign = -1 if pos % 2 else 1
+            total += sign * Fraction(row[j]) * minor(cols[:pos] + cols[pos + 1 :])
+        return total
+
+    return minor(tuple(range(n)))
 
 
 def det_oracle(m: Matrix) -> Fraction:

@@ -314,6 +314,18 @@ _MALFORMED = [
 ]
 
 
+@pytest.mark.parametrize("vec, bad", [
+    ('["1",-2]', "'1'"), ('["x"]', "'x'"), ("[true]", "True"), ("[[1]]", "[1]"),
+])
+def test_bad_json_vector_entries_are_parse_errors(capsys, vec, bad):
+    code, out = _run(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", vec)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": f"vector entries must be integers, got {bad}",
+    }
+
+
 @pytest.mark.parametrize("argv", _MALFORMED, ids=" ".join)
 def test_malformed_input_exits_2_with_error_object(capsys, argv):
     code, out = _run(capsys, *argv)

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_adjacency, random_irreducible_nontrivial
+from helpers import (
+    det_oracle,
+    random_adjacency,
+    random_in_partition,
+    random_irreducible_nontrivial,
+    random_out_partition,
+)
 
 from sftkit.errors import HasSinks, NotIrreducibleNontrivial
 from sftkit.graphs import from_adjacency, transpose
 from sftkit.invariants import (
+    AbelianGroupFP,
     bowen_franks,
     bratteli,
     bratteli_to_dot,
@@ -19,7 +28,8 @@ from sftkit.invariants import (
     flow_equivalent,
     invariants_report,
 )
-from sftkit.linalg import Matrix
+from sftkit.linalg import Matrix, smith_normal_form
+from sftkit.moves import in_split, out_split
 
 
 def _m(rows) -> Matrix:
@@ -57,6 +67,33 @@ def test_det_matches_product_of_factors():
             assert abs(det) == prod
         else:
             assert bf.free_rank >= 1
+
+
+def test_flow_invariants_match_smith_form_and_cofactor_determinant():
+    rng = random.Random(152)
+    # what the elimination's first step must do: the first entry of least
+    # absolute value lies off row 0 (row swap), off column 0 (column swap)
+    # or is negative (row negation)
+    first_steps = {"row swap": 0, "column swap": 0, "negation": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        a = random_adjacency(rng, n, rng.randint(1, 3))
+        i_minus_a = Matrix.identity(n) - a
+        nonzero = [(abs(x), i, j, x) for i, row in enumerate(i_minus_a.rows)
+                   for j, x in enumerate(row) if x]
+        if nonzero:
+            _, i, j, x = min(nonzero)
+            first_steps["row swap"] += i != 0
+            first_steps["column swap"] += j != 0
+            first_steps["negation"] += x < 0
+        assert det_i_minus_a(a) == det_oracle(i_minus_a)
+        _, d, _ = smith_normal_form(i_minus_a)
+        diag = [d[k, k] for k in range(n)]
+        assert bowen_franks(a) == AbelianGroupFP(
+            factors=tuple(x for x in diag if x > 1),
+            free_rank=sum(1 for x in diag if x == 0),
+        )
+    assert min(first_steps.values()) >= 200, first_steps
 
 
 def test_bowen_franks_transpose_invariant():
@@ -139,3 +176,39 @@ def test_invariants_report_shape():
     assert rep["bf_description"] == "Z/20"
     assert rep["det_i_minus_a"] == -20
     assert rep["char_poly_pretty"] == "x^2 - 20*x - 1"
+
+
+# sha256 of the JSON list of the flow invariants of 120 seeded irreducible
+# nontrivial graphs (n <= 5, entries 0..3), each with an out-split and an
+# in-split by a random partition: the Bowen-Franks group and det(I - A) of
+# every graph, and flow_equivalent against the split and against the next
+# corpus graph; recorded while both invariants came from a full Smith form
+# with U and V and a separate Bareiss determinant
+_FLOW_INVARIANTS = "e5804bdde9c30427e770971ce7b3026da014b1b7667b5f6efb12712fe9fa1ec5"
+
+
+def _flow_pin_cases():
+    rng = random.Random(151)
+    corpus = [random_irreducible_nontrivial(rng, 5, 3) for _ in range(120)]
+    for k, g in enumerate(corpus):
+        other = corpus[(k + 1) % len(corpus)]
+        for split, part in ((out_split, random_out_partition), (in_split, random_in_partition)):
+            h, _ = split(g, part(rng, g))
+            yield g, h, other
+
+
+def _flow_row(g, h, other):
+    row = []
+    for x in (g, h):
+        a = x.adjacency()
+        bf = bowen_franks(a)
+        row += [list(bf.factors), bf.free_rank, det_i_minus_a(a)]
+    return row + [flow_equivalent(g, h), flow_equivalent(h, other)]
+
+
+def test_flow_invariants_are_pinned():
+    found = [_flow_row(*case) for case in _flow_pin_cases()]
+    assert len(found) == 240
+    assert all(row[6] for row in found)  # a split is conjugate, hence flow equivalent
+    digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+    assert digest == _FLOW_INVARIANTS

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from helpers import (
     det_oracle,
     echelon_oracle,
@@ -17,6 +18,7 @@ from helpers import (
     random_int_matrix,
 )
 
+from sftkit.errors import InvalidMatrix
 from sftkit.linalg import (
     AffineInfeasible,
     AffineSolution,
@@ -71,6 +73,37 @@ def test_from_rows_and_vector_normalise_every_entry():
     v = vector([Fraction(9, 3), 1.25, 0])
     _assert_form(v)
     assert v == (3, Fraction(5, 4), 0)
+
+
+def test_int_input_is_kept_and_other_input_normalised():
+    ints = (3, 0, -7, 2**70)
+    assert vector(ints) is ints
+    assert vector(iter(ints)) == ints
+    m = Matrix.from_rows([ints, [1, 2, 3, 4]])
+    assert m.rows == (ints, (1, 2, 3, 4))
+    _assert_form(m)
+    # bool, integral Fractions and floats all become ints; no float survives
+    for entries, want in (
+        ([True, False, 2], (1, 0, 2)),
+        ([Fraction(4, 2), 5], (2, 5)),
+        ([1, Fraction(1, 2), Fraction(6, 3)], (1, Fraction(1, 2), 2)),
+        ([2.0, 0.5, 1], (2, Fraction(1, 2), 1)),
+    ):
+        assert vector(entries) == want
+        _assert_form(vector(entries))
+        assert Matrix.from_rows([entries, want]).rows == (want, want)
+        _assert_form(Matrix.from_rows([entries, want]))
+    for rows in ([[1, 2], [3]], [[1], []], [[Fraction(1, 2)], [1, 2]]):
+        with pytest.raises(InvalidMatrix):
+            Matrix.from_rows(rows)
+    with pytest.raises(InvalidMatrix):
+        Matrix(((1, 2), (3,)))
+    # a Fraction matrix times an int matrix: ints where the product is integral
+    f = Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 1]])
+    z = Matrix.from_rows([[2, 0], [3, 1]])
+    assert (f @ z).rows == ((2, Fraction(1, 3)), (4, 1))
+    assert (z @ f).rows == ((1, Fraction(2, 3)), (2, 2))
+    _assert_form((f @ z, z @ f))
 
 
 def test_arithmetic_keeps_the_number_form():
