@@ -10,146 +10,59 @@ fractions); searches are complete within their stated bounds and never
 report a negative as a proof of inequivalence.
 """
 
-from .dimension import (
-    Candidate,
-    DimElement,
-    DimensionTriple,
-    InCone,
-    Infeasible,
-    ModuleIsoCandidate,
-    NotFoundWithinBounds,
-    NotInCone,
-    Unknown,
-    dg_add,
-    dg_equal,
-    dg_neg,
-    dg_positive,
-    dg_scale,
-    dg_shift,
-    from_graph,
-    from_matrix,
-    order_unit,
-    product_triple,
-    search_module_iso,
-    search_pointed_intertwiner,
-    tensor_phi,
-    tensor_psi,
-    verify_module_iso,
-)
-from .equivalences import (
-    ChainLink,
-    ChainWitness,
-    SEWitness,
-    SSEWitness,
-    search_esse,
-    search_se,
-    verify_chain,
-    verify_esse,
-    verify_se,
-)
-from .errors import SftkitError
-from .graphs import Edge, Graph, classify, essentialize, from_adjacency, transpose
-from .invariants import (
-    AbelianGroupFP,
-    bowen_franks,
-    bratteli,
-    char_poly_away_from_zero,
-    det_i_minus_a,
-    flow_equivalent,
-    invariants_report,
-)
-from .linalg import Matrix, char_poly, smith_normal_form
-from .moves import (
-    EdgePartition,
-    bridge_from_factorization,
-    in_split,
-    kronecker_product,
-    out_split,
-    verify_bridge,
-)
-from .polynomials import Poly
-from .terms import (
-    AlgebraElement,
-    FamilyAssignment,
-    WeightMap,
-    ck2_expand,
-    equal_mod_ck2,
-    graded_decompose,
-    parse_element,
-    reduce,
-    star,
-    verify_family,
-)
-
-__all__ = [
-    "AbelianGroupFP",
-    "AlgebraElement",
-    "Candidate",
-    "ChainLink",
-    "ChainWitness",
-    "DimElement",
-    "DimensionTriple",
-    "Edge",
-    "EdgePartition",
-    "FamilyAssignment",
-    "Graph",
-    "InCone",
-    "Infeasible",
-    "Matrix",
-    "ModuleIsoCandidate",
-    "NotFoundWithinBounds",
-    "NotInCone",
-    "Poly",
-    "SEWitness",
-    "SSEWitness",
-    "SftkitError",
-    "Unknown",
-    "WeightMap",
-    "bowen_franks",
-    "bratteli",
-    "bridge_from_factorization",
-    "char_poly",
-    "char_poly_away_from_zero",
-    "ck2_expand",
-    "classify",
-    "det_i_minus_a",
-    "dg_add",
-    "dg_equal",
-    "dg_neg",
-    "dg_positive",
-    "dg_scale",
-    "dg_shift",
-    "equal_mod_ck2",
-    "essentialize",
-    "flow_equivalent",
-    "from_adjacency",
-    "from_graph",
-    "from_matrix",
-    "graded_decompose",
-    "in_split",
-    "invariants_report",
-    "kronecker_product",
-    "order_unit",
-    "out_split",
-    "parse_element",
-    "product_triple",
-    "reduce",
-    "search_esse",
-    "search_module_iso",
-    "search_pointed_intertwiner",
-    "search_se",
-    "smith_normal_form",
-    "star",
-    "tensor_phi",
-    "tensor_psi",
-    "transpose",
-    "verify_bridge",
-    "verify_chain",
-    "verify_esse",
-    "verify_family",
-    "verify_module_iso",
-    "verify_se",
-    "__version__",
-]
+import importlib
 
 __version__ = "0.1.0"
+
+# home submodule of each exported name; an export is imported on first use,
+# so `import sftkit` alone loads no submodule
+_HOMES = {
+    "dimension": (
+        "Candidate", "DimElement", "DimensionTriple", "InCone", "Infeasible",
+        "ModuleIsoCandidate", "NotFoundWithinBounds", "NotInCone", "Unknown",
+        "dg_add", "dg_equal", "dg_neg", "dg_positive", "dg_scale", "dg_shift",
+        "from_graph", "from_matrix", "order_unit", "product_triple",
+        "search_module_iso", "search_pointed_intertwiner", "tensor_phi",
+        "tensor_psi", "verify_module_iso",
+    ),
+    "equivalences": (
+        "ChainLink", "ChainWitness", "SEWitness", "SSEWitness", "search_esse",
+        "search_se", "verify_chain", "verify_esse", "verify_se",
+    ),
+    "errors": ("SftkitError",),
+    "graphs": (
+        "Edge", "Graph", "classify", "essentialize", "from_adjacency", "transpose",
+    ),
+    "invariants": (
+        "AbelianGroupFP", "bowen_franks", "bratteli", "char_poly_away_from_zero",
+        "det_i_minus_a", "flow_equivalent", "invariants_report",
+    ),
+    "linalg": ("Matrix", "char_poly", "smith_normal_form"),
+    "moves": (
+        "EdgePartition", "bridge_from_factorization", "in_split",
+        "kronecker_product", "out_split", "verify_bridge",
+    ),
+    "polynomials": ("Poly",),
+    "terms": (
+        "AlgebraElement", "FamilyAssignment", "WeightMap", "ck2_expand",
+        "equal_mod_ck2", "graded_decompose", "parse_element", "reduce", "star",
+        "verify_family",
+    ),
+}
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOMES})

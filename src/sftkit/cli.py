@@ -12,14 +12,13 @@ machine-readable error object.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
-from . import dimension as dim
-from . import equivalences as eqv
-from . import moves, terms
+# Every command needs these four modules; a handler that needs dimension,
+# equivalences, moves or terms imports it itself, so a fresh process compiles
+# only what its command runs.
 from .errors import InvalidMatrix, ParseError, SftkitError
 from .graphs import (
     Graph,
@@ -79,6 +78,8 @@ class _Run:
             raise ParseError(f"invalid JSON: {exc}") from exc
 
     def report(self, args: argparse.Namespace, results: dict) -> dict:
+        import hashlib  # only --json runs pay for loading it
+
         digest = hashlib.sha256(
             "\x1e".join(self.raw_inputs).encode("utf-8")
         ).hexdigest()[:16]
@@ -222,9 +223,12 @@ def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import dimension as dim
+
     t = dim.from_graph(run.graph(args.graph))
     x = dim.DimElement(_parse_vector(run, args.vector), args.k)
-    res = dim.dg_positive(t, x, args.bound)
+    bound = dim.DEFAULT_ITERATE_BOUND if args.bound is None else args.bound
+    res = dim.dg_positive(t, x, bound)
     results: dict = {
         "acting_matrix": t.matrix.to_json_rows(),
         "element": dim.element_to_json(x),
@@ -245,6 +249,8 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import dimension as dim
+
     t = dim.from_graph(run.graph(args.graph))
     results = {
         "acting_matrix": t.matrix.to_json_rows(),
@@ -254,6 +260,8 @@ def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import dimension as dim
+
     t_a = dim.from_graph(run.graph(args.g1))
     t_b = dim.from_graph(run.graph(args.g2))
     res = dim.search_module_iso(
@@ -282,6 +290,8 @@ def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_se_verify(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import equivalences as eqv
+
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.se_witness_from_json(run.json_obj(args.witness))
     ok = eqv.verify_se(a, b, w)
@@ -299,6 +309,8 @@ def _witness_not_found() -> tuple[int, dict, None]:
 
 
 def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import equivalences as eqv
+
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_se(a, b, lag_max=args.lag_max, entry_bound=args.entry_bound,
                       candidate_budget=args.budget)
@@ -308,6 +320,8 @@ def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_sse_verify_chain(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import equivalences as eqv
+
     a, b = run.matrix(args.a), run.matrix(args.b)
     chain = eqv.chain_from_json(run.json_obj(args.chain))
     ok = eqv.verify_chain(a, b, chain)
@@ -315,6 +329,8 @@ def _cmd_sse_verify_chain(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import equivalences as eqv
+
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_esse(a, b, inner_dim_max=args.inner_dim_max,
                         entry_bound=args.entry_bound, candidate_budget=args.budget)
@@ -324,6 +340,8 @@ def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_product(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import moves
+
     g, h = run.graph(args.g1), run.graph(args.g2)
     k = moves.kronecker_product(g, h)
     if args.dot:
@@ -333,6 +351,9 @@ def _cmd_product(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_split(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import equivalences as eqv
+    from . import moves
+
     g = run.graph(args.graph)
     p = moves.partition_from_json(run.json_obj(args.partition))
     split = moves.out_split if args.direction == "out" else moves.in_split
@@ -359,6 +380,8 @@ def _cmd_bratteli(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_terms_reduce(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import terms
+
     g = run.graph(args.graph)
     x = terms.parse_element(g, args.expr)
     r = terms.reduce(g, x, args.strategy)
@@ -372,6 +395,8 @@ def _cmd_terms_reduce(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_terms_decompose(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import terms
+
     g = run.graph(args.graph)
     x = terms.parse_element(g, args.expr)
     if args.weights is None:
@@ -387,6 +412,8 @@ def _cmd_terms_decompose(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_terms_family(run: _Run, args) -> tuple[int, dict, str | None]:
+    from . import moves, terms
+
     g = run.graph(args.graph)
     p = moves.partition_from_json(run.json_obj(args.partition))
     h, fa = terms.in_split_family(g, p)
@@ -438,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("vector", help="integer vector, e.g. '1,-2' or '[1,-2]'")
     p.add_argument("k", nargs="?", type=int, default=0)
-    p.add_argument("--bound", type=int, default=dim.DEFAULT_ITERATE_BOUND)
+    p.add_argument("--bound", type=int)
     p.set_defaults(func=_cmd_dimgroup_pos)
     p = pgs.add_parser("unit", parents=[common], help="print the order unit")
     p.add_argument("graph")

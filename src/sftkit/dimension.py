@@ -501,9 +501,18 @@ def element_to_json(x: DimElement) -> dict:
 
 def element_from_json(obj) -> DimElement:
     try:
-        return DimElement(tuple(_int_entry(v) for v in obj["a"]), _int_entry(obj["k"]))
-    except (KeyError, TypeError, InvalidMatrix) as exc:
+        return DimElement(tuple(_element_int(v) for v in obj["a"]), _element_int(obj["k"]))
+    except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed element payload: {exc}") from exc
+
+
+def _element_int(x) -> int:
+    try:
+        return _int_entry(x)
+    except InvalidMatrix as exc:
+        raise ShapeError(
+            f"malformed element payload: element entries must be integers, got {x!r}"
+        ) from exc
 
 
 def candidate_to_json(cand: ModuleIsoCandidate) -> dict:

@@ -20,14 +20,6 @@ class ShapeError(SftkitError):
     """Operand dimensions are incompatible."""
 
 
-class NotASource(SftkitError):
-    """Vertex elimination was asked for a vertex that is not a source."""
-
-
-class WouldEmpty(SftkitError):
-    """Removing the vertex would leave an empty graph where one is required."""
-
-
 class BadPartition(SftkitError):
     """Edge partition does not exactly cover the required edge sets."""
 

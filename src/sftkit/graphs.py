@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import (
-    InvalidMatrix,
-    NotASource,
-    ParseError,
-    WouldEmpty,
-)
+from .errors import InvalidMatrix, ParseError
 from .linalg import Matrix, carries_cycle, strong_components, support_digraph
 
 
@@ -197,19 +192,8 @@ def classify(g: Graph) -> GraphReport:
 
 
 # ---------------------------------------------------------------------------
-# Source elimination and essentialization
+# Essentialization
 # ---------------------------------------------------------------------------
-
-
-def eliminate_source(g: Graph, v: str) -> Graph:
-    """Delete a source vertex together with all edges it emits."""
-    if not g.has_vertex(v):
-        raise NotASource(f"{v!r} is not a vertex of the graph")
-    if g.in_edges(v):
-        raise NotASource(f"{v!r} has incoming edges")
-    if len(g.vertices) == 1:
-        raise WouldEmpty("refusing to delete the last vertex")
-    return _drop(g, {v})
 
 
 def _drop(g: Graph, victims: set[str]) -> Graph:

@@ -10,8 +10,7 @@ leans on:
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
 * fraction-free elimination over the integers: `_rref` clears each row's
   denominators once and runs Gauss-Jordan with integer row operations kept
-  small by gcds, dividing by the pivots only at the end; `Matrix.det` is
-  Bareiss elimination;
+  small by gcds, dividing by the pivots only at the end;
 * Smith normal form with unimodular transforms, by elementary operations
   pivoting on the minimal absolute value, all on one augmented integer
   array whose blocks hold U and V; the same in-place elimination runs on
@@ -86,14 +85,6 @@ class Matrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls.from_rows([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def column(cls, entries: Iterable[Rat]) -> "Matrix":
-        return cls.from_rows([[e] for e in entries])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -136,9 +127,6 @@ class Matrix:
         return Matrix.from_rows(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix.from_rows([[-a for a in r] for r in self.rows])
 
     def scale(self, c: Rat) -> "Matrix":
         c = _num(c)
@@ -189,36 +177,6 @@ class Matrix:
             raise ShapeError("trace needs a square matrix")
         return _num(sum(self.rows[i][i] for i in range(self.nrows)))
 
-    def det(self) -> Rat:
-        """Exact determinant by fraction-free (Bareiss) elimination over the integers.
-
-        Each row's denominators are cleared once; every Bareiss step then
-        divides exactly by the previous pivot, so entries stay minors of the
-        integer matrix.  The result is an int when integral.
-        """
-        if not self.is_square:
-            raise ShapeError("determinant needs a square matrix")
-        n = self.nrows
-        a, scale = [], 1
-        for row in self.rows:
-            ints, den = _cleared(row)
-            a.append(ints)
-            scale *= den
-        sign, prev = 1, 1
-        for c in range(n - 1):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sign = -sign
-            p, top = a[c][c], a[c]
-            for r in range(c + 1, n):
-                f = a[r][c]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
-            prev = p
-        return _num(Fraction(sign * a[-1][-1], scale)) if n else 1
-
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ShapeError("inverse needs a square matrix")
@@ -248,10 +206,10 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def _cleared(row: Sequence[Rat]) -> tuple[list[int], int]:
-    """(den * row, den) for den the least common denominator of the entries."""
+def _cleared(row: Sequence[Rat]) -> list[int]:
+    """den * row for den the least common denominator of the entries."""
     den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row], den
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _coprime(row: list[int]) -> list[int]:
@@ -282,7 +240,7 @@ def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     if limit is None:
         limit = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
-        rows[i] = _coprime(_cleared(row)[0])
+        rows[i] = _coprime(_cleared(row))
     pivots: list[int] = []
     r = 0
     for c in range(limit):

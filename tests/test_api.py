@@ -4,6 +4,12 @@ instrumentation replaces by module attribute (so they must stay there)."""
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import sftkit
 from sftkit import dimension, equivalences, linalg
@@ -44,6 +50,30 @@ _LAYER_FUNCTIONS = {
 def test_package_exports_are_pinned():
     assert sftkit.__all__ == _EXPORTS
     assert all(hasattr(sftkit, name) for name in _EXPORTS)
+
+
+def test_exports_resolve_to_their_home_module():
+    namespace: dict = {}
+    exec("from sftkit import *", namespace)
+    assert set(_EXPORTS) <= set(namespace)
+    assert set(_EXPORTS) <= set(dir(sftkit))
+    for name in _EXPORTS[:-1]:
+        value = getattr(sftkit, name)
+        home = importlib.import_module(value.__module__)
+        assert value is getattr(home, name) is namespace[name], name
+    with pytest.raises(AttributeError):
+        sftkit.nope
+
+
+def test_submodules_resolve_after_a_bare_import():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sftkit; print(sftkit.linalg.__name__, sftkit.linalg.Matrix is sftkit.Matrix)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sftkit.linalg", "True"]
 
 
 def test_layer_functions_stay_module_attributes():

@@ -106,6 +106,13 @@ def test_dimgroup_pos_stage_argument(capsys):
     assert rep["results"]["element"]["k"] == 3
 
 
+def test_dimgroup_pos_default_bound_is_reported(capsys):
+    code, rep = _report(capsys, "dimgroup", "pos", "[[3,0],[1,0]]", "1,-4")
+    assert code == 1
+    assert rep["results"]["decision"] == "unknown"
+    assert rep["results"]["iterate_bound"] == 24
+
+
 def test_dimgroup_unit(capsys):
     code, rep = _report(capsys, "dimgroup", "unit", _FULL)
     assert code == 0
@@ -369,3 +376,39 @@ def test_readme_commands_run(capsys, monkeypatch):
         code, out = _run(capsys, *argv)
         assert code == (1 if "# exits 1" in line else 0), line
         assert not out.startswith('{"error"'), line
+
+
+_PROBE = """
+import contextlib, io, json, sys
+import sftkit
+for argv in ARGVS:
+    from sftkit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sftkit"))))
+"""
+
+
+def _modules_loaded_by(*argvs: list[str]) -> set[str]:
+    """The sftkit modules a fresh interpreter holds after `import sftkit` and these runs."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.replace("ARGVS", repr(list(argvs)))],
+        capture_output=True, text=True, timeout=60, cwd=_ROOT,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_commands_import_only_the_modules_they_run():
+    assert _modules_loaded_by() == {"sftkit"}
+    plain = _modules_loaded_by(
+        ["analyze", "[[1,2],[1,0]]", "--json"],
+        ["invariants", _FULL],
+        ["flow", _FULL, _FULL_REV],
+        ["bratteli", _FULL, "--depth", "2"],
+    )
+    optional = {f"sftkit.{m}" for m in ("dimension", "equivalences", "moves", "terms")}
+    assert not plain & optional, plain
+    cone = _modules_loaded_by(["dimgroup", "pos", "[[1,2],[1,0]]", "1,1"])
+    assert cone - plain == {"sftkit.dimension"}

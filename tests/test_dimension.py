@@ -439,7 +439,7 @@ def test_verify_module_iso_identity_and_diagonal_half():
 
 def test_verify_module_iso_rejects_singular_and_bad_shape():
     assert not verify_module_iso(
-        _FULL2, _FULL2, ModuleIsoCandidate(Matrix.zeros(2, 2))
+        _FULL2, _FULL2, ModuleIsoCandidate(Matrix.from_rows([[0, 0], [0, 0]]))
     )
     with pytest.raises(ShapeError):
         verify_module_iso(_FULL2, _FULL2, ModuleIsoCandidate(Matrix.identity(3)))
@@ -641,3 +641,17 @@ _MALFORMED_PAYLOADS = [
 def test_malformed_json_payloads_raise_shape_error(parse, payload):
     with pytest.raises(ShapeError):
         parse(payload)
+
+
+@pytest.mark.parametrize("payload, bad", [
+    ({"a": ["1"], "k": 0}, "'1'"),
+    ({"a": [1, 2.5], "k": 0}, "2.5"),
+    ({"a": [1], "k": True}, "True"),
+])
+def test_element_payload_entries_use_element_wording(payload, bad):
+    with pytest.raises(ShapeError) as info:
+        element_from_json(payload)
+    assert type(info.value) is ShapeError
+    assert str(info.value) == (
+        f"malformed element payload: element entries must be integers, got {bad}"
+    )

@@ -198,7 +198,7 @@ def _partner_cases(rng: random.Random):
         yield b, a, w.s, 1
         space = intertwiner_space(b, a)
         for _ in range(2):
-            r = Matrix.zeros(a.nrows, b.nrows)
+            r = Matrix.from_rows([[0] * b.nrows] * a.nrows)
             for basis_r in space:
                 r = r + basis_r.scale(rng.randrange(-2, 3))
             den = math.lcm(*(x.denominator for row in r.rows for x in row))

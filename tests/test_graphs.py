@@ -7,12 +7,11 @@ import random
 import pytest
 from helpers import purely_infinite_simple_oracle, random_adjacency, reach_oracle
 
-from sftkit.errors import InvalidMatrix, NotASource, ParseError, WouldEmpty
+from sftkit.errors import InvalidMatrix, ParseError
 from sftkit.graphs import (
     Edge,
     Graph,
     classify,
-    eliminate_source,
     essentialize,
     from_adjacency,
     graph_from_json,
@@ -141,17 +140,6 @@ def test_every_cycle_has_exit_detection():
     assert classify(_graph([[2]])).purely_infinite_simple
 
 
-def test_eliminate_source():
-    g = _graph([[0, 1], [0, 1]])
-    assert classify(g).sources == ("v1",)
-    h = eliminate_source(g, "v1")
-    assert h.vertices == ("v2",)
-    assert h.adjacency() == Matrix.from_rows([[1]])
-    with pytest.raises(NotASource):
-        eliminate_source(g, "v2")
-    lone = Graph(("a",), ())
-    with pytest.raises(WouldEmpty):
-        eliminate_source(lone, "a")
 
 
 def test_essentialize_idempotent_and_essential():

@@ -1,6 +1,6 @@
 """The number form of exact results: every entry of a matrix or vector that
 `linalg` hands out, and every coefficient of a `Poly`, is an int when it is
-integral and a Fraction otherwise, never a float; determinant, inverse,
+integral and a Fraction otherwise, never a float; inverse,
 echelon and polynomial division values are checked against independent
 oracles."""
 
@@ -115,7 +115,7 @@ def test_arithmetic_keeps_the_number_form():
         z = random_int_matrix(rng, n, -3, 3)
         v = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2))) for _ in range(n)]
         results = [
-            a, a @ b, a @ z, z @ z, a + b, a - b, -a, a.scale(Fraction(2, 3)), a.scale(2),
+            a, a @ b, a @ z, z @ z, a + b, a - b, a.scale(Fraction(2, 3)), a.scale(2),
             z.scale(Fraction(1, 2)), a.transpose(), a**2, z**3, a.kron(z), z.kron(z),
             a.apply(v), z.apply(v), z.apply([1] * n), (a.trace(), z.trace()),
         ]
@@ -129,16 +129,13 @@ def test_arithmetic_keeps_the_number_form():
     assert type(half.trace()) is int
 
 
-def test_det_and_inverse_values_and_form():
+def test_inverse_values_and_form():
     rng = random.Random(42)
     checked = 0
     while checked < 60:
         n = rng.randrange(1, 5)
         m = random_int_matrix(rng, n, -4, 4) if checked % 2 else _random_rational_matrix(rng, n, n)
-        d = m.det()
-        _assert_form((d,))
-        assert d == det_oracle(m)
-        if d == 0:
+        if det_oracle(m) == 0:
             continue
         inv = m.inverse()
         _assert_form(inv)
@@ -147,16 +144,13 @@ def test_det_and_inverse_values_and_form():
 
 
 def test_non_unit_pivots_give_exact_ints():
-    # first pivots 2 and 3, yet the determinant and the inverse are integral
+    # first pivots 2 and 3, yet the inverse is integral
     for rows in ([[2, 1], [1, 1]], [[3, 2], [4, 3]], [[2, 3, 1], [1, 2, 1], [1, 1, 1]]):
         m = Matrix.from_rows(rows)
-        d, inv = m.det(), m.inverse()
-        assert type(d) is int and d == det_oracle(m)
+        inv = m.inverse()
         assert all(type(x) is int for row in inv.rows for x in row)
         assert [list(r) for r in inv.rows] == inverse_oracle(m)
         assert m @ inv == Matrix.identity(m.nrows)
-    assert Matrix.from_rows([[2, 4], [1, 2]]).det() == 0
-    assert type(Matrix.from_rows([[2, 4], [1, 2]]).det()) is int
 
 
 def test_echelon_results_keep_the_number_form():
@@ -254,31 +248,12 @@ def test_fraction_free_elimination_matches_gauss_jordan_oracle():
             _assert_form(res.certificate)
         n = rng.randrange(1, 5)
         sq = Matrix.from_rows([[_entry(rng, mixed) for _ in range(n)] for _ in range(n)])
-        if sq.det() != 0:
+        if det_oracle(sq) != 0:
             outcomes["inverse"] += 1
             inv = sq.inverse()
             assert [list(r) for r in inv.rows] == inverse_oracle(sq)
             _assert_form(inv)
     assert min(outcomes.values()) >= 50, outcomes
-
-
-def test_det_is_exact_on_singular_and_non_unit_pivot_matrices():
-    rng = random.Random(47)
-    singular = 0
-    for trial in range(150):
-        n, mixed = rng.randrange(1, 6), trial % 2 == 1
-        if trial % 3 == 0:
-            m = _degenerate_matrix(rng, n, n, mixed)
-        else:
-            m = Matrix.from_rows([[_entry(rng, mixed) for _ in range(n)] for _ in range(n)])
-        if rng.random() < 0.3:
-            # a zero leading entry forces a row swap before the first pivot
-            m = Matrix.from_rows([[0, *m.row(0)[1:]], *m.rows[1:]])
-        d = m.det()
-        _assert_form((d,))
-        assert d == det_oracle(m), m
-        singular += d == 0
-    assert singular >= 30
 
 
 def _random_poly(rng: random.Random, mixed: bool) -> Poly:
