@@ -3,10 +3,11 @@
 Every computation in the package is reachable as a subcommand.  Graph and
 matrix arguments accept either a file path or inline JSON; results are
 printed as key/value text by default or as a full JSON report with --json.
-Exit codes follow one discipline throughout: 0 for a positive or neutral
-outcome, 1 for a negative mathematical decision (not equivalent, not in the
-cone, nothing found within bounds), 2 for errors, which always come with a
-machine-readable error object.
+A search bound left unset takes the library function's default.  Exit codes
+follow one discipline throughout: 0 for a positive or neutral outcome, 1 for
+a negative mathematical decision (not equivalent, not in the cone, nothing
+found within bounds), 2 for errors, which always come with a machine-readable
+error object.
 """
 
 from __future__ import annotations
@@ -134,6 +135,16 @@ _BOUND_MINIMUM = {
 }
 
 
+def _given(args: argparse.Namespace, *dests: str, **renamed: str) -> dict:
+    """The bounds the user set, keyed by library keyword: the dest, or dest="library_kw".
+
+    An unset bound is left out, so it takes the library function's default.
+    """
+    keywords = {**{dest: dest for dest in dests}, **renamed}
+    return {kw: getattr(args, dest) for dest, kw in keywords.items()
+            if getattr(args, dest) is not None}
+
+
 def _check_bounds(args: argparse.Namespace) -> None:
     for name, least in _BOUND_MINIMUM.items():
         value = getattr(args, name, None)
@@ -227,8 +238,7 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
 
     t = dim.from_graph(run.graph(args.graph))
     x = dim.DimElement(_parse_vector(run, args.vector), args.k)
-    bound = dim.DEFAULT_ITERATE_BOUND if args.bound is None else args.bound
-    res = dim.dg_positive(t, x, bound)
+    res = dim.dg_positive(t, x, **_given(args, bound="iterate_bound"))
     results: dict = {
         "acting_matrix": t.matrix.to_json_rows(),
         "element": dim.element_to_json(x),
@@ -265,12 +275,8 @@ def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
     t_a = dim.from_graph(run.graph(args.g1))
     t_b = dim.from_graph(run.graph(args.g2))
     res = dim.search_module_iso(
-        t_a,
-        t_b,
-        pointed=args.pointed,
-        denominator_max=args.denominator_max,
-        value_max=args.value_max,
-        candidate_budget=args.budget,
+        t_a, t_b, pointed=args.pointed,
+        **_given(args, "denominator_max", "value_max", budget="candidate_budget"),
     )
     if isinstance(res, dim.Candidate):
         results = {"outcome": "found", "matrix": res.matrix.to_json_rows()}
@@ -312,8 +318,7 @@ def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
     from . import equivalences as eqv
 
     a, b = run.matrix(args.a), run.matrix(args.b)
-    w = eqv.search_se(a, b, lag_max=args.lag_max, entry_bound=args.entry_bound,
-                      candidate_budget=args.budget)
+    w = eqv.search_se(a, b, **_given(args, "lag_max", "entry_bound", budget="candidate_budget"))
     if w is None:
         return _witness_not_found()
     return EXIT_OK, {"outcome": "found", "witness": eqv.se_witness_to_json(w)}, None
@@ -332,8 +337,8 @@ def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
     from . import equivalences as eqv
 
     a, b = run.matrix(args.a), run.matrix(args.b)
-    w = eqv.search_esse(a, b, inner_dim_max=args.inner_dim_max,
-                        entry_bound=args.entry_bound, candidate_budget=args.budget)
+    w = eqv.search_esse(a, b, **_given(args, "inner_dim_max", "entry_bound",
+                                       budget="candidate_budget"))
     if w is None:
         return _witness_not_found()
     return EXIT_OK, {"outcome": "found", "witness": eqv.sse_witness_to_json(w)}, None
@@ -444,109 +449,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="classify a graph")
-    p.add_argument("graph")
+    def command(parent, name, func, help, *positionals):
+        """Add leaf `name`; a positional is a name or the add_argument keywords of one."""
+        p = parent.add_parser(name, parents=[common], help=help)
+        for pos in positionals:
+            p.add_argument(**(pos if isinstance(pos, dict) else {"dest": pos}))
+        p.set_defaults(func=func)
+        return p
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_cmd", required=True)
+
+    p = command(sub, "analyze", _cmd_analyze, "classify a graph", "graph")
     p.add_argument("--dot", action="store_true", help="print the graph as DOT")
-    p.set_defaults(func=_cmd_analyze)
+    command(sub, "invariants", _cmd_invariants,
+            "Bowen-Franks group, det(I-A), characteristic polynomial away from zero", "graph")
+    command(sub, "flow", _cmd_flow, "decide flow equivalence", "g1", "g2")
 
-    p = sub.add_parser("invariants", parents=[common],
-                       help="Bowen-Franks group, det(I-A), characteristic polynomial away from zero")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("flow", parents=[common], help="decide flow equivalence")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.set_defaults(func=_cmd_flow)
-
-    pg = sub.add_parser("dimgroup", help="dimension group computations")
-    pgs = pg.add_subparsers(dest="dimgroup_cmd", required=True)
-    p = pgs.add_parser("pos", parents=[common], help="decide cone membership of [a, k]")
-    p.add_argument("graph")
-    p.add_argument("vector", help="integer vector, e.g. '1,-2' or '[1,-2]'")
-    p.add_argument("k", nargs="?", type=int, default=0)
+    g = group("dimgroup", "dimension group computations")
+    p = command(g, "pos", _cmd_dimgroup_pos, "decide cone membership of [a, k]", "graph",
+                {"dest": "vector", "help": "integer vector, e.g. '1,-2' or '[1,-2]'"},
+                {"dest": "k", "nargs": "?", "type": int, "default": 0})
     p.add_argument("--bound", type=int)
-    p.set_defaults(func=_cmd_dimgroup_pos)
-    p = pgs.add_parser("unit", parents=[common], help="print the order unit")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_dimgroup_unit)
+    command(g, "unit", _cmd_dimgroup_unit, "print the order unit", "graph")
 
-    pi = sub.add_parser("iso", help="graded module isomorphism search")
-    pis = pi.add_subparsers(dest="iso_cmd", required=True)
-    p = pis.add_parser("search", parents=[common], help="search for an intertwiner")
-    p.add_argument("g1")
-    p.add_argument("g2")
+    g = group("iso", "graded module isomorphism search")
+    p = command(g, "search", _cmd_iso_search, "search for an intertwiner", "g1", "g2")
     p.add_argument("--pointed", action="store_true", help="require the unit to map to the unit")
-    p.add_argument("--denominator-max", type=int, default=4)
-    p.add_argument("--value-max", type=int, default=2)
-    p.add_argument("--budget", type=int, default=4000)
-    p.set_defaults(func=_cmd_iso_search)
+    for flag in ("--denominator-max", "--value-max", "--budget"):
+        p.add_argument(flag, type=int)
 
-    pse = sub.add_parser("se", help="shift equivalence")
-    pses = pse.add_subparsers(dest="se_cmd", required=True)
-    p = pses.add_parser("verify", parents=[common], help="verify a witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("witness", help="JSON with R, S, l")
-    p.set_defaults(func=_cmd_se_verify)
-    p = pses.add_parser("search", parents=[common], help="search for a witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--lag-max", type=int, default=1)
-    p.add_argument("--entry-bound", type=int, default=3)
-    p.add_argument("--budget", type=int, default=200000)
-    p.set_defaults(func=_cmd_se_search)
+    g = group("se", "shift equivalence")
+    command(g, "verify", _cmd_se_verify, "verify a witness", "a", "b",
+            {"dest": "witness", "help": "JSON with R, S, l"})
+    p = command(g, "search", _cmd_se_search, "search for a witness", "a", "b")
+    for flag in ("--lag-max", "--entry-bound", "--budget"):
+        p.add_argument(flag, type=int)
 
-    psse = sub.add_parser("sse", help="strong shift equivalence")
-    psses = psse.add_subparsers(dest="sse_cmd", required=True)
-    p = psses.add_parser("verify-chain", parents=[common], help="verify an elementary chain")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("chain", help="JSON with links")
-    p.set_defaults(func=_cmd_sse_verify_chain)
-    p = psses.add_parser("search", parents=[common], help="search for a one-step witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--inner-dim-max", type=int, default=4)
-    p.add_argument("--entry-bound", type=int, default=3)
-    p.add_argument("--budget", type=int, default=200000)
-    p.set_defaults(func=_cmd_sse_search)
+    g = group("sse", "strong shift equivalence")
+    command(g, "verify-chain", _cmd_sse_verify_chain, "verify an elementary chain", "a", "b",
+            {"dest": "chain", "help": "JSON with links"})
+    p = command(g, "search", _cmd_sse_search, "search for a one-step witness", "a", "b")
+    for flag in ("--inner-dim-max", "--entry-bound", "--budget"):
+        p.add_argument(flag, type=int)
 
-    p = sub.add_parser("product", parents=[common], help="Kronecker product graph")
-    p.add_argument("g1")
-    p.add_argument("g2")
+    p = command(sub, "product", _cmd_product, "Kronecker product graph", "g1", "g2")
     p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("split", parents=[common], help="out- or in-split with witness")
-    p.add_argument("direction", choices=("out", "in"))
-    p.add_argument("graph")
-    p.add_argument("partition", help="JSON list of {vertex, blocks}")
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("bratteli", parents=[common], help="stationary level diagram")
-    p.add_argument("graph")
+    command(sub, "split", _cmd_split, "out- or in-split with witness",
+            {"dest": "direction", "choices": ("out", "in")}, "graph",
+            {"dest": "partition", "help": "JSON list of {vertex, blocks}"})
+    p = command(sub, "bratteli", _cmd_bratteli, "stationary level diagram", "graph")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=_cmd_bratteli)
 
-    pt = sub.add_parser("terms", help="path algebra term calculus")
-    pts = pt.add_subparsers(dest="terms_cmd", required=True)
-    p = pts.add_parser("reduce", parents=[common], help="normal form of an expression")
-    p.add_argument("graph")
-    p.add_argument("expr")
+    g = group("terms", "path algebra term calculus")
+    p = command(g, "reduce", _cmd_terms_reduce, "normal form of an expression", "graph", "expr")
     p.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
-    p.set_defaults(func=_cmd_terms_reduce)
-    p = pts.add_parser("decompose", parents=[common], help="homogeneous components")
-    p.add_argument("graph")
-    p.add_argument("expr")
+    p = command(g, "decompose", _cmd_terms_decompose, "homogeneous components", "graph", "expr")
     p.add_argument("--weights", help="JSON mapping edge id to rational weight")
-    p.set_defaults(func=_cmd_terms_decompose)
-    p = pts.add_parser("family", parents=[common],
-                       help="build and verify the canonical in-split family")
-    p.add_argument("graph")
-    p.add_argument("partition")
-    p.set_defaults(func=_cmd_terms_family)
+    command(g, "family", _cmd_terms_family,
+            "build and verify the canonical in-split family", "graph", "partition")
 
     return parser
 

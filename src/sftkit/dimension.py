@@ -392,18 +392,13 @@ def _intertwiner_system(
 
 def _grid_values(denominator_max: int, value_max: int) -> list[Fraction]:
     """Small rationals ordered by denominator, then magnitude, positives first."""
-    out: list[Fraction] = [Fraction(0)]
-    seen = {Fraction(0)}
-    for q in range(1, denominator_max + 1):
-        magnitudes = sorted(
-            {Fraction(p, q) for p in range(1, value_max * q + 1)}
-        )
-        for mag in magnitudes:
-            for val in (mag, -mag):
-                if val not in seen:
-                    seen.add(val)
-                    out.append(val)
-    return out
+    values = {Fraction(0)} | {
+        Fraction(sign * p, q)
+        for q in range(1, denominator_max + 1)
+        for p in range(1, value_max * q + 1)
+        for sign in (1, -1)
+    }
+    return sorted(values, key=lambda f: (f.denominator, abs(f), f < 0))
 
 
 def search_module_iso(

@@ -135,11 +135,6 @@ def _power_mod(m: Matrix, k: int) -> Matrix:
     return acc
 
 
-def transpose_witness(w: SEWitness) -> SEWitness:
-    """Turn a witness for (a, b) into one for (a^T, b^T)."""
-    return SEWitness(w.s.transpose(), w.r.transpose(), w.lag)
-
-
 # ---------------------------------------------------------------------------
 # Searches
 # ---------------------------------------------------------------------------

@@ -47,12 +47,6 @@ class Graph:
 
     # -- lookups -----------------------------------------------------------
 
-    def index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise ParseError(f"{v!r} is not a vertex of this graph") from None
-
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
 

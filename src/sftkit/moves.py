@@ -77,22 +77,6 @@ def partition_to_json(p: EdgePartition) -> list:
     ]
 
 
-def trivial_out_partition(g: Graph) -> EdgePartition:
-    """One block per non-sink vertex holding all its outgoing edges."""
-    return EdgePartition(
-        tuple(
-            (v, (tuple(e.id for e in g.out_edges(v)),))
-            for v in g.vertices
-            if g.out_edges(v)
-        )
-    )
-
-
-def trivial_in_partition(g: Graph) -> EdgePartition:
-    """One block per non-source vertex holding all its incoming edges."""
-    return trivial_out_partition(transpose(g))
-
-
 def _check_partition(
     g: Graph, p: EdgePartition, required: dict[str, set[str]], kind: str
 ) -> None:

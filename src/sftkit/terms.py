@@ -459,16 +459,6 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     return h, FamilyAssignment.build(h, q, t)
 
 
-def bridge_family(bg) -> FamilyAssignment:
-    """The appendix-style family of a bridge: vertices stay, edges map to crossing paths."""
-    t = {
-        l: word_element(bg.graph, (("e", first), ("e", second)))
-        for l, (first, second) in bg.theta1.items()
-    }
-    q = {v: vertex_element(bg.graph, v) for v in bg.e1.vertices}
-    return FamilyAssignment.build(bg.graph, q, t)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 # ---------------------------------------------------------------------------

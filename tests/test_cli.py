@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shlex
@@ -348,6 +349,75 @@ def test_graph_json_round_trip_is_canonical(capsys):
     code, rep = _report(capsys, "analyze", blob)
     assert code == 0
     assert rep["results"]["adjacency"] == [[1, 2], [1, 0]]
+
+
+# (command, home module, library function, fixed keywords, bound flags, the
+# keywords those flags pass)
+_BOUND_FLAGS = [
+    (["se", "search", _FULL, _FULL_REV], "equivalences", "search_se", {},
+     ["--lag-max", "2", "--entry-bound", "1", "--budget", "7"],
+     {"lag_max": 2, "entry_bound": 1, "candidate_budget": 7}),
+    (["sse", "search", "[[1,1],[1,1]]", "[[2]]"], "equivalences", "search_esse", {},
+     ["--inner-dim-max", "2", "--entry-bound", "1", "--budget", "7"],
+     {"inner_dim_max": 2, "entry_bound": 1, "candidate_budget": 7}),
+    (["iso", "search", _FULL, _FULL], "dimension", "search_module_iso", {"pointed": False},
+     ["--denominator-max", "1", "--value-max", "1", "--budget", "7"],
+     {"denominator_max": 1, "value_max": 1, "candidate_budget": 7}),
+    (["dimgroup", "pos", "[[3,0],[1,0]]", "1,-4"], "dimension", "dg_positive", {},
+     ["--bound", "5"], {"iterate_bound": 5}),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, fixed, flags, keywords", _BOUND_FLAGS,
+                         ids=[case[2] for case in _BOUND_FLAGS])
+def test_only_the_bounds_set_are_passed(capsys, monkeypatch, argv, module, name, fixed,
+                                        flags, keywords):
+    home = importlib.import_module(f"sftkit.{module}")
+    real, calls = getattr(home, name), []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(home, name, record)
+    _run(capsys, *argv)
+    _run(capsys, *argv, *flags)
+    assert calls == [fixed, {**fixed, **keywords}]
+
+
+_SE_DEFAULTS = ["--lag-max", "1", "--entry-bound", "3", "--budget", "200000"]
+_SSE_DEFAULTS = ["--inner-dim-max", "4", "--entry-bound", "3", "--budget", "200000"]
+_ISO_DEFAULTS = ["--denominator-max", "4", "--value-max", "2", "--budget", "4000"]
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["se", "search", _FULL, _FULL_REV], _SE_DEFAULTS),
+    (["se", "search", "[[2]]", "[[3]]"], _SE_DEFAULTS),
+    (["sse", "search", "[[1,1],[1,1]]", "[[2]]"], _SSE_DEFAULTS),
+    (["sse", "search", _FULL, _FULL_REV], _SSE_DEFAULTS),
+    (["iso", "search", _FULL, _FULL], _ISO_DEFAULTS),
+    (["iso", "search", _FULL, _FULL_REV, "--pointed"], _ISO_DEFAULTS),
+])
+def test_unset_bounds_answer_as_the_former_cli_defaults(capsys, argv, defaults):
+    code, rep = _report(capsys, *argv)
+    spelled_code, spelled = _report(capsys, *argv, *defaults)
+    assert (code, rep["results"]) == (spelled_code, spelled["results"])
+
+
+@pytest.mark.parametrize("prefix", [
+    [], ["analyze"], ["invariants"], ["flow"],
+    ["dimgroup"], ["dimgroup", "pos"], ["dimgroup", "unit"],
+    ["iso"], ["iso", "search"],
+    ["se"], ["se", "verify"], ["se", "search"],
+    ["sse"], ["sse", "verify-chain"], ["sse", "search"],
+    ["product"], ["split"], ["bratteli"],
+    ["terms"], ["terms", "reduce"], ["terms", "decompose"], ["terms", "family"],
+], ids=lambda prefix: "-".join(["sftkit", *prefix]))
+def test_every_parser_prints_help(capsys, prefix):
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_missing_subcommand_exits_with_usage_error():

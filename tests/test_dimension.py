@@ -545,6 +545,23 @@ def _seeded_triple_pairs():
         yield DimensionTriple(a), DimensionTriple(b)
 
 
+# sha256 of the JSON list of _grid_values(d, v), each value as str, for
+# d = 0..8 and v = 0..6, recorded from the per-denominator loop it replaced
+_GRID_VALUES = "18a60805838b1998051498f69cdd0224a2e039c50ea74cc5c6c9683f9a93be83"
+
+
+def test_grid_values_order_is_pinned():
+    assert dimension._grid_values(0, 3) == dimension._grid_values(1, 0) == [0]
+    assert [str(x) for x in dimension._grid_values(3, 1)] == [
+        "0", "1", "-1", "1/2", "-1/2", "1/3", "-1/3", "2/3", "-2/3",
+    ]
+    assert [str(x) for x in dimension._grid_values(2, 2)] == [
+        "0", "1", "-1", "2", "-2", "1/2", "-1/2", "3/2", "-3/2",
+    ]
+    found = [[str(x) for x in dimension._grid_values(d, v)] for d in range(9) for v in range(7)]
+    assert _digest(found) == _GRID_VALUES
+
+
 def test_search_module_iso_outcomes_are_pinned():
     found = []
     for ta, tb in _seeded_triple_pairs():

@@ -31,7 +31,6 @@ from sftkit.equivalences import (
     se_witness_to_json,
     sse_witness_from_json,
     sse_witness_to_json,
-    transpose_witness,
     verify_chain,
     verify_esse,
     verify_se,
@@ -123,12 +122,6 @@ def test_power_mod_squares_only_while_bits_remain():
     got = [matmul_count(lambda: _power_mod(fib, k)) for k in range(9)]
     assert [calls for _, calls in got] == [0, 1, 2, 3, 3, 4, 4, 5, 4]
     assert all(power == _mod(fib**k) for k, (power, _) in enumerate(got))
-
-
-def test_transpose_witness():
-    w = search_se(_AE, _AOP, lag_max=1, entry_bound=3)
-    assert w is not None
-    assert verify_se(_AE.transpose(), _AOP.transpose(), transpose_witness(w))
 
 
 def test_search_se_finds_verified_witness_for_transpose_pair():

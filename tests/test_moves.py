@@ -30,8 +30,6 @@ from sftkit.moves import (
     out_split,
     partition_from_json,
     partition_to_json,
-    trivial_in_partition,
-    trivial_out_partition,
     verify_bridge,
 )
 from sftkit.terms import format_element, in_split_family
@@ -43,16 +41,6 @@ def _m(rows) -> Matrix:
 
 def _g(rows):
     return from_adjacency(_m(rows))
-
-
-def test_trivial_partitions_reproduce_graph():
-    g = _g([[1, 2], [1, 0]])
-    h, w = out_split(g, trivial_out_partition(g))
-    assert h.adjacency() == g.adjacency()
-    assert verify_esse(g.adjacency(), h.adjacency(), w)
-    h2, w2 = in_split(g, trivial_in_partition(g))
-    assert h2.adjacency() == g.adjacency()
-    assert verify_esse(g.adjacency(), h2.adjacency(), w2)
 
 
 def test_out_split_two_blocks():

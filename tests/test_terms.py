@@ -11,11 +11,9 @@ from helpers import random_sink_free, random_in_partition
 from sftkit.errors import ParseError, SinkVertex, UnknownGenerator
 from sftkit.graphs import from_adjacency
 from sftkit.linalg import Matrix
-from sftkit.moves import bridge_from_factorization, verify_bridge
 from sftkit.terms import (
     FamilyAssignment,
     WeightMap,
-    bridge_family,
     ck2_expand,
     edge_element,
     equal_mod_ck2,
@@ -291,16 +289,6 @@ def test_in_split_family_random_graphs():
         _, fa = in_split_family(g, p)
         assert verify_family(fa, g)
         done += 1
-
-
-def test_bridge_family_verifies():
-    a = Matrix.from_rows([[1, 2], [1, 0]])
-    r = Matrix.from_rows([[1, 2, 0], [0, 0, 1]])
-    s = Matrix.from_rows([[1, 0], [0, 1], [1, 0]])
-    bg = bridge_from_factorization(a, r, s)
-    assert verify_bridge(bg)
-    fa = bridge_family(bg)
-    assert verify_family(fa, bg.e1)
 
 
 def test_parse_and_format_roundtrip():
