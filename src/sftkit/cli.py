@@ -468,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = group("dimgroup", "dimension group computations")
     p = command(g, "pos", _cmd_dimgroup_pos, "decide cone membership of [a, k]", "graph",
-                {"dest": "vector", "help": "integer vector, e.g. '1,-2' or '[1,-2]'"},
+                {"dest": "vector", "help": "integer vector, e.g. '1,-2' or '[1,-2]'; "
+                 "one that starts with a minus sign as JSON ('[-1,2]') or after --"},
                 {"dest": "k", "nargs": "?", "type": int, "default": 0})
     p.add_argument("--bound", type=int)
     command(g, "unit", _cmd_dimgroup_unit, "print the order unit", "graph")

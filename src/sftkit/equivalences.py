@@ -11,10 +11,19 @@ and a miss is reported as "not found within the bounds", never as a proof of
 inequivalence.  An ESSE is a lag-1 shift equivalence (a R = R S R = R b and
 S a = S R S = b S), so `search_esse` is the lag-1 run of the one witness loop
 that `search_se` runs over lags 1..lag_max.
+
+The loop runs on ints.  Both intertwiner bases are scaled to primitive
+integer matrices once per search, and a candidate R stays the int tuple
+the scan yields.  `_partner_solutions` writes the columns vec(R S_k) and
+vec(S_k R) of its system as int dot products, keeping each repeated
+equation once; only a pair handed out is built as a `Matrix`.  `verify_se`
+checks a lag-1 witness by its exact identities alone; from lag 2 on,
+residues modulo a prime screen the power identities before a^l is formed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -26,7 +35,9 @@ from .linalg import (
     AffineSolution,
     Matrix,
     Vector,
+    _cleared,
     _combine,
+    _coprime,
     _flat,
     _reshape,
     integer_points,
@@ -102,9 +113,11 @@ _PRIME = (1 << 61) - 1  # a Mersenne prime
 def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
     """Check all four lag-l shift equivalence identities.
 
-    For integer a and b, residues modulo a prime (by modular powering) reject
-    a wrong power identity without forming a^l, whose entries grow linearly
-    in l; the exact powers are formed only when the residues agree.
+    For integer a and b at lag 2 or more, residues modulo a prime (by
+    modular powering) reject a wrong power identity without forming a^l,
+    whose entries grow linearly in l; the exact powers are formed only when
+    the residues agree.  At lag 1 the exact identities a = R S and b = S R
+    cost less than the residues would, so they are checked directly.
     """
     if w.lag < 1:
         raise InvalidWitness("lag must be at least 1")
@@ -112,6 +125,8 @@ def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
     if a @ w.r != w.r @ b or w.s @ a != b @ w.s:
         return False
     rs, sr = w.r @ w.s, w.s @ w.r
+    if w.lag == 1:
+        return rs == a and sr == b
     if a.is_integral() and b.is_integral() and (
         _mod(rs) != _power_mod(a, w.lag) or _mod(sr) != _power_mod(b, w.lag)
     ):
@@ -152,37 +167,56 @@ def _prefilters_pass(a: Matrix, b: Matrix) -> bool:
     return bowen_franks(a) == bowen_franks(b)
 
 
+def _integer_basis(a: Matrix, b: Matrix) -> list[list[int]]:
+    """Basis of {U : U a = b U} from intertwiner_space(a, b), all int.
+
+    Each basis matrix is replaced by the row-major entries of its primitive
+    integer multiple.  That keeps the span, and so every solution set built
+    on it, while the products and eliminations that use it run on ints.
+    """
+    return [_coprime(_cleared(_flat(u))) for u in intertwiner_space(a, b)]
+
+
+def _product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
+    """Row-major entries of the product of a matrix with these rows and one with these columns."""
+    return [sum(map(operator.mul, x, y)) for x in rows for y in cols]
+
+
 def _partner_solutions(
-    partner: Sequence[Matrix], r: Matrix, al: Matrix, bl: Matrix
+    partner: Sequence[Sequence[int]], r: Sequence[int], al: Matrix, bl: Matrix
 ) -> AffineSolution | None:
     """All S with S a = b S, R S = a^l and S R = b^l, as flat row-major vectors.
 
-    partner is the basis S_1..S_d of {S : S a = b S} from
-    intertwiner_space(a, b), and al, bl are a^l, b^l.  With
+    partner is `_integer_basis(a, b)`, the basis S_1..S_d of {S : S a = b S}
+    with int entries, r holds R row-major, and al, bl are a^l, b^l.  With
     S = c_1 S_1 + ... + c_d S_d the other two conditions are one system in
-    the d unknowns c, whose column k is vec(R S_k) above vec(S_k R).  The
-    basis is linearly independent, so the solution set of that system mapped
-    back through it is exactly the set of S meeting all three conditions.
-    None means there is no such S.
+    the d unknowns c, whose column k is vec(R S_k) above vec(S_k R), each
+    entry an int dot product of a row and a column.  The basis is linearly
+    independent, so the solution set of that system mapped back through it
+    is exactly the set of S meeting all three conditions.  None means there
+    is no such S.
     """
-    cols = [_flat(r @ s) + _flat(s @ r) for s in partner]
-    rhs = _flat(al) + _flat(bl)
-    res = solve_affine_exact(
-        Matrix.from_rows([[col[i] for col in cols] for i in range(len(rhs))]), rhs
-    )
+    n, m = al.nrows, bl.nrows
+    r_rows = [r[i * m : (i + 1) * m] for i in range(n)]
+    r_cols = list(zip(*r_rows))
+    columns = []
+    for s in partner:
+        s_rows = [s[k * n : (k + 1) * n] for k in range(m)]
+        columns.append(_product(r_rows, list(zip(*s_rows))) + _product(s_rows, r_cols))
+    # an equation that repeats is one equation: each row of [A | rhs] once
+    aug = list(dict.fromkeys(zip(*columns, _flat(al) + _flat(bl))))
+    res = solve_affine_exact(Matrix.from_rows(row[:-1] for row in aug), [row[-1] for row in aug])
     if isinstance(res, AffineInfeasible):
         return None
-    flat_partner = [_flat(s) for s in partner]
-    size = bl.nrows * al.nrows
 
     def lift(c: Vector) -> Vector:
-        return vector(_combine([0] * size, c, flat_partner))
+        return vector(_combine([0] * (m * n), c, partner))
 
     return AffineSolution(lift(res.particular), tuple(lift(v) for v in res.basis))
 
 
 def _solve_for_partner(
-    partner: Sequence[Matrix], r: Matrix, al: Matrix, bl: Matrix, entry_bound: int
+    partner: Sequence[Sequence[int]], r: Sequence[int], al: Matrix, bl: Matrix, entry_bound: int
 ) -> Matrix | None:
     """Find nonnegative integer S with S a = b S, R S = a^l, S R = b^l, if any.
 
@@ -207,23 +241,25 @@ def _witnesses(
     {R : a R = R b} with entries in [0, entry_bound], at most
     candidate_budget per lag; for each one, the partner S is solved for
     exactly in the partner space {S : S a = b S}, whose basis is computed
-    once per call.  Lags ascend and candidates are lexicographic, so the
-    first witness to verify is deterministic.
+    once per call.  Both bases are scaled to ints (`_integer_basis`), and a
+    candidate stays the flat int tuple the scan yields: a `Matrix` is built
+    only for a pair that is handed out.  Lags ascend and candidates are
+    lexicographic, so the first witness to verify is deterministic.
     """
     # {R : a R = R b} is the intertwiner space with the roles swapped
-    space = [_flat(m) for m in intertwiner_space(b, a)]
-    partner = intertwiner_space(a, b)
+    space = _integer_basis(b, a)
+    partner = _integer_basis(a, b)
     origin = (0,) * (a.nrows * b.nrows)
     al, bl = a, b
     for lag in range(1, lag_max + 1):
+        if lag > 1:
+            al, bl = al @ a, bl @ b
         for flat in integer_points(origin, space, 0, entry_bound, budget=candidate_budget):
             if not any(flat):
                 continue
-            r = _reshape(flat, a.nrows, b.nrows)
-            s = _solve_for_partner(partner, r, al, bl, entry_bound)
+            s = _solve_for_partner(partner, flat, al, bl, entry_bound)
             if s is not None:
-                yield SEWitness(r, s, lag)
-        al, bl = al @ a, bl @ b
+                yield SEWitness(_reshape(flat, a.nrows, b.nrows), s, lag)
 
 
 def search_se(

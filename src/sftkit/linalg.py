@@ -8,9 +8,11 @@ coefficients.  The module supplies the kernels the rest of the package
 leans on:
 
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
-* fraction-free elimination over the integers: `_rref` clears each row's
-  denominators once and runs Gauss-Jordan with integer row operations kept
-  small by gcds, dividing by the pivots only at the end;
+* fraction-free elimination over the integers: `_rref` clears the
+  denominators of each row that holds a Fraction once (an all-int row,
+  found by one type scan as in `vector`, is taken as it is) and runs
+  Gauss-Jordan with integer row operations kept small by gcds, dividing by
+  the pivots only at the end;
 * Smith normal form with unimodular transforms, by elementary operations
   pivoting on the minimal absolute value, all on one augmented integer
   array whose blocks hold U and V; the same in-place elimination runs on
@@ -26,6 +28,10 @@ leans on:
 * the one linear system of the intertwiner equation U a = b U, written
   row by row, whose nullspace is also the partner space the witness
   searches of `equivalences` solve in, once per pair of matrices;
+* the bounded scan of the integer points of an affine set, over ints:
+  `integer_points` scales the set's shifted point and echelon rows by one
+  common denominator d and keeps a scanned combination x when
+  d*lo <= x <= d*hi and d | x entrywise, yielding x // d;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
@@ -208,7 +214,11 @@ class Matrix:
 
 def _cleared(row: Sequence[Rat]) -> list[int]:
     """den * row for den the least common denominator of the entries."""
-    den = math.lcm(*(x.denominator for x in row))
+    return _scaled(row, math.lcm(*(x.denominator for x in row)))
+
+
+def _scaled(row: Sequence[Rat], den: int) -> list[int]:
+    """den * row, for den a common multiple of the entries' denominators."""
     return [x.numerator * (den // x.denominator) for x in row]
 
 
@@ -221,8 +231,9 @@ def _coprime(row: list[int]) -> list[int]:
 def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     """Row-reduce in place to reduced row echelon form; returns the pivot columns.
 
-    Fraction-free Gauss-Jordan over the integers: each row's denominators are
-    cleared once, every elimination replaces row i by p * row_i - f * row_r
+    Fraction-free Gauss-Jordan over the integers: the denominators of each
+    row with a Fraction entry are cleared once (an all-int row is taken as it
+    is), every elimination replaces row i by p * row_i - f * row_r
     (p the pivot, f the entry it clears), divided by the gcd of its entries,
     and each pivot row is divided by its pivot only at the end.  Every row
     stays a nonzero multiple of the row that Gauss-Jordan over the rationals
@@ -240,7 +251,7 @@ def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     if limit is None:
         limit = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
-        rows[i] = _coprime(_cleared(row))
+        rows[i] = _coprime(row if _INT.issuperset(map(type, row)) else _cleared(row))
     pivots: list[int] = []
     r = 0
     for c in range(limit):
@@ -566,11 +577,17 @@ def integer_points(
     # shift the particular point so its leading coordinates vanish; an RREF
     # row is zero in every other row's pivot column, so one pass does it
     part = _combine(particular, [-particular[p] for p in pivots], ech)
+    # scale the point and the rows by one common denominator d: a tuple gives
+    # a boxed integer point iff every entry x of the scaled combination has
+    # d*lo <= x <= d*hi and d | x, and that point is then x // d
+    d = math.lcm(*(x.denominator for row in (part, *ech) for x in row))
+    part, ech = _scaled(part, d), [_scaled(row, d) for row in ech]
+    dlo, dhi = d * lo, d * hi
     combos = itertools.product(range(lo, hi + 1), repeat=len(ech))
     for combo in itertools.islice(combos, None if budget is None else max(budget, 0)):
         cand = _combine(part, combo, ech)
-        if all(x.denominator == 1 and lo <= x <= hi for x in cand):
-            yield vector(cand)
+        if all(dlo <= x <= dhi and x % d == 0 for x in cand):
+            yield tuple(x // d for x in cand)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,26 @@ def test_dimgroup_pos_decisions(capsys):
     assert rep["results"]["decision"] == "not_in_cone"
 
 
+@pytest.mark.parametrize("entries, decision", [
+    ((-1, 2), "not_in_cone"),
+    ((-1, 3), "in_cone"),
+    ((2, -1), "in_cone"),
+])
+def test_dimgroup_pos_vector_spellings_agree(capsys, entries, decision):
+    # argparse reads a bare '-1,2' as an option, so a vector that starts with
+    # a minus sign is written as JSON or after '--'; both give the decision
+    # of the comma form, which is written bare when it starts with a digit
+    comma = ",".join(map(str, entries))
+    spellings = [[json.dumps(list(entries))], ["--", comma]]
+    if entries[0] >= 0:
+        spellings.append([comma])
+    for spelling in spellings:
+        code, out = _run(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", "--json", *spelling)
+        rep = json.loads(out)
+        assert (code, rep["results"]["decision"]) == (decision == "not_in_cone", decision)
+        assert rep["results"]["element"]["a"] == list(entries)
+
+
 def test_dimgroup_pos_stage_argument(capsys):
     code, rep = _report(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", "[1, 1]", "3")
     assert code == 0

@@ -34,13 +34,14 @@ from sftkit.equivalences import (
     verify_chain,
     verify_esse,
     verify_se,
+    _integer_basis,
     _mod,
     _partner_solutions,
     _power_mod,
 )
 from sftkit.errors import InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
-from sftkit.linalg import Matrix, intertwiner_space
+from sftkit.linalg import Matrix, _flat, intertwiner_space
 from sftkit.moves import in_split, out_split
 
 
@@ -211,8 +212,8 @@ def test_partner_space_solutions_match_stacked_oracle():
     cases = 0
     for a, b, r, lag in _partner_cases(rng):
         cases += 1
-        partner = intertwiner_space(a, b)
-        got = _partner_solutions(partner, r, a**lag, b**lag)
+        partner = _integer_basis(a, b)
+        got = _partner_solutions(partner, _flat(r), a**lag, b**lag)
         expected = stacked_partner_oracle(a, b, r, lag)
         assert (got is None) == (expected[0] == "infeasible"), (a, b, r, lag)
         if got is not None:
@@ -286,3 +287,42 @@ def test_truncated_witness_searches_are_pinned():
             esse.append(None if w is None else sse_witness_to_json(w))
     assert _digest(se) == _TRUNCATED_SE_WITNESSES
     assert _digest(esse) == _TRUNCATED_ESSE_WITNESSES
+
+
+def _bumped(m: Matrix) -> list[Matrix]:
+    """m with 1 added to one entry, for every entry in turn."""
+    return [
+        Matrix.from_rows(
+            [[x + int((k, l) == (i, j)) for l, x in enumerate(row)] for k, row in enumerate(m.rows)]
+        )
+        for i in range(m.nrows)
+        for j in range(m.ncols)
+    ]
+
+
+def test_verify_se_rejects_every_single_entry_bump():
+    # Between irreducible matrices S has no zero row and R no zero column, so
+    # adding 1 to entry (i, j) of R adds row j of S to row i of R S, and adding
+    # it to S adds column i of R to column j of R S: a^l = R S breaks either
+    # way.  At lag 1 only the exact identities catch it (no residue check
+    # runs); the lag-2 witnesses (a R, S) go through the residues as well.
+    pairs = list(_criterion_08_pairs())
+    chosen = random.Random(18).sample(range(len(pairs)), 12)
+    cases = []
+    for k in chosen:
+        a, b = pairs[k]
+        w = search_se(a, b, lag_max=1, entry_bound=3)
+        assert w is not None and w.lag == 1
+        cases.append((a, b, w))
+    for a, b, w in cases[:2]:
+        cases.append((a, b, SEWitness(a @ w.r, w.s, 2)))
+    bumps = 0
+    for a, b, w in cases:
+        assert verify_se(a, b, w)
+        for r in _bumped(w.r):
+            assert not verify_se(a, b, SEWitness(r, w.s, w.lag))
+            bumps += 1
+        for s in _bumped(w.s):
+            assert not verify_se(a, b, SEWitness(w.r, s, w.lag))
+            bumps += 1
+    assert bumps > 100, bumps

@@ -460,6 +460,50 @@ def test_integer_points_are_pinned():
     assert _digest(found) == _INTEGER_POINTS
 
 
+# the same for 400 seeded cases past the reach of that pin: basis entries with
+# denominators up to 12 or all ints, empty bases, particular points an integer
+# point (in the box or with entries up to +-50) moved along the basis by
+# rational steps, boxes [lo, hi] with -4 <= lo <= hi <= lo + 5, and budgets
+# None, 1, 7, 50 and 400 in turn, recorded while the scan combined Fractions
+_WIDE_INTEGER_POINTS = "b96913f9a4b59eac5756e83cbcb99ac2697e12e7d492a7b2ae51787629e4b858"
+
+
+def _seeded_wide_integer_point_cases():
+    rng = random.Random(137)
+
+    def rat():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+    for case in range(400):
+        n = rng.randint(1, 5)
+        kind = case % 4  # rational basis, all-int basis, empty basis, mixed
+        k = 0 if kind == 2 else rng.randint(1, 3)
+        if kind == 1:
+            basis = [vector(rng.randint(-5, 5) for _ in range(n)) for _ in range(k)]
+        else:
+            basis = [vector(rat() if kind == 0 or rng.random() < 0.5 else rng.randint(-5, 5)
+                            for _ in range(n)) for _ in range(k)]
+        lo = rng.randint(-4, 0)
+        hi = lo + rng.randint(0, 5)
+        if rng.random() < 0.5:
+            start = [rng.randint(lo, hi) for _ in range(n)]
+        else:
+            start = [rng.randint(-50, 50) for _ in range(n)]
+        for direction in basis:
+            t = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+            start = [x + t * y for x, y in zip(start, direction)]
+        yield vector(start), basis, lo, hi, (None, 1, 7, 50, 400)[case % 5]
+
+
+def test_integer_points_are_pinned_on_wide_denominators():
+    found = [
+        [[str(x) for x in p] for p in integer_points(particular, basis, lo, hi, budget=budget)]
+        for particular, basis, lo, hi, budget in _seeded_wide_integer_point_cases()
+    ]
+    assert sum(map(bool, found)) > 200
+    assert _digest(found) == _WIDE_INTEGER_POINTS
+
+
 def test_integer_points_budget_counts_every_tuple():
     basis = [vector([1, 0]), vector([0, 1])]
     assert list(integer_points(vector([0, 0]), basis, 0, 2, budget=-1)) == []
