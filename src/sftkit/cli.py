@@ -24,6 +24,7 @@ from .errors import InvalidMatrix, ParseError, SftkitError
 from .graphs import (
     Graph,
     _int_entry,
+    adjacency_from_json,
     classify,
     graph_from_json_text,
     graph_to_dot,
@@ -70,7 +71,7 @@ class _Run:
         return graph_from_json_text(self.read(arg))
 
     def matrix(self, arg: str) -> Matrix:
-        return self.graph(arg).adjacency()
+        return adjacency_from_json(self.json_obj(arg))
 
     def json_obj(self, arg: str):
         try:

@@ -17,7 +17,6 @@ reducible M beyond the iteration bound the honest answer is Unknown.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,8 +28,8 @@ from .linalg import (
     Matrix,
     Sign,
     Vector,
-    _combine,
     _reshape,
+    _scan,
     intertwiner_matrix,
     is_irreducible_matrix,
     isolate_perron_root,
@@ -414,7 +413,8 @@ def search_module_iso(
     The linear conditions (intertwining, and the unit equations when pointed)
     are solved exactly first; genuine inconsistency is returned as Infeasible
     with a rational certificate.  Otherwise the affine solution space is
-    scanned over a grid of small rationals, each candidate checked with
+    scanned over a grid of small rationals (`linalg._scan`, the scan
+    `integer_points` runs too), each candidate checked with
     verify_module_iso, and the first verified one returned.  At most
     candidate_budget grid points are scanned (none for a budget of 0 or
     less); a miss reports how many were.
@@ -424,10 +424,10 @@ def search_module_iso(
     if isinstance(res, AffineInfeasible):
         return Infeasible(system, res.certificate)
     n, m = t_a.n, t_b.n
-    combos = itertools.product(_grid_values(denominator_max, value_max), repeat=len(res.basis))
+    grid = _grid_values(denominator_max, value_max)
     tried = 0
-    for tried, combo in enumerate(itertools.islice(combos, max(candidate_budget, 0)), 1):
-        u = _reshape(_combine(res.particular, combo, res.basis), m, n)
+    for tried, flat in enumerate(_scan(res.particular, res.basis, grid, candidate_budget), 1):
+        u = _reshape(flat, m, n)
         try:
             if n == m and verify_module_iso(t_a, t_b, ModuleIsoCandidate(u, pointed)):
                 return Candidate(u)

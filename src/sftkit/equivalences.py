@@ -15,15 +15,15 @@ that `search_se` runs over lags 1..lag_max.
 The loop runs on ints.  Both intertwiner bases are scaled to primitive
 integer matrices once per search, and a candidate R stays the int tuple
 the scan yields.  `_partner_solutions` writes the columns vec(R S_k) and
-vec(S_k R) of its system as int dot products, keeping each repeated
-equation once; only a pair handed out is built as a `Matrix`.  `verify_se`
-checks a lag-1 witness by its exact identities alone; from lag 2 on,
-residues modulo a prime screen the power identities before a^l is formed.
+vec(S_k R) of its system with `linalg._product`, the kernel of `Matrix`
+products, keeping each repeated equation once; only a pair handed out is
+built as a `Matrix`.  `verify_se` at lag 1 is `verify_esse`; from lag 2
+on, residues `pow(a, l, _PRIME)` screen the power identities before a^l
+is formed.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -35,16 +35,16 @@ from .linalg import (
     AffineSolution,
     Matrix,
     Vector,
-    _cleared,
     _combine,
-    _coprime,
     _flat,
+    _product,
     _reshape,
     integer_points,
     intertwiner_space,
     solve_affine_exact,
     vector,
 )
+from .polynomials import _coprime, _integral
 
 
 @dataclass(frozen=True)
@@ -113,41 +113,27 @@ _PRIME = (1 << 61) - 1  # a Mersenne prime
 def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
     """Check all four lag-l shift equivalence identities.
 
-    For integer a and b at lag 2 or more, residues modulo a prime (by
-    modular powering) reject a wrong power identity without forming a^l,
-    whose entries grow linearly in l; the exact powers are formed only when
-    the residues agree.  At lag 1 the exact identities a = R S and b = S R
-    cost less than the residues would, so they are checked directly.
+    At lag 1 this is `verify_esse`: a = R S and b = S R already give
+    a R = R S R = R b and S a = S R S = b S.  For integer a and b at lag 2
+    or more, residues modulo a prime (`pow(a, l, _PRIME)`, reduced after
+    every product) reject a wrong power identity without forming a^l, whose
+    entries grow linearly in l; the exact powers are formed only when the
+    residues agree.
     """
     if w.lag < 1:
         raise InvalidWitness("lag must be at least 1")
+    if w.lag == 1:
+        return verify_esse(a, b, SSEWitness(w.r, w.s))
     _check_pair_shapes(a, b, w.r, w.s)
     if a @ w.r != w.r @ b or w.s @ a != b @ w.s:
         return False
     rs, sr = w.r @ w.s, w.s @ w.r
-    if w.lag == 1:
-        return rs == a and sr == b
+    # pow(m, 1, p) is m with its entries reduced modulo p
     if a.is_integral() and b.is_integral() and (
-        _mod(rs) != _power_mod(a, w.lag) or _mod(sr) != _power_mod(b, w.lag)
+        pow(rs, 1, _PRIME) != pow(a, w.lag, _PRIME) or pow(sr, 1, _PRIME) != pow(b, w.lag, _PRIME)
     ):
         return False
     return rs == a**w.lag and sr == b**w.lag
-
-
-def _mod(m: Matrix) -> Matrix:
-    return Matrix.from_rows([[x % _PRIME for x in row] for row in m.rows])
-
-
-def _power_mod(m: Matrix, k: int) -> Matrix:
-    """m**k with entries reduced modulo _PRIME, squaring residues only."""
-    acc, base = Matrix.identity(m.nrows), _mod(m)
-    while k:
-        if k & 1:
-            acc = _mod(acc @ base)
-        k >>= 1
-        if k:
-            base = _mod(base @ base)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +160,7 @@ def _integer_basis(a: Matrix, b: Matrix) -> list[list[int]]:
     integer multiple.  That keeps the span, and so every solution set built
     on it, while the products and eliminations that use it run on ints.
     """
-    return [_coprime(_cleared(_flat(u))) for u in intertwiner_space(a, b)]
-
-
-def _product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
-    """Row-major entries of the product of a matrix with these rows and one with these columns."""
-    return [sum(map(operator.mul, x, y)) for x in rows for y in cols]
+    return [_coprime(_integral(_flat(u))) for u in intertwiner_space(a, b)]
 
 
 def _partner_solutions(

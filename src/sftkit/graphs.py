@@ -112,12 +112,7 @@ def from_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Graph:
     assigned in row-major order, multiplicities consecutively, so the same
     matrix always yields the identical graph.
     """
-    if not isinstance(m, Matrix):
-        m = Matrix.from_rows(m)
-    if not m.is_square:
-        raise InvalidMatrix("adjacency matrix must be square")
-    if not m.is_integral() or not m.is_nonnegative():
-        raise InvalidMatrix("adjacency entries must be nonnegative integers")
+    m = _checked_adjacency(m)
     n = m.nrows
     vertices = tuple(f"v{i + 1}" for i in range(n))
     edges = []
@@ -128,6 +123,17 @@ def from_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Graph:
                 edges.append(Edge(vertices[i], vertices[j], f"e{counter}"))
                 counter += 1
     return Graph(vertices, tuple(edges))
+
+
+def _checked_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Matrix:
+    """m as a Matrix, checked to be square with nonnegative integer entries."""
+    if not isinstance(m, Matrix):
+        m = Matrix.from_rows(m)
+    if not m.is_square:
+        raise InvalidMatrix("adjacency matrix must be square")
+    if not m.is_integral() or not m.is_nonnegative():
+        raise InvalidMatrix("adjacency entries must be nonnegative integers")
+    return m
 
 
 def transpose(g: Graph) -> Graph:
@@ -228,32 +234,47 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _is_matrix_payload(obj) -> bool:
+    """Is obj a bare matrix or an {"adjacency": ...} object?"""
+    return isinstance(obj, (list, tuple)) or isinstance(obj, Mapping) and "adjacency" in obj
+
+
 def graph_from_json(obj: Mapping | Iterable) -> Graph:
     """Accept either {"vertices": ..., "edges": ...}, {"adjacency": ...} or a bare matrix."""
-    if isinstance(obj, Mapping):
-        if "adjacency" in obj:
-            g = from_adjacency(_int_rows(obj["adjacency"]))
-        elif "vertices" in obj and "edges" in obj:
-            vertices, edges = obj["vertices"], obj["edges"]
-            if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
-                raise ParseError("graph 'vertices' and 'edges' must be arrays")
-            try:
-                edges = tuple(Edge(e["src"], e["dst"], e["id"]) for e in edges)
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed graph object: {exc}") from exc
-            names = [*vertices, *(x for e in edges for x in (e.src, e.dst, e.id))]
-            if not all(isinstance(x, str) for x in names):
-                raise ParseError("vertex names and edge src, dst and id must be strings")
-            g = Graph(tuple(vertices), edges)
-        else:
-            raise ParseError("graph object needs either 'adjacency' or 'vertices'+'edges'")
-    elif isinstance(obj, (list, tuple)):
-        g = from_adjacency(_int_rows(obj))
-    else:
+    if _is_matrix_payload(obj):
+        return from_adjacency(adjacency_from_json(obj))
+    if not isinstance(obj, Mapping):
         raise ParseError("unsupported graph JSON payload")
+    if "vertices" not in obj or "edges" not in obj:
+        raise ParseError("graph object needs either 'adjacency' or 'vertices'+'edges'")
+    vertices, edges = obj["vertices"], obj["edges"]
+    if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
+        raise ParseError("graph 'vertices' and 'edges' must be arrays")
+    try:
+        edges = tuple(Edge(e["src"], e["dst"], e["id"]) for e in edges)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed graph object: {exc}") from exc
+    names = [*vertices, *(x for e in edges for x in (e.src, e.dst, e.id))]
+    if not all(isinstance(x, str) for x in names):
+        raise ParseError("vertex names and edge src, dst and id must be strings")
+    g = Graph(tuple(vertices), edges)
     if not g.vertices:
         raise ParseError("graph has no vertices")
     return g
+
+
+def adjacency_from_json(obj: Mapping | Iterable) -> Matrix:
+    """The adjacency matrix of any payload `graph_from_json` accepts, with its errors.
+
+    A matrix payload is checked as `from_adjacency` checks it, but no graph
+    with one edge per unit of each entry is built; a graph object is.
+    """
+    if not _is_matrix_payload(obj):
+        return graph_from_json(obj).adjacency()
+    m = _checked_adjacency(_int_rows(obj["adjacency"] if isinstance(obj, Mapping) else obj))
+    if not m.nrows:
+        raise ParseError("graph has no vertices")
+    return m
 
 
 def _int_rows(rows) -> list[list[int]]:

@@ -7,12 +7,14 @@ only otherwise, by the same rule (`polynomials._num`) that keeps polynomial
 coefficients.  The module supplies the kernels the rest of the package
 leans on:
 
-* an immutable `Matrix` with exact arithmetic, RREF and nullspaces;
+* an immutable `Matrix` with exact arithmetic, RREF and nullspaces; its
+  products are `_product`, which `equivalences` runs on bare int rows too,
+  and `pow(m, k, p)` reduces its entries modulo p as it goes;
 * fraction-free elimination over the integers: `_rref` clears the
-  denominators of each row that holds a Fraction once (an all-int row,
-  found by one type scan as in `vector`, is taken as it is) and runs
-  Gauss-Jordan with integer row operations kept small by gcds, dividing by
-  the pivots only at the end;
+  denominators of each row once and divides it by its content (the
+  integer-row helpers of `polynomials`), and runs Gauss-Jordan with
+  integer row operations kept small by gcds, dividing by the pivots only
+  at the end;
 * Smith normal form with unimodular transforms, by elementary operations
   pivoting on the minimal absolute value, all on one augmented integer
   array whose blocks hold U and V; the same in-place elimination runs on
@@ -28,10 +30,10 @@ leans on:
 * the one linear system of the intertwiner equation U a = b U, written
   row by row, whose nullspace is also the partner space the witness
   searches of `equivalences` solve in, once per pair of matrices;
-* the bounded scan of the integer points of an affine set, over ints:
-  `integer_points` scales the set's shifted point and echelon rows by one
-  common denominator d and keeps a scanned combination x when
-  d*lo <= x <= d*hi and d | x entrywise, yielding x // d;
+* the integer points of an affine set, over ints: `integer_points` scales
+  the set's shifted point and echelon rows by one common denominator d,
+  runs the one bounded scan `_scan` (`dimension.search_module_iso` runs it
+  too) and keeps x when d*lo <= x <= d*hi and d | x, yielding x // d;
 * strongly connected components (one Tarjan pass), from which
   irreducibility and the vertices on cycles are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
@@ -60,7 +62,18 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
-from .polynomials import _INT, Poly, Rat, _num, _variations, sturm_chain, tarski_query
+from .polynomials import (
+    _INT,
+    Poly,
+    Rat,
+    _coprime,
+    _integral,
+    _num,
+    _scaled,
+    _variations,
+    sturm_chain,
+    tarski_query,
+)
 
 Vector = tuple[Rat, ...]
 
@@ -141,24 +154,27 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
-        bt = other.transpose().rows
-        return Matrix.from_rows(
-            [[sum(map(operator.mul, row, colv)) for colv in bt] for row in self.rows]
-        )
+        return _reshape(_product(self.rows, list(zip(*other.rows))), self.nrows, other.ncols)
 
-    def __pow__(self, k: int) -> "Matrix":
+    def __pow__(self, k: int, modulus: int | None = None) -> "Matrix":
+        """self**k; pow(self, k, modulus) reduces every entry modulo modulus after each product."""
         if not self.is_square:
             raise ShapeError("powers need a square matrix")
         if k < 0:
             raise ShapeError("negative matrix powers are not supported")
-        acc = Matrix.identity(self.nrows)
-        base = self
+
+        def reduced(m: Matrix) -> Matrix:
+            if modulus is None:
+                return m
+            return Matrix.from_rows([[x % modulus for x in row] for row in m.rows])
+
+        acc, base = reduced(Matrix.identity(self.nrows)), reduced(self)
         while k:
             if k & 1:
-                acc = acc @ base
+                acc = reduced(acc @ base)
             k >>= 1
             if k:
-                base = base @ base
+                base = reduced(base @ base)
         return acc
 
     def apply(self, v: Sequence[Rat]) -> Vector:
@@ -212,20 +228,9 @@ class Matrix:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-def _cleared(row: Sequence[Rat]) -> list[int]:
-    """den * row for den the least common denominator of the entries."""
-    return _scaled(row, math.lcm(*(x.denominator for x in row)))
-
-
-def _scaled(row: Sequence[Rat], den: int) -> list[int]:
-    """den * row, for den a common multiple of the entries' denominators."""
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
-def _coprime(row: list[int]) -> list[int]:
-    """row divided by the gcd of its entries."""
-    g = math.gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+def _product(rows: Sequence[Sequence[Rat]], cols: Sequence[Sequence[Rat]]) -> list[Rat]:
+    """Row-major entries of the product of a matrix with these rows and one with these columns."""
+    return [sum(map(operator.mul, x, y)) for x in rows for y in cols]
 
 
 def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
@@ -251,7 +256,7 @@ def _rref(rows: list[list[Rat]], limit: int | None = None) -> list[int]:
     if limit is None:
         limit = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
-        rows[i] = _coprime(row if _INT.issuperset(map(type, row)) else _cleared(row))
+        rows[i] = _coprime(_integral(row))
     pivots: list[int] = []
     r = 0
     for c in range(limit):
@@ -551,6 +556,18 @@ def _combine(point: Sequence[Rat], coeffs: Iterable[Rat], basis: Sequence[Vector
     return out
 
 
+def _scan(
+    point: Sequence[Rat], basis: Sequence[Vector], values: Iterable[Rat], budget: int | None
+) -> Iterator[list[Rat]]:
+    """point + sum t_k basis_k for the first `budget` tuples t of values^len(basis).
+
+    Lexicographic in the order of values; a budget of None scans every tuple, 0 or less none.
+    """
+    combos = itertools.product(values, repeat=len(basis))
+    limit = None if budget is None else max(budget, 0)
+    return (_combine(point, combo, basis) for combo in itertools.islice(combos, limit))
+
+
 def integer_points(
     particular: Vector,
     basis: Sequence[Vector],
@@ -583,9 +600,7 @@ def integer_points(
     d = math.lcm(*(x.denominator for row in (part, *ech) for x in row))
     part, ech = _scaled(part, d), [_scaled(row, d) for row in ech]
     dlo, dhi = d * lo, d * hi
-    combos = itertools.product(range(lo, hi + 1), repeat=len(ech))
-    for combo in itertools.islice(combos, None if budget is None else max(budget, 0)):
-        cand = _combine(part, combo, ech)
+    for cand in _scan(part, ech, range(lo, hi + 1), budget):
         if all(dlo <= x <= dhi and x % d == 0 for x in cand):
             yield tuple(x // d for x in cand)
 

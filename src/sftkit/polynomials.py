@@ -13,6 +13,9 @@ rationals.  Signs are read with
 integer arithmetic only (`Poly.sign_at`): the sign of an integer polynomial
 of degree d at a/b, b > 0, is the sign of sum c_i a^i b^(d-i).
 
+The package's integer-row helpers live here: `_integral` and `_scaled`
+clear denominators, and `_coprime` divides out the content.
+
 `count_roots` counts distinct real roots in a half-open interval (a, b];
 with a squarefree input this is the textbook sign-variation difference and
 tolerates roots landing exactly on the right endpoint.  `tarski_query` sums
@@ -156,7 +159,7 @@ class Poly:
         x = _num(x)
         a, b = x.numerator, x.denominator
         acc, bk = 0, 1
-        for c in reversed(_integral(self)):
+        for c in reversed(_integral(self.coeffs)):
             acc = acc * a + c * bk
             bk *= b
         return (acc > 0) - (acc < 0)
@@ -166,7 +169,7 @@ class Poly:
             return self
         return self * Fraction(1, self.leading)
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         parts: list[str] = []
@@ -178,7 +181,7 @@ class Poly:
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+                term = f"{mag}x" + (f"^{i}" if i > 1 else "")
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
@@ -207,15 +210,22 @@ def squarefree_part(p: Poly) -> Poly:
     return q.monic()
 
 
-def _integral(p: Poly) -> list[int]:
-    """Coefficients of p times the lcm of their denominators, a positive integer."""
-    if _INT.issuperset(map(type, p.coeffs)):
-        return list(p.coeffs)
-    dens = [c.denominator for c in p.coeffs]
-    lcm = math.lcm(*dens)
-    if lcm == 1:
-        return [c.numerator for c in p.coeffs]
-    return [c.numerator * (lcm // d) for c, d in zip(p.coeffs, dens)]
+def _integral(row: Sequence[Rat]) -> list[int]:
+    """row times the lcm of its entries' denominators; an all-int row (one type scan) as it is."""
+    if _INT.issuperset(map(type, row)):
+        return list(row)
+    return _scaled(row, math.lcm(*(x.denominator for x in row)))
+
+
+def _scaled(row: Sequence[Rat], den: int) -> list[int]:
+    """den * row, for den a common multiple of the entries' denominators."""
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _coprime(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (its content); a zero row as it is."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
@@ -236,8 +246,7 @@ def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
         r = [f * c for c in r[:k]] + [f * c - t * d for c, d in zip(r[k:], b)]
         while r and r[-1] == 0:
             r.pop()
-    g = math.gcd(*r)
-    return [c // g for c in r]
+    return _coprime(r)
 
 
 def sturm_chain(p: Poly, q: Poly | None = None) -> list[Poly]:
@@ -251,7 +260,7 @@ def sturm_chain(p: Poly, q: Poly | None = None) -> list[Poly]:
     element of the sequence over the rationals (p, q, -(p mod q), ...): the
     signs at every point, hence every sign-variation count, are the same.
     """
-    chain = [_integral(p), _integral(p.derivative() if q is None else q)]
+    chain = [_integral(p.coeffs), _integral((p.derivative() if q is None else q).coeffs)]
     while chain[-1] and len(chain[-1]) > 1:
         chain.append([-c for c in _primitive_prem(chain[-2], chain[-1])])
     if not chain[-1]:
@@ -265,21 +274,15 @@ def _variations(chain: Sequence[Poly], x: Rat) -> int:
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
 
-def count_roots(p: Poly, lo: Rat, hi: Rat, chain: Sequence[Poly] | None = None) -> int:
-    """Number of distinct real roots of p in (lo, hi].
-
-    The Sturm chain of p or of its squarefree part may be passed in to
-    amortize repeated queries against the same polynomial; the chain of a p
-    with repeated roots counts correctly only if neither endpoint is a root.
-    """
+def count_roots(p: Poly, lo: Rat, hi: Rat) -> int:
+    """Number of distinct real roots of p in (lo, hi], by the Sturm chain of its squarefree part."""
     if hi < lo:
         raise ShapeError("empty interval: hi < lo")
     if p.is_zero:
         raise ShapeError("root counting on the zero polynomial")
     if p.degree == 0:
         return 0
-    if chain is None:
-        chain = sturm_chain(squarefree_part(p))
+    chain = sturm_chain(squarefree_part(p))
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -294,6 +297,6 @@ def tarski_query(p: Poly, q: Poly, lo: Rat, hi: Rat) -> int:
     """
     if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
         raise ShapeError("Tarski query endpoints must not be roots of p")
-    p_q = _integral(p.derivative() * q)
-    chain = sturm_chain(p, Poly.from_coeffs(_primitive_prem(p_q, _integral(p))))
+    p_q = _integral((p.derivative() * q).coeffs)
+    chain = sturm_chain(p, Poly.from_coeffs(_primitive_prem(p_q, _integral(p.coeffs))))
     return _variations(chain, lo) - _variations(chain, hi)

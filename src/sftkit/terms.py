@@ -14,6 +14,7 @@ expanding monomials to a common ghost depth: within one path-length degree the
 expanded monomials of fixed shape are linearly independent, so an element is
 zero exactly when all expanded coefficients cancel.  That is what the family
 verifier uses.
+Like terms are summed in one place, `_collect`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .errors import ParseError, SinkVertex, UnknownGenerator
 from .graphs import Graph
@@ -30,8 +31,17 @@ from .moves import _block_index, _copy_name, in_split
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
 Word = tuple[Atom, ...]
+Key = TypeVar("Key")
 
 _KILL = "kill"
+
+
+def _collect(pairs: Iterable[tuple[Key, Fraction]]) -> dict[Key, Fraction]:
+    """The coefficients of equal keys summed, keys in order of first appearance."""
+    out: dict[Key, Fraction] = {}
+    for key, coeff in pairs:
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return out
 
 
 class AlgebraElement:
@@ -163,22 +173,14 @@ def reduce(g: Graph, x: AlgebraElement, strategy: str = "leftmost") -> AlgebraEl
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ParseError(f"unknown strategy {strategy!r}")
-    out: dict[Word, Fraction] = {}
-    for word, coeff in x.terms.items():
-        nf = _reduce_word(g, word, strategy)
-        if nf is not None:
-            out[nf] = out.get(nf, Fraction(0)) + coeff
-    return AlgebraElement(out)
+    normal = ((_reduce_word(g, word, strategy), coeff) for word, coeff in x.terms.items())
+    return AlgebraElement(_collect((nf, coeff) for nf, coeff in normal if nf is not None))
 
 
 def multiply(g: Graph, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product, returned in reduced form."""
-    out: dict[Word, Fraction] = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            w = w1 + w2
-            out[w] = out.get(w, Fraction(0)) + c1 * c2
-    return reduce(g, AlgebraElement(out))
+    pairs = ((w1 + w2, c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
+    return reduce(g, AlgebraElement(_collect(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +235,9 @@ class WeightMap:
         return cls(tuple(sorted(table.items())))
 
     @classmethod
-    def uniform(cls, g: Graph, w: Fraction | int | str = 1) -> "WeightMap":
-        w = Fraction(str(w))
-        return cls(tuple((e.id, w) for e in g.edges))
+    def uniform(cls, g: Graph) -> "WeightMap":
+        """Weight 1 on every edge: the path-length grading."""
+        return cls(tuple((e.id, Fraction(1)) for e in g.edges))
 
     @cached_property
     def _table(self) -> dict[str, Fraction]:
@@ -283,16 +285,9 @@ def ck2_expand(g: Graph, x: AlgebraElement, v: str) -> AlgebraElement:
     if not outs:
         raise SinkVertex(f"vertex {v!r} emits no edges")
     x = reduce(g, x)
-    target: Word = (("v", v),)
-    out: dict[Word, Fraction] = {}
-    for word, coeff in x.terms.items():
-        if word == target:
-            for e in outs:
-                w: Word = (("e", e.id), ("g", e.id))
-                out[w] = out.get(w, Fraction(0)) + coeff
-        else:
-            out[word] = out.get(word, Fraction(0)) + coeff
-    return AlgebraElement(out)
+    expand: dict[Word, list[Word]] = {(("v", v),): [(("e", e.id), ("g", e.id)) for e in outs]}
+    pairs = ((w, c) for word, c in x.terms.items() for w in expand.get(word, [word]))
+    return AlgebraElement(_collect(pairs))
 
 
 def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
@@ -313,18 +308,15 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
         groups.setdefault(len(m.mu) - len(m.gamma), []).append((m.mu, m.gamma, m.base, coeff))
     for monos in groups.values():
         depth = max(len(gamma) for _, gamma, _, _ in monos)
-        bucket: dict[tuple, Fraction] = {}
-        stack = list(monos)
+        leaves, stack = [], list(monos)
         while stack:
             mu, gamma, base, coeff = stack.pop()
             outs = g.out_edges(base)
             if len(gamma) >= depth or not outs:
-                key = (mu, gamma, base)
-                bucket[key] = bucket.get(key, Fraction(0)) + coeff
-                continue
-            for e in outs:
-                stack.append((mu + (e.id,), gamma + (e.id,), e.dst, coeff))
-        if any(c != 0 for c in bucket.values()):
+                leaves.append(((mu, gamma, base), coeff))
+            else:
+                stack.extend((mu + (e.id,), gamma + (e.id,), e.dst, coeff) for e in outs)
+        if any(c != 0 for c in _collect(leaves).values()):
             return False
     return True
 

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,6 +341,15 @@ _MALFORMED = [
     ("analyze", '{"vertices": ["a"], "edges": {}}'),
     ("analyze", '{"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "id": 1}]}'),
 ]
+
+
+def test_matrix_commands_read_large_entries_without_edges(capsys):
+    # one edge per unit of an entry would need 10**9 edges here
+    start = time.perf_counter()
+    code, rep = _report(capsys, "invariants", "[[1000000000]]")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert rep["results"]["bf_description"] == "Z/999999999"
 
 
 @pytest.mark.parametrize("vec, bad", [

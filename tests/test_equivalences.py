@@ -34,10 +34,9 @@ from sftkit.equivalences import (
     verify_chain,
     verify_esse,
     verify_se,
+    _PRIME,
     _integer_basis,
-    _mod,
     _partner_solutions,
-    _power_mod,
 )
 from sftkit.errors import InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
@@ -118,11 +117,28 @@ def test_verify_se_power_identities_at_large_lag():
     assert verify_se(ident, ident, SEWitness(ident, ident, 10**30))
 
 
+def _reduced(m: Matrix, p: int) -> Matrix:
+    """m with every entry reduced modulo p."""
+    return _m([[x % p for x in row] for row in m.rows])
+
+
 def test_power_mod_squares_only_while_bits_remain():
     fib = _m([[1, 1], [1, 0]])
-    got = [matmul_count(lambda: _power_mod(fib, k)) for k in range(9)]
+    got = [matmul_count(lambda: pow(fib, k, _PRIME)) for k in range(9)]
     assert [calls for _, calls in got] == [0, 1, 2, 3, 3, 4, 4, 5, 4]
-    assert all(power == _mod(fib**k) for k, (power, _) in enumerate(got))
+    assert all(power == _reduced(fib**k, _PRIME) for k, (power, _) in enumerate(got))
+
+
+def test_three_argument_pow_is_the_reduced_power():
+    # pow(m, k, p) reduces each product as it is formed; the exact power
+    # reduced once at the end must agree, negative entries included
+    rng = random.Random(19)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        m = _m([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        for p in (_PRIME, 7):
+            for k in range(13):
+                assert pow(m, k, p) == _reduced(m**k, p), (m, k, p)
 
 
 def test_search_se_finds_verified_witness_for_transpose_pair():
@@ -305,7 +321,8 @@ def test_verify_se_rejects_every_single_entry_bump():
     # adding 1 to entry (i, j) of R adds row j of S to row i of R S, and adding
     # it to S adds column i of R to column j of R S: a^l = R S breaks either
     # way.  At lag 1 only the exact identities catch it (no residue check
-    # runs); the lag-2 witnesses (a R, S) go through the residues as well.
+    # runs), and the check is verify_esse's, which must agree on every bump;
+    # the lag-2 witnesses (a R, S) go through the residues as well.
     pairs = list(_criterion_08_pairs())
     chosen = random.Random(18).sample(range(len(pairs)), 12)
     cases = []
@@ -319,10 +336,9 @@ def test_verify_se_rejects_every_single_entry_bump():
     bumps = 0
     for a, b, w in cases:
         assert verify_se(a, b, w)
-        for r in _bumped(w.r):
-            assert not verify_se(a, b, SEWitness(r, w.s, w.lag))
-            bumps += 1
-        for s in _bumped(w.s):
-            assert not verify_se(a, b, SEWitness(w.r, s, w.lag))
+        assert w.lag > 1 or verify_esse(a, b, SSEWitness(w.r, w.s))
+        for r, s in [(r, w.s) for r in _bumped(w.r)] + [(w.r, s) for s in _bumped(w.s)]:
+            assert not verify_se(a, b, SEWitness(r, s, w.lag))
+            assert w.lag > 1 or not verify_esse(a, b, SSEWitness(r, s))
             bumps += 1
     assert bumps > 100, bumps

@@ -11,6 +11,7 @@ from sftkit.errors import InvalidMatrix, ParseError
 from sftkit.graphs import (
     Edge,
     Graph,
+    adjacency_from_json,
     classify,
     essentialize,
     from_adjacency,
@@ -165,6 +166,30 @@ def test_json_roundtrip_is_canonical():
     # adjacency-only and bare-matrix forms load to the same graph
     assert graph_from_json({"adjacency": [[1, 2], [1, 0]]}).adjacency() == g.adjacency()
     assert graph_from_json([[1, 2], [1, 0]]).adjacency() == g.adjacency()
+
+
+_PAYLOADS = [
+    [[1, 2], [1, 0]], {"adjacency": [[1, 2], [1, 0]]}, [[2.0]], [[0]], [],
+    {"adjacency": []}, [[]], [[1, 2], [1]], [[1.5]], [[True]], [[-1]], [[1, 2]],
+    {"adjacency": None}, {"adjacency": 5}, {"adjacency": "ab"}, [["1"]], [None],
+    {"adjacency": [[1]], "vertices": ["x"]}, {"vertices": [], "edges": []},
+    {"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "id": "x"}]},
+    {"vertices": ["a"], "edges": [{"src": "b", "dst": "a", "id": "x"}]},
+    {"unexpected": 1}, 5, "ab",
+]
+
+
+@pytest.mark.parametrize("payload", _PAYLOADS, ids=repr)
+def test_adjacency_from_json_agrees_with_the_graph_it_skips(payload):
+    # a matrix payload is read without building edges, yet every payload
+    # gives the graph's adjacency matrix or the error graph_from_json raises
+    def outcome(load):
+        try:
+            return load(payload)
+        except (InvalidMatrix, ParseError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(adjacency_from_json) == outcome(lambda p: graph_from_json(p).adjacency())
 
 
 def test_json_text_errors():

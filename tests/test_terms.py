@@ -243,7 +243,7 @@ def test_missing_images_and_weights_raise_unknown_generator():
         with pytest.raises(UnknownGenerator) as exc:
             call()
         assert str(exc.value) == message
-    assert WeightMap.uniform(_G, 2).weight("e3") == 2
+    assert WeightMap.uniform(_G).weight("e3") == 1
 
 
 def test_verify_family_rejects_broken_images():
