@@ -21,7 +21,7 @@ _HOMES = {
         "Candidate", "DimElement", "DimensionTriple", "InCone", "Infeasible",
         "ModuleIsoCandidate", "NotFoundWithinBounds", "NotInCone", "Unknown",
         "dg_add", "dg_equal", "dg_neg", "dg_positive", "dg_scale", "dg_shift",
-        "from_graph", "from_matrix", "order_unit", "product_triple",
+        "from_graph", "order_unit", "product_triple",
         "search_module_iso", "search_pointed_intertwiner", "tensor_phi",
         "tensor_psi", "verify_module_iso",
     ),

@@ -24,11 +24,12 @@ from .errors import InvalidMatrix, ParseError, SftkitError
 from .graphs import (
     Graph,
     _int_entry,
-    adjacency_from_json,
     classify,
-    graph_from_json_text,
+    graph_from_json,
     graph_to_dot,
     graph_to_json,
+    named_adjacency,
+    payload_from_json,
 )
 from .invariants import (
     bratteli,
@@ -67,11 +68,14 @@ class _Run:
         self.raw_inputs.append(text)
         return text
 
+    def payload(self, arg: str) -> Graph | Matrix:
+        return payload_from_json(self.json_obj(arg))
+
     def graph(self, arg: str) -> Graph:
-        return graph_from_json_text(self.read(arg))
+        return graph_from_json(self.json_obj(arg))
 
     def matrix(self, arg: str) -> Matrix:
-        return adjacency_from_json(self.json_obj(arg))
+        return named_adjacency(self.payload(arg))[1]
 
     def json_obj(self, arg: str):
         try:
@@ -200,14 +204,15 @@ def _human(obj, indent: int = 0) -> list[str]:
 
 
 def _cmd_analyze(run: _Run, args) -> tuple[int, dict, str | None]:
-    g = run.graph(args.graph)
     if args.dot:
-        return EXIT_OK, {}, graph_to_dot(g)
+        return EXIT_OK, {}, graph_to_dot(run.graph(args.graph))
+    g = run.payload(args.graph)
+    names, a = named_adjacency(g)
     r = classify(g)
     results = {
-        "vertices": len(g.vertices),
-        "edges": len(g.edges),
-        "adjacency": g.adjacency().to_json_rows(),
+        "vertices": len(names),
+        "edges": sum(map(sum, a.rows)),
+        "adjacency": a.to_json_rows(),
         "sinks": list(r.sinks),
         "sources": list(r.sources),
         "essential": r.essential,
@@ -224,12 +229,12 @@ def _cmd_invariants(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
-    g, h = run.graph(args.g1), run.graph(args.g2)
-    same = flow_equivalent(g, h)
+    a, b = run.matrix(args.g1), run.matrix(args.g2)
+    same = flow_equivalent(a, b)
     results = {
         "flow_equivalent": same,
-        "first": invariants_report(g.adjacency()),
-        "second": invariants_report(h.adjacency()),
+        "first": invariants_report(a),
+        "second": invariants_report(b),
     }
     return (EXIT_OK if same else EXIT_NEGATIVE), results, None
 
@@ -237,7 +242,7 @@ def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
 def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
     from . import dimension as dim
 
-    t = dim.from_graph(run.graph(args.graph))
+    t = dim.from_graph(run.payload(args.graph))
     x = dim.DimElement(_parse_vector(run, args.vector), args.k)
     res = dim.dg_positive(t, x, **_given(args, bound="iterate_bound"))
     results: dict = {
@@ -262,7 +267,7 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
 def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
     from . import dimension as dim
 
-    t = dim.from_graph(run.graph(args.graph))
+    t = dim.from_graph(run.payload(args.graph))
     results = {
         "acting_matrix": t.matrix.to_json_rows(),
         "order_unit": dim.element_to_json(dim.order_unit(t)),
@@ -273,8 +278,8 @@ def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
 def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
     from . import dimension as dim
 
-    t_a = dim.from_graph(run.graph(args.g1))
-    t_b = dim.from_graph(run.graph(args.g2))
+    t_a = dim.from_graph(run.payload(args.g1))
+    t_b = dim.from_graph(run.payload(args.g2))
     res = dim.search_module_iso(
         t_a, t_b, pointed=args.pointed,
         **_given(args, "denominator_max", "value_max", budget="candidate_budget"),
@@ -373,7 +378,7 @@ def _cmd_split(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_bratteli(run: _Run, args) -> tuple[int, dict, str | None]:
-    g = run.graph(args.graph)
+    g = run.payload(args.graph)
     d = bratteli(g, args.depth)
     if args.dot:
         return EXIT_OK, {}, bratteli_to_dot(g, d)

@@ -3,7 +3,8 @@
 The triple attached to a graph with adjacency matrix A is the direct limit of
 Z^n --M--> Z^n --M--> ... for M = A^T, with the positive cone of eventually
 nonnegative vectors, the class of the all-ones vector as order unit, and the
-automorphism induced by M.  Elements are pairs [a, k]: the vector a sitting
+automorphism induced by M; `from_graph` takes the graph or its adjacency
+matrix A.  Elements are pairs [a, k]: the vector a sitting
 at stage k of the limit; [a, k] and [b, k'] agree iff they merge after
 finitely many more applications of M, which stabilizes after n steps, so
 equality is decidable.
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import HasSinks, InvalidMatrix, ShapeError, UndecidedError
-from .graphs import Graph, _int_entry
+from .errors import InvalidMatrix, ShapeError, UndecidedError
+from .graphs import Graph, _int_entry, sink_free_adjacency
 from .linalg import (
     AffineInfeasible,
     Matrix,
@@ -71,16 +72,9 @@ class DimElement:
             raise ShapeError("stage index must be nonnegative")
 
 
-def from_graph(g: Graph) -> DimensionTriple:
-    """Dimension triple of a graph without sinks."""
-    if g.sinks():
-        raise HasSinks(f"graph has sinks: {', '.join(g.sinks())}")
-    return DimensionTriple(g.adjacency().transpose())
-
-
-def from_matrix(a: Matrix) -> DimensionTriple:
-    """Dimension triple of an adjacency matrix (acting matrix is its transpose)."""
-    return DimensionTriple(a.transpose())
+def from_graph(g: Graph | Matrix) -> DimensionTriple:
+    """Dimension triple of a graph without sinks, or of its adjacency matrix A: M = A^T."""
+    return DimensionTriple(sink_free_adjacency(g).transpose())
 
 
 def zero(t: DimensionTriple) -> DimElement:

@@ -5,6 +5,13 @@ the adjacency matrix, and edges carry stable string ids so edge partitions,
 splittings and term expressions can refer to them.  Parallel edges and loops
 are allowed.
 
+The graph-level questions (`classify` here, `invariants.flow_equivalent`,
+`invariants.bratteli`, `dimension.from_graph`) take a graph or its adjacency
+matrix, and read only vertex names and matrix (`named_adjacency`): sinks are
+zero rows, sources zero columns, out-degrees row sums, and |E| the sum of the
+entries.  A matrix payload (`payload_from_json`) therefore never becomes one
+edge per unit of each entry unless edge ids are needed.
+
 `classify` reads every structural flag, purely infinite simplicity (the
 paper's hypothesis) included, off one strong-component pass
 (`linalg.strong_components`): which components carry a cycle, which of them
@@ -13,12 +20,11 @@ are bare cycles, and which components reach a cycle-carrying one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InvalidMatrix, ParseError
+from .errors import HasSinks, InvalidMatrix, ParseError
 from .linalg import Matrix, carries_cycle, strong_components, support_digraph
 
 
@@ -112,17 +118,25 @@ def from_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Graph:
     assigned in row-major order, multiplicities consecutively, so the same
     matrix always yields the identical graph.
     """
-    m = _checked_adjacency(m)
-    n = m.nrows
-    vertices = tuple(f"v{i + 1}" for i in range(n))
+    vertices, m = named_adjacency(m)
     edges = []
-    counter = 1
-    for i in range(n):
-        for j in range(n):
-            for _ in range(m[i, j]):
-                edges.append(Edge(vertices[i], vertices[j], f"e{counter}"))
-                counter += 1
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            for _ in range(x):
+                edges.append(Edge(vertices[i], vertices[j], f"e{len(edges) + 1}"))
     return Graph(vertices, tuple(edges))
+
+
+def named_adjacency(g: Graph | Matrix | Iterable) -> tuple[tuple[str, ...], Matrix]:
+    """Vertex names and adjacency matrix of a graph, or of a checked matrix.
+
+    A matrix names its vertices v1..vn, as the graph `from_adjacency` builds
+    from it does; this is the one place that rule is stated.
+    """
+    if isinstance(g, Graph):
+        return g.vertices, g.adjacency()
+    m = _checked_adjacency(g)
+    return tuple(f"v{i + 1}" for i in range(m.nrows)), m
 
 
 def _checked_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Matrix:
@@ -136,6 +150,18 @@ def _checked_adjacency(m: Matrix | Iterable[Iterable[int]]) -> Matrix:
     return m
 
 
+def _zero_rows(names: tuple[str, ...], m: Matrix) -> tuple[str, ...]:
+    return tuple(v for v, row in zip(names, m.rows) if not any(row))
+
+
+def sink_free_adjacency(g: Graph | Matrix) -> Matrix:
+    """The adjacency matrix of a graph in which every vertex emits an edge; HasSinks otherwise."""
+    names, m = named_adjacency(g)
+    if sinks := _zero_rows(names, m):
+        raise HasSinks(f"graph has sinks: {', '.join(sinks)}")
+    return m
+
+
 def transpose(g: Graph) -> Graph:
     """Reverse every edge, keeping vertex order and edge ids."""
     return Graph(g.vertices, tuple(Edge(e.dst, e.src, e.id) for e in g.edges))
@@ -146,8 +172,8 @@ def transpose(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def classify(g: Graph) -> GraphReport:
-    """Structural report, every flag read off one strong-component pass.
+def classify(g: Graph | Matrix) -> GraphReport:
+    """Structural report of a graph or its matrix, every flag read off one strong-component pass.
 
     - `essential`: no sinks and no sources.
     - `irreducible`: one strong component, and it carries a cycle.
@@ -162,9 +188,10 @@ def classify(g: Graph) -> GraphReport:
       which is what makes the essential part (`essentialize`) irreducible.
     - `strongly_graded`: no sinks.
     """
-    sinks = g.sinks()
-    sources = g.sources()
-    adj = support_digraph(g.adjacency())
+    names, a = named_adjacency(g)
+    sinks = _zero_rows(names, a)
+    sources = _zero_rows(names, a.transpose())
+    adj = support_digraph(a)
     comps = strong_components(adj)
     cyclic = 0
     exits = True
@@ -175,7 +202,7 @@ def classify(g: Graph) -> GraphReport:
         hit = carries_cycle(comp, adj)
         if hit:
             cyclic += 1
-            exits = exits and any(len(g.out_edges(g.vertices[v])) != 1 for v in comp)
+            exits = exits and any(sum(a.rows[v]) != 1 for v in comp)
         hit = hit or any(reaches[w] for v in comp for w in adj[v])
         for v in comp:
             reaches[v] = hit
@@ -185,7 +212,7 @@ def classify(g: Graph) -> GraphReport:
         sources=sources,
         essential=not sinks and not sources,
         irreducible=irreducible,
-        trivial=irreducible and len(g.edges) == len(g.vertices),
+        trivial=irreducible and sum(map(sum, a.rows)) == len(names),
         purely_infinite_simple=all(reaches) and exits and cyclic == 1,
         strongly_graded=not sinks,
     )
@@ -234,15 +261,18 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
-def _is_matrix_payload(obj) -> bool:
-    """Is obj a bare matrix or an {"adjacency": ...} object?"""
-    return isinstance(obj, (list, tuple)) or isinstance(obj, Mapping) and "adjacency" in obj
+def payload_from_json(obj: Mapping | Iterable) -> Graph | Matrix:
+    """A graph object {"vertices": ..., "edges": ...} as its Graph; a bare matrix
+    or {"adjacency": ...} as its checked adjacency Matrix.
 
-
-def graph_from_json(obj: Mapping | Iterable) -> Graph:
-    """Accept either {"vertices": ..., "edges": ...}, {"adjacency": ...} or a bare matrix."""
-    if _is_matrix_payload(obj):
-        return from_adjacency(adjacency_from_json(obj))
+    A matrix payload is checked as `from_adjacency` checks it, but no graph
+    with one edge per unit of each entry is built.
+    """
+    if isinstance(obj, (list, tuple)) or isinstance(obj, Mapping) and "adjacency" in obj:
+        m = _checked_adjacency(_int_rows(obj["adjacency"] if isinstance(obj, Mapping) else obj))
+        if not m.nrows:
+            raise ParseError("graph has no vertices")
+        return m
     if not isinstance(obj, Mapping):
         raise ParseError("unsupported graph JSON payload")
     if "vertices" not in obj or "edges" not in obj:
@@ -263,18 +293,10 @@ def graph_from_json(obj: Mapping | Iterable) -> Graph:
     return g
 
 
-def adjacency_from_json(obj: Mapping | Iterable) -> Matrix:
-    """The adjacency matrix of any payload `graph_from_json` accepts, with its errors.
-
-    A matrix payload is checked as `from_adjacency` checks it, but no graph
-    with one edge per unit of each entry is built; a graph object is.
-    """
-    if not _is_matrix_payload(obj):
-        return graph_from_json(obj).adjacency()
-    m = _checked_adjacency(_int_rows(obj["adjacency"] if isinstance(obj, Mapping) else obj))
-    if not m.nrows:
-        raise ParseError("graph has no vertices")
-    return m
+def graph_from_json(obj: Mapping | Iterable) -> Graph:
+    """The Graph of a payload; a matrix payload gets the edges `from_adjacency` gives it."""
+    g = payload_from_json(obj)
+    return g if isinstance(g, Graph) else from_adjacency(g)
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -293,19 +315,15 @@ def _int_entry(x) -> int:
     raise InvalidMatrix(f"matrix entries must be integers, got {x!r}")
 
 
-def graph_from_json_text(text: str) -> Graph:
-    try:
-        return graph_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+def dot_quote(s: str) -> str:
+    """s as a DOT quoted string: each backslash and double quote escaped, nothing else changed."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_to_dot(g: Graph) -> str:
     """DOT digraph with one arrow per edge, labeled by edge id."""
-    lines = ["digraph {"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for e in g.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.id}"];')
+    lines = ["digraph {", *(f"  {dot_quote(v)};" for v in g.vertices)]
+    lines += [f"  {dot_quote(e.src)} -> {dot_quote(e.dst)} [label={dot_quote(e.id)}];"
+              for e in g.edges]
     lines.append("}")
     return "\n".join(lines)

@@ -7,6 +7,10 @@ to flow equivalence, which is what `flow_equivalent` decides.  Both come
 from one Smith elimination of the bare I - A, with no unimodular transforms
 carried: the group from the diagonal D, and det(I - A) as the product of
 that diagonal times the sign det U * det V the elimination returns.
+
+`flow_equivalent`, `bratteli` and `bratteli_to_dot` take a graph or its
+adjacency matrix (`graphs.named_adjacency`); the matrix functions check their
+argument with the one adjacency check, `graphs._checked_adjacency`.
 """
 
 from __future__ import annotations
@@ -14,8 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HasSinks, InvalidMatrix, NotIrreducibleNontrivial, ShapeError
-from .graphs import Graph, classify
+from .errors import NotIrreducibleNontrivial, ShapeError
+from .graphs import (
+    Graph,
+    _checked_adjacency,
+    classify,
+    dot_quote,
+    named_adjacency,
+    sink_free_adjacency,
+)
 from .linalg import Matrix, _smith, char_poly
 from .polynomials import Poly
 
@@ -40,16 +51,9 @@ class AbelianGroupFP:
         return " + ".join(parts) if parts else "0"
 
 
-def _check_adjacency(a: Matrix) -> None:
-    if not a.is_square:
-        raise ShapeError("adjacency matrix must be square")
-    if not a.is_integral() or not a.is_nonnegative():
-        raise InvalidMatrix("adjacency entries must be nonnegative integers")
-
-
 def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
     """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a."""
-    _check_adjacency(a)
+    a = _checked_adjacency(a)
     w = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
     sign = _smith(w, a.nrows, a.ncols)
     diag = [row[i] for i, row in enumerate(w)]
@@ -71,28 +75,29 @@ def det_i_minus_a(a: Matrix) -> int:
 
 def char_poly_away_from_zero(a: Matrix) -> Poly:
     """Characteristic polynomial with every factor of x stripped."""
-    _check_adjacency(a)
-    p = char_poly(a)
+    p = char_poly(_checked_adjacency(a))
     coeffs = list(p.coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     return Poly.from_coeffs(coeffs)
 
 
-def flow_equivalent(g: Graph, h: Graph) -> bool:
+def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
     """Decide flow equivalence of two irreducible, nontrivial edge shifts.
 
-    Requires both graphs irreducible and not single cycles; in that range the
-    pair (Bowen-Franks group, sign of det(I - A)) is a complete invariant.
-    Raises NotIrreducibleNontrivial outside that range rather than guessing.
+    Requires both graphs (or adjacency matrices) irreducible and not single
+    cycles; in that range the pair (Bowen-Franks group, sign of det(I - A)) is
+    a complete invariant.  Raises NotIrreducibleNontrivial outside that range
+    rather than guessing.
     """
-    for name, graph in (("first", g), ("second", h)):
-        report = classify(graph)
+    a, b = named_adjacency(g)[1], named_adjacency(h)[1]
+    for name, m in (("first", a), ("second", b)):
+        report = classify(m)
         if not report.irreducible or report.trivial:
             raise NotIrreducibleNontrivial(
                 f"{name} graph must be irreducible and not a single cycle"
             )
-    return _flow_invariants(g.adjacency()) == _flow_invariants(h.adjacency())
+    return _flow_invariants(a) == _flow_invariants(b)
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +117,34 @@ class BratteliDiagram:
         return len(self.levels) - 1
 
 
-def bratteli(g: Graph, depth: int) -> BratteliDiagram:
+def bratteli(g: Graph | Matrix, depth: int) -> BratteliDiagram:
     """Multiplicity data of the stationary tower of matrix algebras over g.
 
-    The graph may not have sinks (every vertex must keep emitting); depth is
-    the number of inclusion steps computed.
+    The graph (or adjacency matrix) may not have sinks (every vertex must keep
+    emitting); depth is the number of inclusion steps computed.
     """
     if depth < 0:
         raise ShapeError("depth must be nonnegative")
-    if g.sinks():
-        raise HasSinks(f"graph has sinks: {', '.join(g.sinks())}")
-    at = g.adjacency().transpose()
-    levels = [tuple(1 for _ in g.vertices)]
+    at = sink_free_adjacency(g).transpose()
+    levels = [(1,) * at.nrows]
     for _ in range(depth):
         levels.append(at.apply(levels[-1]))
     return BratteliDiagram(tuple(levels), at)
 
 
-def bratteli_to_dot(g: Graph, diagram: BratteliDiagram) -> str:
+def bratteli_to_dot(g: Graph | Matrix, diagram: BratteliDiagram) -> str:
     """DOT rendering with one row per level and A(i,j) parallel strands per step."""
-    a = g.adjacency()
+    names, a = named_adjacency(g)
     lines = ["digraph {", "  rankdir=TB;"]
-    for n, level in enumerate(diagram.levels):
+    for n, k in enumerate(diagram.levels):
         lines.append("  { rank=same; " + " ".join(
-            f'"{v}@{n}" [label="{v}:{level[i]}"];' for i, v in enumerate(g.vertices)
+            f"{dot_quote(f'{v}@{n}')} [label={dot_quote(f'{v}:{x}')}];" for v, x in zip(names, k)
         ) + " }")
     for n in range(diagram.depth):
-        for i, vi in enumerate(g.vertices):
-            for j, vj in enumerate(g.vertices):
+        for i, vi in enumerate(names):
+            for j, vj in enumerate(names):
                 for _ in range(a[i, j]):
-                    lines.append(f'  "{vi}@{n}" -> "{vj}@{n + 1}";')
+                    lines.append(f"  {dot_quote(f'{vi}@{n}')} -> {dot_quote(f'{vj}@{n + 1}')};")
     lines.append("}")
     return "\n".join(lines)
 

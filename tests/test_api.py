@@ -23,10 +23,10 @@ _EXPORTS = [
     "bridge_from_factorization", "char_poly", "char_poly_away_from_zero",
     "ck2_expand", "classify", "det_i_minus_a", "dg_add", "dg_equal", "dg_neg",
     "dg_positive", "dg_scale", "dg_shift", "equal_mod_ck2", "essentialize",
-    "flow_equivalent", "from_adjacency", "from_graph", "from_matrix",
-    "graded_decompose", "in_split", "invariants_report", "kronecker_product",
-    "order_unit", "out_split", "parse_element", "product_triple", "reduce",
-    "search_esse", "search_module_iso", "search_pointed_intertwiner", "search_se",
+    "flow_equivalent", "from_adjacency", "from_graph", "graded_decompose",
+    "in_split", "invariants_report", "kronecker_product", "order_unit",
+    "out_split", "parse_element", "product_triple", "reduce", "search_esse",
+    "search_module_iso", "search_pointed_intertwiner", "search_se",
     "smith_normal_form", "star", "tensor_phi", "tensor_psi", "transpose",
     "verify_bridge", "verify_chain", "verify_esse", "verify_family",
     "verify_module_iso", "verify_se", "__version__",

@@ -8,7 +8,6 @@ import os
 import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -341,15 +340,44 @@ _MALFORMED = [
     ("analyze", '{"vertices": ["a"], "edges": {}}'),
     ("analyze", '{"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "id": 1}]}'),
 ]
+# JSON text that breaks off, and a payload with neither key: each is a
+# ParseError, and its message starts with this prefix
+_PARSE_ERRORS = {
+    ("analyze", '{"adjacency": [[1,'): "invalid JSON: ",
+    ("analyze", "[[1, 2"): "invalid JSON: ",
+    ("analyze", '{"unexpected": 1}'): "graph object needs either 'adjacency' or 'vertices'+'edges'",
+}
+_MALFORMED += list(_PARSE_ERRORS)
 
 
-def test_matrix_commands_read_large_entries_without_edges(capsys):
-    # one edge per unit of an entry would need 10**9 edges here
-    start = time.perf_counter()
-    code, rep = _report(capsys, "invariants", "[[1000000000]]")
-    assert time.perf_counter() - start < 2
-    assert code == 0
-    assert rep["results"]["bf_description"] == "Z/999999999"
+_HUGE = "[[1000000000]]"
+# (argv, a key of the --json results, its value)
+_HUGE_ANSWERS = [
+    (("invariants", _HUGE), "bf_description", "Z/999999999"),
+    (("analyze", _HUGE), "edges", 10**9),
+    (("flow", _HUGE, _HUGE), "flow_equivalent", True),
+    (("dimgroup", "pos", _HUGE, "1"), "decision", "in_cone"),
+    (("dimgroup", "unit", _HUGE), "acting_matrix", [[10**9]]),
+    (("iso", "search", _HUGE, _HUGE), "outcome", "found"),
+    (("bratteli", _HUGE, "--depth", "2"), "levels", [[1], [10**9], [10**18]]),
+]
+
+
+@pytest.mark.parametrize("argv, key, answer", _HUGE_ANSWERS,
+                         ids=[" ".join(x for x in argv if x != _HUGE) for argv, _, _ in _HUGE_ANSWERS])
+def test_matrix_commands_read_large_entries_without_edges(argv, key, answer):
+    # one edge per unit of an entry would need 10**9 edges here; a child
+    # process that tried would be stopped by the timeout. The 2 s bound is on
+    # the command's own time (its report's timing), not on interpreter start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sftkit", *argv, "--json"],
+        capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["timing"]["seconds"] < 2
+    assert rep["results"][key] == answer
 
 
 @pytest.mark.parametrize("vec, bad", [
@@ -371,6 +399,9 @@ def test_malformed_input_exits_2_with_error_object(capsys, argv):
     err = json.loads(out)["error"]
     assert set(err) == {"type", "message"}
     assert err["type"] and err["message"]
+    if argv in _PARSE_ERRORS:
+        assert err["type"] == "ParseError"
+        assert err["message"].startswith(_PARSE_ERRORS[argv])
 
 
 def test_graph_json_round_trip_is_canonical(capsys):

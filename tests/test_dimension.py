@@ -44,7 +44,6 @@ from sftkit.dimension import (
     element_from_json,
     element_to_json,
     from_graph,
-    from_matrix,
     lattice_level,
     order_unit,
     product_triple,
@@ -77,7 +76,7 @@ def test_from_graph_transposes_adjacency():
     g = from_adjacency(_m([[1, 2], [1, 0]]))
     t = from_graph(g)
     assert t.matrix == _m([[1, 1], [2, 0]])
-    assert from_matrix(_m([[1, 2], [1, 0]])) == t
+    assert from_graph(_m([[1, 2], [1, 0]])) == t
     with pytest.raises(HasSinks):
         from_graph(from_adjacency(_m([[0, 1], [0, 0]])))
 

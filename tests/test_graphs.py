@@ -3,24 +3,28 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from helpers import purely_infinite_simple_oracle, random_adjacency, reach_oracle
 
-from sftkit.errors import InvalidMatrix, ParseError
+from sftkit.dimension import from_graph
+from sftkit.errors import InvalidMatrix, ParseError, SftkitError
 from sftkit.graphs import (
     Edge,
     Graph,
-    adjacency_from_json,
     classify,
     essentialize,
     from_adjacency,
     graph_from_json,
-    graph_from_json_text,
     graph_to_dot,
     graph_to_json,
+    named_adjacency,
+    payload_from_json,
     transpose,
 )
+from sftkit.invariants import bratteli, bratteli_to_dot, flow_equivalent
 from sftkit.linalg import Matrix, carries_cycle, strong_components, support_digraph
 
 
@@ -180,23 +184,22 @@ _PAYLOADS = [
 
 
 @pytest.mark.parametrize("payload", _PAYLOADS, ids=repr)
-def test_adjacency_from_json_agrees_with_the_graph_it_skips(payload):
+def test_payload_from_json_agrees_with_the_graph_it_skips(payload):
     # a matrix payload is read without building edges, yet every payload
-    # gives the graph's adjacency matrix or the error graph_from_json raises
+    # gives the graph's vertex names and adjacency matrix, or the error
+    # graph_from_json raises
     def outcome(load):
         try:
             return load(payload)
         except (InvalidMatrix, ParseError) as exc:
             return type(exc), str(exc)
 
-    assert outcome(adjacency_from_json) == outcome(lambda p: graph_from_json(p).adjacency())
-
-
-def test_json_text_errors():
-    with pytest.raises(ParseError):
-        graph_from_json_text("not json at all {")
-    with pytest.raises(ParseError):
-        graph_from_json_text('{"unexpected": 1}')
+    read = outcome(payload_from_json)
+    if not isinstance(read, tuple):
+        # only a graph object becomes a Graph; a matrix payload stays a Matrix
+        assert isinstance(read, Graph) == ("vertices" in payload and "adjacency" not in payload)
+        read = named_adjacency(read)
+    assert read == outcome(lambda p: (graph_from_json(p).vertices, graph_from_json(p).adjacency()))
 
 
 def test_dot_output_lists_every_edge():
@@ -209,3 +212,104 @@ def test_dot_output_lists_every_edge():
     empty = Graph((), ())
     dot_empty = graph_to_dot(empty)
     assert dot_empty.startswith("digraph") and "->" not in dot_empty
+
+
+def _matrix_with_gaps(rng: random.Random) -> Matrix:
+    """n <= 6, entries 0..3, with up to two rows or columns set to zero."""
+    n = rng.randrange(1, 7)
+    rows = [[rng.randrange(4) for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(n)
+        for j in range(n):
+            if rng.random() < 0.5:
+                rows[i][j] = 0
+            else:
+                rows[j][i] = 0
+    return Matrix.from_rows(rows)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SftkitError as exc:
+        return type(exc), str(exc)
+
+
+def test_graph_level_functions_read_only_names_and_matrix():
+    # a matrix and the graph from_adjacency builds from it give the same
+    # answers and the same errors; a graph with other vertex names gives the
+    # same answers with its names in place of v1..vn
+    rng = random.Random(53)
+    mats = [_matrix_with_gaps(rng) for _ in range(80)]
+    seen = {"zero_row": 0, "zero_column": 0, "flow_true": 0, "flow_false": 0, "sink_free": 0}
+    for m, other in zip(mats, mats[1:] + mats[:1]):
+        g = from_adjacency(m)
+        rename = dict(zip(g.vertices, rng.sample("abcdefgh", m.nrows)))
+        h = Graph(tuple(rename.values()),
+                  tuple(Edge(rename[e.src], rename[e.dst], e.id) for e in g.edges))
+
+        def renamed(x):
+            """x with v1..vn replaced by h's names: in a text, or in an error's message."""
+            if isinstance(x, tuple):
+                return x[0], renamed(x[1])
+            return re.sub(r"\bv\d+\b", lambda mo: rename[mo.group()], x) if isinstance(x, str) else x
+
+        r = classify(g)
+        assert classify(m) == r
+        assert classify(h) == replace(r, sinks=tuple(rename[v] for v in r.sinks),
+                                      sources=tuple(rename[v] for v in r.sources))
+        for partner in (other, m.transpose()):
+            flow = _outcome(flow_equivalent, g, from_adjacency(partner))
+            assert _outcome(flow_equivalent, m, partner) == flow
+            assert _outcome(flow_equivalent, h, partner) == flow
+            seen["flow_true"] += flow is True
+            seen["flow_false"] += flow is False
+        triple = _outcome(from_graph, g)
+        assert _outcome(from_graph, m) == triple
+        assert _outcome(from_graph, h) == renamed(triple)
+        d = _outcome(bratteli, g, 3)
+        assert _outcome(bratteli, m, 3) == d
+        assert _outcome(bratteli, h, 3) == renamed(d)
+        if not isinstance(d, tuple):
+            dot = bratteli_to_dot(g, d)
+            assert bratteli_to_dot(m, d) == dot
+            assert bratteli_to_dot(h, d) == renamed(dot)
+        seen["zero_row"] += bool(r.sinks)
+        seen["zero_column"] += bool(r.sources)
+        seen["sink_free"] += not isinstance(d, tuple)
+    assert min(seen.values()) >= 5, seen
+
+
+_DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _dot_strings(line: str) -> list[str]:
+    """The quoted strings of a DOT line, unescaped; every double quote must open or close one."""
+    assert '"' not in _DOT_STRING.sub("", line), line
+    return [re.sub(r"\\(.)", r"\1", s[1:-1]) for s in _DOT_STRING.findall(line)]
+
+
+def test_dot_quotes_names_with_quotes_and_backslashes():
+    rng = random.Random(37)
+    for _ in range(40):
+        m = random_adjacency(rng, rng.randrange(1, 5), 2)
+        while True:
+            names = ["".join(rng.choice('ab"\\ @:-;') for _ in range(rng.randrange(1, 5)))
+                     for _ in range(m.nrows)]
+            if len(set(names)) == len(names):
+                break
+        rename = dict(zip(from_adjacency(m).vertices, names))
+        g = Graph(tuple(names), tuple(Edge(rename[e.src], rename[e.dst], e.id + rng.choice('"\\'))
+                                      for e in from_adjacency(m).edges))
+        lines = graph_to_dot(g).splitlines()[1:-1]
+        expected = [[v] for v in g.vertices] + [[e.src, e.dst, e.id] for e in g.edges]
+        assert [_dot_strings(line) for line in lines] == expected
+        if classify(g).sinks:
+            continue
+        d = bratteli(g, 2)
+        lines = bratteli_to_dot(g, d).splitlines()[2:-1]
+        ranks = [[s for v, x in zip(names, k) for s in (f"{v}@{n}", f"{v}:{x}")]
+                 for n, k in enumerate(d.levels)]
+        strands = [[f"{e.src}@{n}", f"{e.dst}@{n + 1}"] for n in range(2)
+                   for e in sorted(g.edges, key=lambda e: (names.index(e.src), names.index(e.dst)))]
+        assert [_dot_strings(line) for line in lines] == ranks + strands

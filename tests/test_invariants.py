@@ -16,7 +16,7 @@ from helpers import (
     random_out_partition,
 )
 
-from sftkit.errors import HasSinks, NotIrreducibleNontrivial
+from sftkit.errors import HasSinks, InvalidMatrix, NotIrreducibleNontrivial
 from sftkit.graphs import from_adjacency, transpose
 from sftkit.invariants import (
     AbelianGroupFP,
@@ -159,6 +159,14 @@ def test_bratteli_levels_and_path_count():
 def test_bratteli_rejects_sinks():
     with pytest.raises(HasSinks):
         bratteli(from_adjacency(_m([[0, 1], [0, 0]])), 2)
+
+
+@pytest.mark.parametrize("f", [bowen_franks, det_i_minus_a, char_poly_away_from_zero,
+                               invariants_report])
+def test_non_square_input_fails_the_one_adjacency_check(f):
+    # the same error the CLI reports for `sftkit invariants '[[1,2]]'`
+    with pytest.raises(InvalidMatrix, match="adjacency matrix must be square"):
+        f(_m([[1, 2]]))
 
 
 def test_bratteli_dot_has_ranked_rows_and_parallel_strands():
