@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidMatrix, ShapeError, UndecidedError
+from .errors import InvalidMatrix, NotIrreducible, ShapeError, UndecidedError
 from .graphs import Graph, _int_entry, sink_free_adjacency
 from .linalg import (
     AffineInfeasible,
@@ -32,7 +32,6 @@ from .linalg import (
     _reshape,
     _scan,
     intertwiner_matrix,
-    is_irreducible_matrix,
     isolate_perron_root,
     perron_pairing_sign,
     solve_affine_exact,
@@ -179,7 +178,8 @@ def dg_positive(
     under iteration of M (once nonnegative, always nonnegative).  Iteration
     up to the bound yields certificates; for irreducible M Perron pairing
     signs, all read off one `PerronData` of M, finish the decision.
-    Reducible matrices past the bound report Unknown.
+    Reducible matrices past the bound report Unknown: `isolate_perron_root`
+    refuses them (NotIrreducible) from its one strong-component pass.
 
     The bound is at least n, and the kernel chain of M is stable from n on,
     so a class that dies (M^n a = 0) has already been certified InCone by
@@ -205,9 +205,10 @@ def dg_positive(
         if all(v >= 0 for v in cur):
             return InCone(power)
         cur = m.apply(cur)
-    if not is_irreducible_matrix(m):
+    try:
+        pd = isolate_perron_root(m)
+    except NotIrreducible:
         return Unknown(bound)
-    pd = isolate_perron_root(m)
     s = perron_pairing_sign(pd, x.a)
     if s == Sign.NEGATIVE:
         return NotInCone("negative Perron pairing")

@@ -279,13 +279,15 @@ def search_esse(
     guards this runs the witness loop of `search_se` with lag 1 only, and
     the same budgets.  The inner dimension of the factorization is forced by
     b (R is n x m), so inner_dim_max acts as a refusal bound on the size of
-    b, and equal traces are a further necessary condition.
+    b.  Equal traces are necessary too, but the prefilters already imply
+    them: the trace is minus the second-highest coefficient of the
+    characteristic polynomial away from zero, or 0 when that polynomial is 1.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("search needs square matrices")
     if b.nrows > inner_dim_max:
         return None
-    if a.trace() != b.trace() or not _prefilters_pass(a, b):
+    if not _prefilters_pass(a, b):
         return None
     found = (SSEWitness(w.r, w.s) for w in _witnesses(a, b, 1, entry_bound, candidate_budget))
     return next((w for w in found if verify_esse(a, b, w)), None)

@@ -15,7 +15,10 @@ edge per unit of each entry unless edge ids are needed.
 `classify` reads every structural flag, purely infinite simplicity (the
 paper's hypothesis) included, off one strong-component pass
 (`linalg.strong_components`): which components carry a cycle, which of them
-are bare cycles, and which components reach a cycle-carrying one.
+are bare cycles, and which components reach a cycle-carrying one
+(`linalg.reaches_cycle`).  `essentialize` reads the essential part off the
+same pass: the vertices that reach a cycle in the graph and in its reverse,
+which has the same components in the opposite order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import HasSinks, InvalidMatrix, ParseError
-from .linalg import Matrix, carries_cycle, strong_components, support_digraph
+from .linalg import Matrix, carries_cycle, reaches_cycle, strong_components, support_digraph
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,6 @@ class Graph:
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         return self._incident[1].get(v, ())
-
-    def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self.out_edges(v))
-
-    def sources(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self.in_edges(v))
 
     def adjacency(self) -> Matrix:
         n = len(self.vertices)
@@ -193,27 +190,16 @@ def classify(g: Graph | Matrix) -> GraphReport:
     sources = _zero_rows(names, a.transpose())
     adj = support_digraph(a)
     comps = strong_components(adj)
-    cyclic = 0
-    exits = True
-    # components arrive sinks first, so every successor outside a component
-    # is already settled when the component is reached
-    reaches = [False] * len(adj)
-    for comp in comps:
-        hit = carries_cycle(comp, adj)
-        if hit:
-            cyclic += 1
-            exits = exits and any(sum(a.rows[v]) != 1 for v in comp)
-        hit = hit or any(reaches[w] for v in comp for w in adj[v])
-        for v in comp:
-            reaches[v] = hit
-    irreducible = len(comps) == 1 and cyclic == 1
+    cycles = [comp for comp in comps if carries_cycle(comp, adj)]
+    exits = all(any(sum(a.rows[v]) != 1 for v in comp) for comp in cycles)
+    irreducible = len(comps) == 1 and len(cycles) == 1
     return GraphReport(
         sinks=sinks,
         sources=sources,
         essential=not sinks and not sources,
         irreducible=irreducible,
         trivial=irreducible and sum(map(sum, a.rows)) == len(names),
-        purely_infinite_simple=all(reaches) and exits and cyclic == 1,
+        purely_infinite_simple=all(reaches_cycle(adj, comps)) and exits and len(cycles) == 1,
         strongly_graded=not sinks,
     )
 
@@ -231,22 +217,23 @@ def _drop(g: Graph, victims: set[str]) -> Graph:
 
 
 def essentialize(g: Graph) -> Graph:
-    """Alternate full sweeps deleting sources then sinks until both are gone.
+    """The essential part: the vertices on bi-infinite paths and the edges among them.
 
-    The result can be the empty graph (for instance, a directed path dies
+    A vertex is on a bi-infinite path when it reaches a cycle and a cycle
+    reaches it, that is when it reaches a cycle in g and in its reverse.
+    Both are read off one strong-component pass: the reverse has the same
+    components, in the opposite (still sinks-first) order.  This is the
+    largest subgraph without sinks or sources, what deleting sinks and
+    sources until none is left gives; vertex and edge order are kept.  The
+    result can be the empty graph (for instance, a directed path dies
     entirely).
     """
-    cur = g
-    while True:
-        sources = set(cur.sources())
-        if sources:
-            cur = _drop(cur, sources)
-            continue
-        sinks = set(cur.sinks())
-        if sinks:
-            cur = _drop(cur, sinks)
-            continue
-        return cur
+    a = g.adjacency()
+    adj, back = support_digraph(a), support_digraph(a.transpose())
+    comps = strong_components(adj)
+    keep = zip(reaches_cycle(adj, comps), reaches_cycle(back, comps[::-1]))
+    victims = {v for v, (ahead, behind) in zip(g.vertices, keep) if not (ahead and behind)}
+    return _drop(g, victims) if victims else g
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ leans on:
   runs the one bounded scan `_scan` (`dimension.search_module_iso` runs it
   too) and keeps x when d*lo <= x <= d*hi and d | x, yielding x // d;
 * strongly connected components (one Tarjan pass), from which
-  irreducibility and the vertices on cycles are read;
+  irreducibility, the vertices on cycles and, by `reaches_cycle`, the
+  vertices that reach a cycle are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
   polynomial, an isolating interval of the Perron root by Sturm bisection
   on that polynomial itself (no squarefree part), column 0 of
@@ -667,6 +668,20 @@ def strong_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
 def carries_cycle(comp: Sequence[int], adj: Sequence[Sequence[int]]) -> bool:
     """Does a strong component contain a cycle (two or more vertices, or a loop)?"""
     return len(comp) > 1 or comp[0] in adj[comp[0]]
+
+
+def reaches_cycle(adj: Sequence[Sequence[int]], comps: Sequence[Sequence[int]]) -> list[bool]:
+    """For each vertex of adj, does it reach a component that carries a cycle (its own included)?
+
+    comps is `strong_components(adj)`, sinks first, so every successor
+    outside a component is already settled when the component is reached.
+    """
+    reaches = [False] * len(adj)
+    for comp in comps:
+        hit = carries_cycle(comp, adj) or any(reaches[w] for v in comp for w in adj[v])
+        for v in comp:
+            reaches[v] = hit
+    return reaches
 
 
 def _irreducible_support(m: Matrix) -> list[list[int]] | None:

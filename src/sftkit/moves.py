@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .equivalences import SSEWitness
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
@@ -26,17 +26,6 @@ class EdgePartition:
     """Per-vertex partition of edge ids into ordered, labeled blocks."""
 
     blocks: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
-
-    @classmethod
-    def from_mapping(
-        cls, mapping: Mapping[str, Sequence[Sequence[str]]]
-    ) -> "EdgePartition":
-        return cls(
-            tuple(
-                (v, tuple(tuple(block) for block in blocks))
-                for v, blocks in mapping.items()
-            )
-        )
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.blocks)

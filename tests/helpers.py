@@ -468,6 +468,17 @@ def reach_oracle(m: Matrix) -> list[list[bool]]:
     return reach
 
 
+def cycle_ahead_and_behind(reach: list[list[bool]]) -> tuple[list[bool], list[bool]]:
+    """For each vertex, from the closure `reach_oracle` gives: is it on a
+    cycle or does it reach one (ahead), and is it on a cycle or reached from
+    one (behind)?  The vertices with both are those on bi-infinite paths."""
+    n = len(reach)
+    cyc = [reach[i][i] for i in range(n)]
+    ahead = [cyc[i] or any(reach[i][j] and cyc[j] for j in range(n)) for i in range(n)]
+    behind = [cyc[i] or any(reach[j][i] and cyc[j] for j in range(n)) for i in range(n)]
+    return ahead, behind
+
+
 def purely_infinite_simple_oracle(m: Matrix) -> bool:
     """Every vertex reaches a cycle, every cycle has an exit, and the
     essential part (vertices with a cycle both behind and ahead of them) is
@@ -475,8 +486,7 @@ def purely_infinite_simple_oracle(m: Matrix) -> bool:
     n = m.nrows
     reach = reach_oracle(m)
     cyc = [reach[i][i] for i in range(n)]
-    ahead = [cyc[i] or any(reach[i][j] and cyc[j] for j in range(n)) for i in range(n)]
-    behind = [cyc[i] or any(reach[j][i] and cyc[j] for j in range(n)) for i in range(n)]
+    ahead, behind = cycle_ahead_and_behind(reach)
     outdeg = [sum(m.row(i)) for i in range(n)]
     exitless = any(
         cyc[i] and outdeg[i] == 1

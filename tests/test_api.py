@@ -88,4 +88,3 @@ def test_callers_look_up_kernels_by_name():
     assert equivalences.solve_affine_exact is linalg.solve_affine_exact
     assert equivalences.intertwiner_space is linalg.intertwiner_space
     assert dimension.perron_pairing_sign is linalg.perron_pairing_sign
-    assert dimension.is_irreducible_matrix is linalg.is_irreducible_matrix

@@ -352,9 +352,9 @@ def _dying_class_vector(rng: random.Random, m: Matrix, classes):
 def test_periodic_cone_decision_matches_class_oracle():
     # one pass over the cyclic classes: the Perron sign of M, then at most
     # one per class, all off one Faddeev-LeVerrier run; irreducibility is
-    # checked at most twice (the gate, then the PerronData), and whether a
-    # part dies is read off the iterates, not off a matrix power.  Besides
-    # the class vector, each matrix with a kernel part decides a vector whose
+    # checked at most once (by the PerronData), and whether a part dies is
+    # read off the iterates, not off a matrix power.  Besides the class
+    # vector, each matrix with a kernel part decides a vector whose
     # dying part sits beside near-cancelling parts: it is in the cone, often
     # past the iteration bound, where the dying part is recognised in
     # M^(bound+1) a on the class the iterates rotated it to
@@ -383,7 +383,7 @@ def test_periodic_cone_decision_matches_class_oracle():
                 assert isinstance(res, InCone) == cyclic_cone_oracle(m, classes, a), (m, a)
                 assert spy.call_count <= 1 + period, (m, a, spy.call_count)
                 assert runs.call_count <= 1, (m, a, runs.call_count)
-                assert passes.call_count <= 2, (m, a, passes.call_count)
+                assert passes.call_count <= 1, (m, a, passes.call_count)
                 assert products == 0, (m, a, products)
                 if isinstance(res, NotInCone):
                     seen[res.reason] += 1

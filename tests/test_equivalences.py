@@ -166,6 +166,15 @@ def test_search_esse_on_split_pairs():
             if found is not None:
                 assert verify_esse(a, b, found)
         assert _m([[a.trace()]]) == _m([[b.trace()]])  # trace is an ESSE invariant
+    # pairs of different trace have different characteristic polynomials away
+    # from zero, so the prefilters turn them down without a trace test; the
+    # 2x2 pair shares its determinant
+    for a, b in (([[1]], [[2]]), ([[1, 1], [1, 0]], [[2, 1], [1, 0]])):
+        a, b = _m(a), _m(b)
+        assert a.trace() != b.trace()
+        assert char_poly_away_from_zero(a) != char_poly_away_from_zero(b)
+        assert search_esse(a, b) is None
+        assert search_esse(b, a) is None
 
 
 def test_search_esse_respects_inner_dim_guard():

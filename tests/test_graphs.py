@@ -4,16 +4,32 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from helpers import purely_infinite_simple_oracle, random_adjacency, reach_oracle
+from helpers import (
+    cycle_ahead_and_behind,
+    purely_infinite_simple_oracle,
+    random_adjacency,
+    reach_oracle,
+)
 
-from sftkit.dimension import from_graph
+from sftkit import graphs, linalg
+from sftkit.dimension import (
+    DimElement,
+    DimensionTriple,
+    NotInCone,
+    Unknown,
+    dg_positive,
+    from_graph,
+)
 from sftkit.errors import InvalidMatrix, ParseError, SftkitError
 from sftkit.graphs import (
     Edge,
     Graph,
+    GraphReport,
     classify,
     essentialize,
     from_adjacency,
@@ -148,14 +164,80 @@ def test_every_cycle_has_exit_detection():
 
 
 def test_essentialize_idempotent_and_essential():
+    # essentialize keeps exactly the vertices with a cycle ahead and behind
+    # (read off the closure), and the original edges among them in their
+    # order.  Besides plain random matrices, each seeded graph cuts its
+    # shuffled vertices into a random core, a path tail into or out of it,
+    # isolated vertices and a disjoint cycle; every graph is also read back
+    # as a payload with renamed vertices and shuffled vertex and edge order
     rng = random.Random(24)
-    for _ in range(30):
-        g = from_adjacency(random_adjacency(rng, rng.randrange(1, 5), 2))
-        h = essentialize(g)
-        assert essentialize(h).adjacency() == h.adjacency()
-        if h.vertices:
-            r = classify(h)
-            assert not r.sinks and not r.sources
+    matrices = [random_adjacency(rng, rng.randrange(1, 5), 2) for _ in range(30)]
+    for trial in range(320):
+        n = rng.randint(1, 8)
+        rows = [[0] * n for _ in range(n)]
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.choices(range(n + 1), k=3))
+        core, tail, _isolated, ring = (order[i:j] for i, j in zip([0, *cuts], [*cuts, n]))
+        for u in core:
+            for w in core:
+                rows[u][w] = rng.choice((0, 0, 1, 2))
+        path = tail + core[:1] if trial % 2 else core[:1] + tail
+        for u, w in [*zip(path, path[1:]), *zip(ring, ring[1:] + ring[:1])]:
+            rows[u][w] = rng.choice((1, 2))
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, 2))
+        matrices.append(Matrix.from_rows(rows))
+    seen = Counter()
+    for m in matrices:
+        g = from_adjacency(m)
+        rename = dict(zip(g.vertices, (f"x{i}" for i in rng.sample(range(100), len(g.vertices)))))
+        edges = [{"src": rename[e.src], "dst": rename[e.dst], "id": f"f{e.id}"} for e in g.edges]
+        payload = {"vertices": rng.sample(list(rename.values()), len(rename)),
+                   "edges": rng.sample(edges, len(edges))}
+        for g in (g, graph_from_json(payload)):
+            ahead, behind = cycle_ahead_and_behind(reach_oracle(g.adjacency()))
+            kept = {v for v, x, y in zip(g.vertices, ahead, behind) if x and y}
+            h = essentialize(g)
+            assert h.vertices == tuple(v for v in g.vertices if v in kept)
+            assert h.edges == tuple(e for e in g.edges if e.src in kept and e.dst in kept)
+            assert essentialize(h) == h
+            if h.vertices:
+                r = classify(h)
+                assert not r.sinks and not r.sources
+            seen["empty" if not kept else "whole" if len(kept) == len(g.vertices) else "part"] += 1
+            adj = support_digraph(h.adjacency())
+            seen["two kept components"] += len(strong_components(adj)) > 1
+    assert min(seen.values()) >= 60, seen
+
+
+def test_one_strong_component_pass_per_question():
+    # essentialize, classify and the Perron path of dg_positive read every
+    # reachability answer off one strong_components call, wherever it is
+    # looked up: graphs for the first two, linalg (isolate_perron_root) for
+    # the last, irreducible or not
+    g = _graph([[0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]])
+    golden = DimensionTriple(Matrix.from_rows([[1, 1], [1, 0]]))
+    # no iterate of (1, -2) is nonnegative: it pairs negatively with (phi, 1)
+    questions = {
+        "essentialize": (lambda: essentialize(g), Graph),
+        "classify": (lambda: classify(g), GraphReport),
+        "dg_positive": (lambda: dg_positive(golden, DimElement((1, -2), 0)), NotInCone),
+        "dg_positive, reducible": (
+            lambda: dg_positive(DimensionTriple(Matrix.from_rows([[1, 1], [0, 1]])),
+                                DimElement((-1, 0), 0)),
+            Unknown,
+        ),
+    }
+    with mock.patch.object(
+        graphs, "strong_components", wraps=graphs.strong_components
+    ) as in_graphs, mock.patch.object(
+        linalg, "strong_components", wraps=linalg.strong_components
+    ) as in_linalg:
+        for name, (ask, kind) in questions.items():
+            in_graphs.reset_mock()
+            in_linalg.reset_mock()
+            assert isinstance(ask(), kind), name
+            assert in_graphs.call_count + in_linalg.call_count == 1, name
 
 
 def test_essentialize_can_empty_the_graph():
