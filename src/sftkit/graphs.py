@@ -18,7 +18,8 @@ paper's hypothesis) included, off one strong-component pass
 are bare cycles, and which components reach a cycle-carrying one
 (`linalg.reaches_cycle`).  `essentialize` reads the essential part off the
 same pass: the vertices that reach a cycle in the graph and in its reverse,
-which has the same components in the opposite order.
+which has the same components in the opposite order; its arcs come from the
+edges, not the matrix, so a sparse graph costs O(V + E).
 """
 
 from __future__ import annotations
@@ -222,14 +223,17 @@ def essentialize(g: Graph) -> Graph:
     A vertex is on a bi-infinite path when it reaches a cycle and a cycle
     reaches it, that is when it reaches a cycle in g and in its reverse.
     Both are read off one strong-component pass: the reverse has the same
-    components, in the opposite (still sinks-first) order.  This is the
+    components, in the opposite (still sinks-first) order.  The arcs are read
+    off the edges, one per edge (parallel edges repeat an arc), so the cost
+    is O(V + E) however many vertices there are.  This is the
     largest subgraph without sinks or sources, what deleting sinks and
     sources until none is left gives; vertex and edge order are kept.  The
     result can be the empty graph (for instance, a directed path dies
     entirely).
     """
-    a = g.adjacency()
-    adj, back = support_digraph(a), support_digraph(a.transpose())
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj = [[idx[e.dst] for e in g.out_edges(v)] for v in g.vertices]
+    back = [[idx[e.src] for e in g.in_edges(v)] for v in g.vertices]
     comps = strong_components(adj)
     keep = zip(reaches_cycle(adj, comps), reaches_cycle(back, comps[::-1]))
     victims = {v for v, (ahead, behind) in zip(g.vertices, keep) if not (ahead and behind)}

@@ -2,7 +2,10 @@
 
 Splittings return the moved graph together with the elementary strong shift
 equivalence witness relating the two adjacency matrices, so "this move
-preserves conjugacy" is a checkable artifact, not a promise.  Bridge graphs
+preserves conjugacy" is a checkable artifact, not a promise.  The witness is
+read off the split graph: R is copy membership, and since every copy of a
+vertex receives the same edges, column w of S is the split graph's adjacency
+column at the first copy of w.  Bridge graphs
 package a matrix factorization a = r s as a two-class graph whose crossing
 length-2 paths biject with the edges of the factors: each factor edge is
 laid out from its crossing path, path by path, together with its theta entry.
@@ -58,12 +61,6 @@ def partition_from_json(obj) -> EdgePartition:
                 "its 'blocks' an array of arrays of edge ids"
             )
     return EdgePartition(tuple((v, tuple(tuple(b) for b in blocks)) for v, blocks in entries))
-
-
-def partition_to_json(p: EdgePartition) -> list:
-    return [
-        {"vertex": v, "blocks": [list(b) for b in blocks]} for v, blocks in p.blocks
-    ]
 
 
 def _check_partition(
@@ -137,15 +134,11 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
     required = {v: {e.id for e in g.out_edges(v)} for v in g.vertices if g.out_edges(v)}
     _check_partition(g, p, required, kind)
 
-    copies: dict[str, list[str]] = {}
-    split_vertices: list[str] = []
-    for v in g.vertices:
-        if v in required:
-            names = [_copy_name(v, i) for i in range(len(p.blocks_at(v)))]
-        else:
-            names = [v]
-        copies[v] = names
-        split_vertices.extend(names)
+    copies = {
+        v: [_copy_name(v, i) for i in range(len(p.blocks_at(v)))] if v in required else [v]
+        for v in g.vertices
+    }
+    split_vertices = [name for names in copies.values() for name in names]
 
     split_edges: list[Edge] = []
     for e in g.edges:
@@ -155,23 +148,12 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
             split_edges.append(Edge(src_name, dst_name, _copy_name(e.id, j)))
     h = Graph(tuple(split_vertices), tuple(split_edges))
 
-    col_of = {name: idx for idx, name in enumerate(split_vertices)}
-    n, k = len(g.vertices), len(split_vertices)
-    r_rows = [[0] * k for _ in range(n)]
-    for vi, v in enumerate(g.vertices):
-        for name in copies[v]:
-            r_rows[vi][col_of[name]] = 1
-    s_rows = [[0] * n for _ in range(k)]
-    widx = {v: i for i, v in enumerate(g.vertices)}
-    for v in g.vertices:
-        if v in required:
-            for i, block in enumerate(p.blocks_at(v)):
-                row = col_of[copies[v][i]]
-                for edge_id in block:
-                    s_rows[row][widx[g.edge(edge_id).dst]] += 1
-    witness = SSEWitness(Matrix.from_rows(r_rows), Matrix.from_rows(s_rows))
+    r = Matrix.from_rows([[int(name in copies[v]) for name in split_vertices] for v in g.vertices])
+    firsts = [row.index(1) for row in r.rows]
+    a_h = h.adjacency()
+    witness = SSEWitness(r, Matrix.from_rows([[row[j] for j in firsts] for row in a_h.rows]))
     assert witness.r @ witness.s == g.adjacency()
-    assert witness.s @ witness.r == h.adjacency()
+    assert witness.s @ witness.r == a_h
     return h, witness
 
 

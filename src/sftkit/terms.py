@@ -1,12 +1,19 @@
 """Term calculus for path algebras with ghost edges.
 
 Elements are rational linear combinations of words in vertices v, edges e and
-ghost edges e*.  `reduce` rewrites words with the local relations only:
-vertices are orthogonal idempotents absorbed by adjacent edges, non-composable
-neighbors kill a word, and e* f collapses to its range vertex or zero.  Every
-word then lands on a monomial (real path times ghost path) or vanishes; these
-normal forms are canonical for the local relations, and the rewriting is
-confluent, so the scan strategy does not matter.
+ghost edges e*.  Coefficients follow the package's number rule
+(`polynomials._num`): an int when integral, a Fraction otherwise, never a
+float; `AlgebraElement` applies it once, where every element is made.
+
+`reduce` rewrites words with the local relations only, and they are one
+composability rule.  Each atom goes from one vertex to another (`_ends`: v
+from v to v, e from s(e) to r(e), e* from r(e) to s(e)).  A pair that does
+not compose is zero; a vertex next to an atom it composes with is absorbed;
+e* f is r(e) when f = e and zero otherwise; any other composable pair is
+already normal.  Every word then lands on a monomial (real path times ghost
+path, or a lone vertex) or vanishes; these normal forms are canonical for the
+local relations, and the rewriting is confluent, so the scan strategy does
+not matter.
 
 The summation relation (vertex = sum of e e* over its outgoing edges) is not
 applied by `reduce`.  Instead `equal_mod_ck2` decides equality modulo it by
@@ -28,6 +35,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 from .errors import ParseError, SinkVertex, UnknownGenerator
 from .graphs import Graph
 from .moves import _block_index, _copy_name, in_split
+from .polynomials import Rat, _num
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
 Word = tuple[Atom, ...]
@@ -36,11 +44,11 @@ Key = TypeVar("Key")
 _KILL = "kill"
 
 
-def _collect(pairs: Iterable[tuple[Key, Fraction]]) -> dict[Key, Fraction]:
+def _collect(pairs: Iterable[tuple[Key, Rat]]) -> dict[Key, Rat]:
     """The coefficients of equal keys summed, keys in order of first appearance."""
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, Rat] = {}
     for key, coeff in pairs:
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
     return out
 
 
@@ -49,9 +57,8 @@ class AlgebraElement:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        clean = {w: c for w, c in (terms or {}).items() if c != 0}
-        self.terms: dict[Word, Fraction] = clean
+    def __init__(self, terms: Mapping[Word, Rat] | None = None):
+        self.terms: dict[Word, Rat] = {w: _num(c) for w, c in (terms or {}).items() if c != 0}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AlgebraElement) and self.terms == other.terms
@@ -66,16 +73,13 @@ class AlgebraElement:
         return not self.terms
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return AlgebraElement(out)
+        return AlgebraElement(_collect([*self.terms.items(), *other.terms.items()]))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
 
-    def scale(self, c: Fraction | int) -> "AlgebraElement":
-        c = Fraction(c)
+    def scale(self, c: Rat | float) -> "AlgebraElement":
+        c = _num(c)
         return AlgebraElement({w: c * v for w, v in self.terms.items()})
 
 
@@ -87,14 +91,6 @@ def vertex_element(g: Graph, v: str) -> AlgebraElement:
     return word_element(g, (("v", v),))
 
 
-def edge_element(g: Graph, e: str) -> AlgebraElement:
-    return word_element(g, (("e", e),))
-
-
-def ghost_element(g: Graph, e: str) -> AlgebraElement:
-    return word_element(g, (("g", e),))
-
-
 def word_element(g: Graph, atoms: Iterable[Atom]) -> AlgebraElement:
     word = tuple(atoms)
     for kind, name in word:
@@ -102,7 +98,7 @@ def word_element(g: Graph, atoms: Iterable[Atom]) -> AlgebraElement:
             raise UnknownGenerator(f"vertex {name!r} not in graph")
         if kind in ("e", "g") and not g.has_edge(name):
             raise UnknownGenerator(f"edge {name!r} not in graph")
-    return AlgebraElement({word: Fraction(1)})
+    return AlgebraElement({word: 1})
 
 
 def star(x: AlgebraElement) -> AlgebraElement:
@@ -121,29 +117,25 @@ def star(x: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+def _ends(g: Graph, atom: Atom) -> tuple[str, str]:
+    """The vertex an atom starts at and the vertex it ends at."""
+    kind, name = atom
+    if kind == "v":
+        return name, name
+    e = g.edge(name)
+    return (e.src, e.dst) if kind == "e" else (e.dst, e.src)
+
+
 def _rewrite_pair(g: Graph, x: Atom, y: Atom):
     """One local rewrite: list of atoms, the kill marker, or None when already valid."""
-    (tx, ix), (ty, iy) = x, y
-    if tx == "v":
-        if ty == "v":
-            return [x] if ix == iy else _KILL
-        if ty == "e":
-            return [y] if g.edge(iy).src == ix else _KILL
-        return [y] if g.edge(iy).dst == ix else _KILL
-    if tx == "e":
-        e = g.edge(ix)
-        if ty == "v":
-            return [x] if e.dst == iy else _KILL
-        if ty == "e":
-            return None if e.dst == g.edge(iy).src else _KILL
-        return None if e.dst == g.edge(iy).dst else _KILL
-    # tx == "g"
-    e = g.edge(ix)
-    if ty == "v":
-        return [x] if e.src == iy else _KILL
-    if ty == "e":
-        return [("v", e.dst)] if ix == iy else _KILL
-    return None if e.src == g.edge(iy).dst else _KILL
+    (x_start, x_end), (y_start, _) = _ends(g, x), _ends(g, y)
+    if x_end != y_start:
+        return _KILL
+    if x[0] == "v" or y[0] == "v":
+        return [y] if x[0] == "v" else [x]
+    if (x[0], y[0]) == ("g", "e"):
+        return [("v", x_start)] if x[1] == y[1] else _KILL
+    return None
 
 
 def _reduce_word(g: Graph, word: Word, strategy: str) -> Word | None:
@@ -184,41 +176,15 @@ def multiply(g: Graph, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# Monomials and grading
+# Grading
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Normal-form word: real path mu, ghost path gamma, and their common range."""
-
-    mu: tuple[str, ...]
-    gamma: tuple[str, ...]
-    base: str
-
-
-def word_to_monomial(g: Graph, word: Word) -> Monomial:
-    """Split a normal-form word into paths; raises if the word is not normal."""
-    mu = [n for k, n in word if k == "e"]
-    ghosts = [n for k, n in word if k == "g"]
-    kinds = "".join(k for k, _ in word)
-    if kinds == "v":
-        return Monomial((), (), word[0][1])
-    if re.fullmatch("e*g*", kinds) is None or not word:
-        raise ParseError("word is not in normal form")
-    gamma = tuple(reversed(ghosts))
-    if mu:
-        base = g.edge(mu[-1]).dst
-    else:
-        base = g.edge(gamma[-1]).dst
-    return Monomial(tuple(mu), gamma, base)
 
 
 @dataclass(frozen=True)
 class WeightMap:
     """Rational weights on edges; ghost edges carry the negated weight."""
 
-    weights: tuple[tuple[str, Fraction], ...]
+    weights: tuple[tuple[str, Rat], ...]
 
     @classmethod
     def from_mapping(cls, g: Graph, mapping: Mapping[str, Fraction | int | str]) -> "WeightMap":
@@ -237,20 +203,14 @@ class WeightMap:
     @classmethod
     def uniform(cls, g: Graph) -> "WeightMap":
         """Weight 1 on every edge: the path-length grading."""
-        return cls(tuple((e.id, Fraction(1)) for e in g.edges))
+        return cls(tuple((e.id, 1) for e in g.edges))
 
     @cached_property
-    def _table(self) -> dict[str, Fraction]:
+    def _table(self) -> dict[str, Rat]:
         return dict(self.weights)
 
-    def weight(self, edge_id: str) -> Fraction:
-        try:
-            return self._table[edge_id]
-        except KeyError:
-            raise UnknownGenerator(f"edge {edge_id!r} has no weight") from None
-
-    def degree_of_word(self, word: Word) -> Fraction:
-        total = Fraction(0)
+    def degree_of_word(self, word: Word) -> Rat:
+        total = 0
         table = self._table
         for kind, name in word:
             if kind == "e":
@@ -262,10 +222,10 @@ class WeightMap:
 
 def graded_decompose(
     g: Graph, w: WeightMap, x: AlgebraElement
-) -> dict[Fraction, AlgebraElement]:
+) -> dict[Rat, AlgebraElement]:
     """Split a (reduced) element into its homogeneous components by degree."""
     x = reduce(g, x)
-    buckets: dict[Fraction, dict[Word, Fraction]] = {}
+    buckets: dict[Rat, dict[Word, Rat]] = {}
     for word, coeff in x.terms.items():
         d = w.degree_of_word(word)
         buckets.setdefault(d, {})[word] = coeff
@@ -293,7 +253,9 @@ def ck2_expand(g: Graph, x: AlgebraElement, v: str) -> AlgebraElement:
 def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
     """Decide x == y modulo all relations, including the summation relation.
 
-    Works degree by degree (path-length grading): each monomial is expanded
+    Works degree by degree (path-length grading).  Each normal word is read
+    as (mu, gamma, base): its edges, its ghost edges in reverse order, and
+    the vertex where the real part meets the ghost part.  It is expanded
     through mu gamma* = sum over e at the base of (mu e)(gamma e)* until its
     ghost path reaches the maximal length in its degree class or its base is
     a sink.  Expanded monomials of a fixed shape are linearly independent, so
@@ -302,10 +264,12 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
     diff = reduce(g, x - y)
     if diff.is_zero():
         return True
-    groups: dict[int, list[tuple[tuple[str, ...], tuple[str, ...], str, Fraction]]] = {}
+    groups: dict[int, list[tuple[tuple[str, ...], tuple[str, ...], str, Rat]]] = {}
     for word, coeff in diff.terms.items():
-        m = word_to_monomial(g, word)
-        groups.setdefault(len(m.mu) - len(m.gamma), []).append((m.mu, m.gamma, m.base, coeff))
+        mu = tuple(n for k, n in word if k == "e")
+        gamma = tuple(n for k, n in reversed(word) if k == "g")
+        base = _ends(g, word[len(mu) - 1])[1] if mu else _ends(g, word[0])[0]
+        groups.setdefault(len(mu) - len(gamma), []).append((mu, gamma, base, coeff))
     for monos in groups.values():
         depth = max(len(gamma) for _, gamma, _, _ in monos)
         leaves, stack = [], list(monos)
@@ -495,7 +459,7 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
 
     def parse_term(sign: int) -> AlgebraElement:
         nonlocal idx
-        coeff = Fraction(sign)
+        coeff: Rat = sign
         saw_number = False
         if idx < len(tokens) and tokens[idx][0] == "num":
             try:
@@ -522,10 +486,7 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
             if saw_number:
                 # a bare scalar means that multiple of the unit, the sum of
                 # all vertices; in particular "0" parses to the zero element
-                unit = zero_element()
-                for v in g.vertices:
-                    unit = unit + vertex_element(g, v)
-                return unit.scale(coeff)
+                return AlgebraElement({(("v", v),): coeff for v in g.vertices})
             raise ParseError("term without generators")
         return word_element(g, atoms).scale(coeff)
 

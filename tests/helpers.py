@@ -501,3 +501,31 @@ def purely_infinite_simple_oracle(m: Matrix) -> bool:
         and bool(ess)
         and all(reach[i][j] for i in ess for j in ess)
     )
+
+
+def rewrite_oracle(g: Graph, x: tuple[str, str], y: tuple[str, str]):
+    """The local rewrite of the atom pair x y, written out case by case from
+    the relations: a list of atoms, "kill" when the pair is zero, or None
+    when x y is already in normal form.  Atoms are ("v", vertex),
+    ("e", edge id) and ("g", edge id) for the ghost edge e*."""
+    (tx, ix), (ty, iy) = x, y
+    src = {e.id: e.src for e in g.edges}
+    dst = {e.id: e.dst for e in g.edges}
+    if (tx, ty) == ("v", "v"):  # v w = delta(v, w) v
+        return [x] if ix == iy else "kill"
+    if (tx, ty) == ("v", "e"):  # v e = delta(v, s(e)) e
+        return [y] if src[iy] == ix else "kill"
+    if (tx, ty) == ("v", "g"):  # v e* = delta(v, r(e)) e*
+        return [y] if dst[iy] == ix else "kill"
+    if (tx, ty) == ("e", "v"):  # e v = delta(r(e), v) e
+        return [x] if dst[ix] == iy else "kill"
+    if (tx, ty) == ("e", "e"):  # e f is a path iff r(e) = s(f)
+        return None if dst[ix] == src[iy] else "kill"
+    if (tx, ty) == ("e", "g"):  # e f* is valid iff r(e) = r(f)
+        return None if dst[ix] == dst[iy] else "kill"
+    if (tx, ty) == ("g", "v"):  # e* v = delta(s(e), v) e*
+        return [x] if src[ix] == iy else "kill"
+    if (tx, ty) == ("g", "e"):  # e* f = delta(e, f) r(e)
+        return [("v", dst[ix])] if ix == iy else "kill"
+    # e* f* is a ghost path iff s(e) = r(f)
+    return None if src[ix] == dst[iy] else "kill"

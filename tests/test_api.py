@@ -3,6 +3,7 @@ instrumentation replaces by module attribute (so they must stay there)."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -88,3 +89,22 @@ def test_callers_look_up_kernels_by_name():
     assert equivalences.solve_affine_exact is linalg.solve_affine_exact
     assert equivalences.intertwiner_space is linalg.intertwiner_space
     assert dimension.perron_pairing_sign is linalg.perron_pairing_sign
+
+
+def test_every_import_is_used():
+    # a name bound by a module-level import is read somewhere else in that
+    # module, so a removal leaves no orphaned import behind
+    for path in sorted(Path(sftkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert not bound - read, f"{path.name}: unused {sorted(bound - read)}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -27,6 +28,7 @@ from sftkit.dimension import (
 )
 from sftkit.errors import InvalidMatrix, ParseError, SftkitError
 from sftkit.graphs import (
+    Edge,
     Edge,
     Graph,
     GraphReport,
@@ -208,6 +210,17 @@ def test_essentialize_idempotent_and_essential():
             adj = support_digraph(h.adjacency())
             seen["two kept components"] += len(strong_components(adj)) > 1
     assert min(seen.values()) >= 60, seen
+    # two 2,000-vertex path tails, one into and one out of a 2-cycle: the
+    # cost follows the edges, not the square of the vertex count
+    tail_in = [f"t{i}" for i in range(2000)]
+    tail_out = [f"h{i}" for i in range(2000)]
+    path = [*tail_in, "c0", "c1", *tail_out]
+    edges = [Edge(u, w, f"p{i}") for i, (u, w) in enumerate(zip(path, path[1:]))]
+    g = Graph(tuple(path), (*edges, Edge("c1", "c0", "back")))
+    start = time.perf_counter()
+    h = essentialize(g)
+    assert time.perf_counter() - start < 1.0
+    assert h.vertices == ("c0", "c1") and [e.id for e in h.edges] == ["p2000", "back"]
 
 
 def test_one_strong_component_pass_per_question():

@@ -1,6 +1,7 @@
 """The number form of exact results: every entry of a matrix or vector that
-`linalg` hands out, and every coefficient of a `Poly`, is an int when it is
-integral and a Fraction otherwise, never a float; inverse,
+`linalg` hands out, every coefficient of a `Poly` and every coefficient of a
+term-calculus element is an int when it is integral and a Fraction
+otherwise, never a float; inverse,
 echelon and polynomial division values are checked against independent
 oracles."""
 
@@ -15,7 +16,9 @@ from helpers import (
     echelon_oracle,
     gauss_jordan_oracle,
     inverse_oracle,
+    random_in_partition,
     random_int_matrix,
+    random_sink_free,
 )
 
 from sftkit.errors import InvalidMatrix
@@ -33,6 +36,16 @@ from sftkit.linalg import (
     vector,
 )
 from sftkit.polynomials import Poly, sturm_chain
+from sftkit.terms import (
+    WeightMap,
+    ck2_expand,
+    graded_decompose,
+    in_split_family,
+    multiply,
+    parse_element,
+    reduce,
+    star,
+)
 
 
 def _entries(x):
@@ -320,3 +333,38 @@ def test_sturm_chain_and_char_poly_hold_ints():
         for chain in (sturm_chain(cp), sturm_chain(cp, q), sturm_chain(q * Fraction(1, 3))):
             for x in chain:
                 assert all(type(c) is int for c in x.coeffs), chain
+
+
+def test_term_coefficients_keep_the_number_form():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(40):
+        g = random_sink_free(rng, 3, 2)
+        names = [*g.vertices, *(e.id for e in g.edges), *(f"{e.id}*" for e in g.edges)]
+
+        def parsed():
+            terms = (
+                rng.choice(("", "2 ", "3/2 ", "4/2 ", "1/3 "))
+                + " ".join(rng.choices(names, k=rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 4))
+            )
+            return parse_element(g, " + ".join(terms) + rng.choice(("", " + 2", " - 1/2")))
+
+        x, y = parsed(), parsed()
+        elements = [
+            x, y, x.scale(3), x.scale(Fraction(2, 3)), x.scale(0.5), x + y, x - y,
+            reduce(g, x), multiply(g, x, y), star(x), ck2_expand(g, x, g.vertices[0]),
+        ]
+        uniform = graded_decompose(g, WeightMap.uniform(g), x)
+        assert all(type(d) is int for d in uniform), uniform
+        weights = {e.id: rng.choice((1, 2, "1/2", "3/2")) for e in g.edges}
+        rational = graded_decompose(g, WeightMap.from_mapping(g, weights), y)
+        elements += [*uniform.values(), *rational.values()]
+        _, fa = in_split_family(g, random_in_partition(rng, g))
+        for images in (fa.vertex_images, fa.edge_images, fa.ghost_images):
+            elements += [image for _, image in images]
+        for element in elements:
+            coeffs = list(element.terms.values())
+            _assert_form(coeffs)
+            seen.update(type(c) for c in coeffs)
+    assert seen == {int, Fraction}

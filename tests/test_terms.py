@@ -3,22 +3,22 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from helpers import random_sink_free, random_in_partition
+from helpers import random_adjacency, random_in_partition, random_sink_free, rewrite_oracle
 
 from sftkit.errors import ParseError, SinkVertex, UnknownGenerator
 from sftkit.graphs import from_adjacency
 from sftkit.linalg import Matrix
+from sftkit import terms
 from sftkit.terms import (
     FamilyAssignment,
     WeightMap,
     ck2_expand,
-    edge_element,
     equal_mod_ck2,
     format_element,
-    ghost_element,
     graded_decompose,
     in_split_family,
     multiply,
@@ -28,7 +28,6 @@ from sftkit.terms import (
     verify_family,
     vertex_element,
     word_element,
-    word_to_monomial,
     zero_element,
 )
 
@@ -38,6 +37,10 @@ _G = from_adjacency(Matrix.from_rows([[1, 2], [1, 0]]))
 
 def _p(text):
     return parse_element(_G, text)
+
+
+def _edge(e):
+    return word_element(_G, (("e", e),))
 
 
 def _random_word(rng: random.Random, g, length: int):
@@ -65,6 +68,22 @@ def test_reduce_basic_relations():
     assert reduce(_G, _p("v1 v2")).is_zero()
     # a composable path is already in normal form
     assert reduce(_G, _p("e2 e4")) == _p("e2 e4")
+
+
+def test_rewrite_pair_matches_the_relations():
+    # every ordered pair of atoms of 200 seeded graphs with loops and
+    # parallel edges, against the nine cases written out one by one
+    rng = random.Random(70)
+    pairs = 0
+    for _ in range(200):
+        g = from_adjacency(random_adjacency(rng, rng.randint(1, 4), 2))
+        atoms = [("v", v) for v in g.vertices]
+        atoms += [(kind, e.id) for e in g.edges for kind in ("e", "g")]
+        for x in atoms:
+            for y in atoms:
+                assert terms._rewrite_pair(g, x, y) == rewrite_oracle(g, x, y), (x, y)
+                pairs += 1
+    assert pairs > 10_000
 
 
 def test_reduce_is_idempotent_and_strategies_agree():
@@ -115,22 +134,13 @@ def test_multiply_is_associative():
 
 
 def test_normal_forms_are_monomials():
+    # a normal word is a lone vertex, or edges followed by ghost edges
     rng = random.Random(75)
     for _ in range(80):
         x = word_element(_G, _random_word(rng, _G, rng.randrange(1, 7)))
         for word in reduce(_G, x).terms:
-            m = word_to_monomial(_G, word)
-            assert all(_G.has_edge(e) for e in m.mu)
-            assert all(_G.has_edge(e) for e in m.gamma)
-            assert _G.has_vertex(m.base)
-
-
-def test_word_to_monomial_shape():
-    word = (("e", "e1"), ("e", "e2"), ("g", "e3"))
-    m = word_to_monomial(_G, word)
-    assert m.mu == ("e1", "e2")
-    assert m.gamma == ("e3",)
-    assert m.base == "v2"
+            assert re.fullmatch("v|e+g*|g+", "".join(k for k, _ in word)), word
+            assert all(_G.has_vertex(n) if k == "v" else _G.has_edge(n) for k, n in word)
 
 
 def test_graded_decompose_uniform():
@@ -223,32 +233,31 @@ def test_verify_family_identity():
     fa = FamilyAssignment.build(
         _G,
         {v: vertex_element(_G, v) for v in _G.vertices},
-        {e.id: edge_element(_G, e.id) for e in _G.edges},
+        {e.id: _edge(e.id) for e in _G.edges},
     )
     assert verify_family(fa, _G)
-    assert fa.tstar("e1") == ghost_element(_G, "e1")
+    assert fa.tstar("e1") == word_element(_G, (("g", "e1"),))
 
 
 def test_missing_images_and_weights_raise_unknown_generator():
     fa = FamilyAssignment.build(
-        _G, {"v1": vertex_element(_G, "v1")}, {"e1": edge_element(_G, "e1")}
+        _G, {"v1": vertex_element(_G, "v1")}, {"e1": _edge("e1")}
     )
-    assert fa.q("v1") == vertex_element(_G, "v1") and fa.t("e1") == edge_element(_G, "e1")
+    assert fa.q("v1") == vertex_element(_G, "v1") and fa.t("e1") == _edge("e1")
     for call, message in (
         (lambda: fa.q("v2"), "no image assigned to vertex 'v2'"),
         (lambda: fa.t("e2"), "no image assigned to edge 'e2'"),
         (lambda: fa.tstar("e2"), "no ghost image assigned to edge 'e2'"),
-        (lambda: WeightMap((("e1", Fraction(1)),)).weight("e2"), "edge 'e2' has no weight"),
+        (lambda: WeightMap.from_mapping(_G, {"e1": 1, "e3": 1}), "weights missing for edges: e2, e4"),
     ):
         with pytest.raises(UnknownGenerator) as exc:
             call()
         assert str(exc.value) == message
-    assert WeightMap.uniform(_G).weight("e3") == 1
 
 
 def test_verify_family_rejects_broken_images():
-    edges = {e.id: edge_element(_G, e.id) for e in _G.edges}
-    edges["e4"] = edge_element(_G, "e2")  # wrong source and range
+    edges = {e.id: _edge(e.id) for e in _G.edges}
+    edges["e4"] = _edge("e2")  # wrong source and range
     fa = FamilyAssignment.build(
         _G, {v: vertex_element(_G, v) for v in _G.vertices}, edges
     )
@@ -256,7 +265,7 @@ def test_verify_family_rejects_broken_images():
 
 
 def test_verify_family_rejects_dropped_summand():
-    edges = {e.id: edge_element(_G, e.id) for e in _G.edges}
+    edges = {e.id: _edge(e.id) for e in _G.edges}
     edges["e3"] = zero_element()
     fa = FamilyAssignment.build(
         _G, {v: vertex_element(_G, v) for v in _G.vertices}, edges
