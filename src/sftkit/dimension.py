@@ -18,10 +18,10 @@ reducible M beyond the iteration bound the honest answer is Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import InvalidMatrix, NotIrreducible, ShapeError, UndecidedError
 from .graphs import Graph, _int_entry, sink_free_adjacency
 from .linalg import (
@@ -42,8 +42,7 @@ DEFAULT_ITERATE_BOUND = 24
 _CERTIFICATE_CAP = 500
 
 
-@dataclass(frozen=True)
-class DimensionTriple:
+class DimensionTriple(Frozen):
     """Acting matrix M = A^T of a dimension triple; M must be a nonnegative integer matrix."""
 
     matrix: Matrix
@@ -59,8 +58,7 @@ class DimensionTriple:
         return self.matrix.nrows
 
 
-@dataclass(frozen=True)
-class DimElement:
+class DimElement(Frozen):
     """Group element [a, k]: integer vector a at stage k of the limit."""
 
     a: tuple[int, ...]
@@ -147,20 +145,17 @@ def dg_shift(t: DimensionTriple, x: DimElement, power: int = 1) -> DimElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InCone:
+class InCone(Frozen):
     """Positive decision; `power` is an iteration certificate (M^power a >= 0) when available."""
 
     power: int | None = None
 
 
-@dataclass(frozen=True)
-class NotInCone:
+class NotInCone(Frozen):
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Frozen):
     """No decision within the iteration bound (reducible acting matrix)."""
 
     bound: int
@@ -276,8 +271,7 @@ def rational_to_element(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleIsoCandidate:
+class ModuleIsoCandidate(Frozen):
     """Rational matrix inducing a candidate isomorphism of dimension triples."""
 
     matrix: Matrix
@@ -341,8 +335,7 @@ def verify_module_iso(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntertwinerSystem:
+class IntertwinerSystem(Frozen):
     """The affine system over the flattened candidate entries, with row labels."""
 
     coefficients: Matrix
@@ -350,21 +343,18 @@ class IntertwinerSystem:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Frozen):
     """No rational solution at all; certificate @ coefficients = 0, certificate . rhs = 1."""
 
     system: IntertwinerSystem
     certificate: Vector
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     matrix: Matrix
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBounds:
+class NotFoundWithinBounds(Frozen):
     tried: int
 
 

@@ -24,9 +24,9 @@ is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
 from .graphs import _int_rows
 from .invariants import bowen_franks, char_poly_away_from_zero
@@ -47,16 +47,14 @@ from .linalg import (
 from .polynomials import _coprime, _integral
 
 
-@dataclass(frozen=True)
-class SSEWitness:
+class SSEWitness(Frozen):
     """Elementary strong shift equivalence pair (a = R S, b = S R)."""
 
     r: Matrix
     s: Matrix
 
 
-@dataclass(frozen=True)
-class SEWitness:
+class SEWitness(Frozen):
     """Shift equivalence witness of lag l >= 1."""
 
     r: Matrix
@@ -64,16 +62,14 @@ class SEWitness:
     lag: int
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(Frozen):
     """One step of an SSE chain: the next matrix and the witness reaching it."""
 
     matrix: Matrix
     witness: SSEWitness
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(Frozen):
     links: tuple[ChainLink, ...]
 
 

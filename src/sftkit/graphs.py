@@ -24,23 +24,35 @@ edges, not the matrix, so a sparse graph costs O(V + E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen, _set
 from .errors import HasSinks, InvalidMatrix, ParseError
 from .linalg import Matrix, carries_cycle, reaches_cycle, strong_components, support_digraph
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     src: str
     dst: str
     id: str
 
+    # built once per unit of every adjacency entry, so its methods are written out
+    def __init__(self, src: str, dst: str, id: str) -> None:
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "id", id)
 
-@dataclass(frozen=True)
-class Graph:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.src, self.dst, self.id) == (other.src, other.dst, other.id)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.dst, self.id))
+
+
+class Graph(Frozen):
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -90,6 +102,11 @@ class Graph:
         return self._incident[1].get(v, ())
 
     def adjacency(self) -> Matrix:
+        """The adjacency matrix in vertex order, built once per graph (a Matrix is immutable)."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> Matrix:
         n = len(self.vertices)
         idx = {v: i for i, v in enumerate(self.vertices)}
         counts = [[0] * n for _ in range(n)]
@@ -98,8 +115,7 @@ class Graph:
         return Matrix.from_rows(counts)
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(Frozen):
     sinks: tuple[str, ...]
     sources: tuple[str, ...]
     essential: bool

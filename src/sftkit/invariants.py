@@ -16,8 +16,8 @@ argument with the one adjacency check, `graphs._checked_adjacency`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import NotIrreducibleNontrivial, ShapeError
 from .graphs import (
     Graph,
@@ -31,8 +31,7 @@ from .linalg import Matrix, _smith, char_poly
 from .polynomials import Poly
 
 
-@dataclass(frozen=True)
-class AbelianGroupFP:
+class AbelianGroupFP(Frozen):
     """Finitely generated abelian group: torsion invariant factors and free rank.
 
     Invariant factors are the Smith diagonal entries greater than one, in
@@ -57,10 +56,7 @@ def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
     w = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
     sign = _smith(w, a.nrows, a.ncols)
     diag = [row[i] for i, row in enumerate(w)]
-    group = AbelianGroupFP(
-        factors=tuple(x for x in diag if x > 1),
-        free_rank=diag.count(0),
-    )
+    group = AbelianGroupFP(tuple(x for x in diag if x > 1), diag.count(0))
     return group, sign * math.prod(diag)
 
 
@@ -105,8 +101,7 @@ def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(Frozen):
     """Level sizes k_0 = (1,...,1), k_{n+1} = A^T k_n, plus the step matrix."""
 
     levels: tuple[tuple[int, ...], ...]

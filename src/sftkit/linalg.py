@@ -57,11 +57,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from ._frozen import Frozen, _set
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
 from .polynomials import (
     _INT,
@@ -85,15 +85,24 @@ def vector(entries: Iterable[Rat]) -> Vector:
     return v if _INT.issuperset(map(type, v)) else tuple(map(_num, v))
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable exact matrix; `from_rows` makes entries ints when integral, else Fractions."""
 
     rows: tuple[tuple[Rat, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(set(map(len, self.rows))) > 1:
+    # built by every product and every witness, so its methods are written out
+    def __init__(self, rows: tuple[tuple[Rat, ...], ...]) -> None:
+        if len(set(map(len, rows))) > 1:
             raise InvalidMatrix("ragged rows")
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rat]]) -> "Matrix":
@@ -462,16 +471,14 @@ def char_poly(m: Matrix) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(Frozen):
     """Solution set particular + span(basis) of a consistent system."""
 
     particular: Vector
     basis: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class AffineInfeasible:
+class AffineInfeasible(Frozen):
     """Certificate of infeasibility: certificate @ A == 0, certificate . b == 1."""
 
     certificate: Vector
@@ -733,8 +740,7 @@ class Sign(IntEnum):
     POSITIVE = 1
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(Frozen):
     """Perron data of an irreducible matrix A, from one Faddeev-LeVerrier run on A^T.
 
     `poly` is det(xI - A), monic with integer coefficients and possibly

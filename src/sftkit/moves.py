@@ -14,18 +14,17 @@ laid out from its crossing path, path by path, together with its theta entry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+from ._frozen import Frozen
 from .equivalences import SSEWitness
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
 from .graphs import Edge, Graph, graph_to_json, transpose
 from .linalg import Matrix
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(Frozen):
     """Per-vertex partition of edge ids into ordered, labeled blocks."""
 
     blocks: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
@@ -177,8 +176,7 @@ def kronecker_product(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BridgeGraph:
+class BridgeGraph(Frozen):
     """Two-class graph realizing a = r s and b = s r as crossing paths.
 
     graph: all vertices and crossing edges; class1/class2: the two vertex

@@ -27,10 +27,10 @@ of p and p'q mod p, read at two endpoints that are not roots of p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen, _set
 from .errors import ShapeError
 
 Rat = Fraction | int
@@ -47,11 +47,22 @@ def _num(x) -> Rat:
     return f.numerator if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Immutable polynomial (zero: the empty tuple); `from_coeffs` keeps ints when integral."""
 
     coeffs: tuple[Rat, ...]
+
+    # built by every step of every remainder sequence, so its methods are written out
+    def __init__(self, coeffs: tuple[Rat, ...]) -> None:
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Rat]) -> "Poly":

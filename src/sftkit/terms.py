@@ -1,9 +1,10 @@
 """Term calculus for path algebras with ghost edges.
 
 Elements are rational linear combinations of words in vertices v, edges e and
-ghost edges e*.  Coefficients follow the package's number rule
-(`polynomials._num`): an int when integral, a Fraction otherwise, never a
-float; `AlgebraElement` applies it once, where every element is made.
+ghost edges e*.  Coefficients, edge weights and degrees follow the package's
+number rule (`polynomials._num`): an int when integral, a Fraction otherwise,
+never a float; `AlgebraElement` applies it once, where every element is made,
+and `WeightMap` where each weight and each degree is.
 
 `reduce` rewrites words with the local relations only, and they are one
 composability rule.  Each atom goes from one vertex to another (`_ends`: v
@@ -27,11 +28,11 @@ Like terms are summed in one place, `_collect`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, TypeVar
 
+from ._frozen import Frozen
 from .errors import ParseError, SinkVertex, UnknownGenerator
 from .graphs import Graph
 from .moves import _block_index, _copy_name, in_split
@@ -180,8 +181,7 @@ def multiply(g: Graph, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(Frozen):
     """Rational weights on edges; ghost edges carry the negated weight."""
 
     weights: tuple[tuple[str, Rat], ...]
@@ -194,7 +194,7 @@ class WeightMap:
         for e, w in mapping.items():
             if not g.has_edge(e):
                 raise UnknownGenerator(f"edge {e!r} not in graph")
-            table[e] = parse_rational(w)
+            table[e] = _num(parse_rational(w))
         missing = [e.id for e in g.edges if e.id not in table]
         if missing:
             raise UnknownGenerator(f"weights missing for edges: {', '.join(missing)}")
@@ -217,7 +217,7 @@ class WeightMap:
                 total += table[name]
             elif kind == "g":
                 total -= table[name]
-        return total
+        return _num(total)
 
 
 def graded_decompose(
@@ -290,8 +290,7 @@ def equal_mod_ck2(g: Graph, x: AlgebraElement, y: AlgebraElement) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyAssignment:
+class FamilyAssignment(Frozen):
     """Images of one graph's generators inside the term algebra of another."""
 
     target: Graph

@@ -18,6 +18,16 @@ from sftkit.moves import EdgePartition
 from sftkit.polynomials import Poly
 
 
+def replace(record, **changes):
+    """A new record of record's class with the named fields changed, built by its
+    constructor (so its checks run); its fields are its `__match_args__`."""
+    fields = type(record).__match_args__
+    unknown = changes.keys() - fields
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
+    return type(record)(**{f: changes.get(f, getattr(record, f)) for f in fields})
+
+
 def random_adjacency(rng: random.Random, n: int, entry_max: int) -> Matrix:
     return Matrix.from_rows(
         [[rng.randrange(0, entry_max + 1) for _ in range(n)] for _ in range(n)]

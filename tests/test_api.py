@@ -108,3 +108,17 @@ def test_every_import_is_used():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         }
         assert not bound - read, f"{path.name}: unused {sorted(bound - read)}"
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes derive from `sftkit._frozen.Frozen`, which generates no
+    # code; `dataclasses` would load `inspect` into every command
+    for path in sorted(Path(sftkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "dataclasses" for m in modules), path.name

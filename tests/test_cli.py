@@ -510,20 +510,26 @@ def test_readme_commands_run(capsys, monkeypatch):
 
 
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 import sftkit
 for argv in ARGVS:
     from sftkit.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
+    assert "dataclasses" not in sys.modules, argv
+for name in IMPORTS:
+    importlib.import_module(name)
+    assert "dataclasses" not in sys.modules, name
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("sftkit"))))
 """
 
 
-def _modules_loaded_by(*argvs: list[str]) -> set[str]:
-    """The sftkit modules a fresh interpreter holds after `import sftkit` and these runs."""
+def _modules_loaded_by(*argvs: list[str], imports: tuple[str, ...] = ()) -> set[str]:
+    """The sftkit modules a fresh interpreter holds after `import sftkit`, these
+    runs and these imports; the probe fails if any of them loaded `dataclasses`."""
+    probe = _PROBE.replace("ARGVS", repr(list(argvs))).replace("IMPORTS", repr(imports))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.replace("ARGVS", repr(list(argvs)))],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, timeout=60, cwd=_ROOT,
         env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
     )
@@ -543,3 +549,12 @@ def test_commands_import_only_the_modules_they_run():
     assert not plain & optional, plain
     cone = _modules_loaded_by(["dimgroup", "pos", "[[1,2],[1,0]]", "1,1"])
     assert cone - plain == {"sftkit.dimension"}
+
+
+def test_no_command_or_module_loads_dataclasses():
+    # the records derive from `sftkit._frozen.Frozen`; `dataclasses` (and the
+    # `inspect` it imports) would cost every command its import time
+    modules = sorted(f"sftkit.{p.stem}" for p in (_ROOT / "src" / "sftkit").glob("[!_]*.py"))
+    commands = [shlex.split(line, comments=True)[1:] for line in _readme_commands()]
+    loaded = _modules_loaded_by(*commands, imports=tuple(modules))
+    assert set(modules) <= loaded

@@ -6,7 +6,6 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -15,6 +14,7 @@ from helpers import (
     purely_infinite_simple_oracle,
     random_adjacency,
     reach_oracle,
+    replace,
 )
 
 from sftkit import graphs, linalg
@@ -28,7 +28,6 @@ from sftkit.dimension import (
 )
 from sftkit.errors import InvalidMatrix, ParseError, SftkitError
 from sftkit.graphs import (
-    Edge,
     Edge,
     Graph,
     GraphReport,
@@ -55,6 +54,21 @@ def test_from_adjacency_roundtrip():
     for _ in range(25):
         m = random_adjacency(rng, rng.randrange(1, 5), 3)
         assert from_adjacency(m).adjacency() == m
+
+
+def test_adjacency_is_built_once_per_graph():
+    # the graph-level questions ask one graph for its matrix again and again;
+    # it is built once, and its entries still count the edges
+    rng = random.Random(22)
+    for _ in range(25):
+        m = random_adjacency(rng, rng.randrange(1, 5), 3)
+        g = from_adjacency(m)
+        g = Graph(g.vertices, tuple(reversed(g.edges)))
+        a = g.adjacency()
+        assert g.adjacency() is a
+        counts = Counter((e.src, e.dst) for e in g.edges)
+        assert a.rows == tuple(tuple(counts[u, v] for v in g.vertices) for u in g.vertices)
+        assert a == m
 
 
 def test_from_adjacency_rejects_bad_matrices():

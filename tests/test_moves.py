@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -14,6 +13,7 @@ from helpers import (
     random_irreducible_nontrivial,
     random_out_partition,
     random_sink_free,
+    replace,
 )
 
 from sftkit.equivalences import sse_witness_to_json, verify_esse
@@ -194,7 +194,7 @@ def _example_bridge() -> BridgeGraph:
 
 
 def _with_theta1(**changes):
-    return lambda bg: dataclasses.replace(bg, theta1={**bg.theta1, **changes})
+    return lambda bg: replace(bg, theta1={**bg.theta1, **changes})
 
 
 # each entry breaks one bridge condition of the example bridge, whose theta1
@@ -203,17 +203,17 @@ def _with_theta1(**changes):
 _TAMPERED = [
     ("path with another range", _with_theta1(p2=("x1", "y1"))),
     ("paths swapped between edges of other ranges", _with_theta1(p1=("x1", "y2"), p2=("x1", "y1"))),
-    ("an extra factor edge shares a path", lambda bg: dataclasses.replace(
+    ("an extra factor edge shares a path", lambda bg: replace(
         bg, e1=Graph(bg.e1.vertices, bg.e1.edges + (Edge("u1", "u2", "p9"),)),
         theta1={**bg.theta1, "p9": ("x1", "y2")})),
     ("image with an unknown edge id", _with_theta1(p1=("x1", "nope"))),
     ("image with an unknown first edge id", _with_theta1(p1=("nope", "y1"))),
     ("path whose two edges do not compose", _with_theta1(p1=("x1", "x2"))),
-    ("paths leaving their home class", lambda bg: dataclasses.replace(
+    ("paths leaving their home class", lambda bg: replace(
         bg, e1=bg.e2, e2=bg.e1, theta1=bg.theta2, theta2=bg.theta1)),
-    ("factor edge missing from theta", lambda bg: dataclasses.replace(
+    ("factor edge missing from theta", lambda bg: replace(
         bg, e1=Graph(bg.e1.vertices, bg.e1.edges + (Edge("u1", "u1", "p9"),)))),
-    ("unknown edge id in theta2", lambda bg: dataclasses.replace(
+    ("unknown edge id in theta2", lambda bg: replace(
         bg, theta2={**bg.theta2, "q1": ("y1", "nope")})),
     ("image with one edge id", _with_theta1(p1=("x1",))),
     ("image with three edge ids", _with_theta1(p1=("x1", "y1", "y2"))),

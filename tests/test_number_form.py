@@ -22,6 +22,7 @@ from helpers import (
 )
 
 from sftkit.errors import InvalidMatrix
+from sftkit.graphs import from_adjacency
 from sftkit.linalg import (
     AffineInfeasible,
     AffineSolution,
@@ -359,6 +360,7 @@ def test_term_coefficients_keep_the_number_form():
         assert all(type(d) is int for d in uniform), uniform
         weights = {e.id: rng.choice((1, 2, "1/2", "3/2")) for e in g.edges}
         rational = graded_decompose(g, WeightMap.from_mapping(g, weights), y)
+        _assert_form(list(rational))
         elements += [*uniform.values(), *rational.values()]
         _, fa = in_split_family(g, random_in_partition(rng, g))
         for images in (fa.vertex_images, fa.edge_images, fa.ghost_images):
@@ -368,3 +370,21 @@ def test_term_coefficients_keep_the_number_form():
             _assert_form(coeffs)
             seen.update(type(c) for c in coeffs)
     assert seen == {int, Fraction}
+
+
+def test_weights_and_degrees_keep_the_number_form():
+    # integral weights, however written, are ints, so `--weights` degrees key
+    # the components by ints as `WeightMap.uniform` does; half weights stay Fractions
+    g = from_adjacency(Matrix.from_rows([[1, 2], [1, 0]]))
+    x = parse_element(g, "e1 + e3 + v1")
+    w = WeightMap.from_mapping(g, {"e1": 1, "e2": "2", "e3": Fraction(3), "e4": "4/2"})
+    assert [type(c) for _, c in w.weights] == [int] * 4
+    parts = graded_decompose(g, w, x)
+    assert [(d, type(d)) for d in parts] == [(0, int), (1, int), (3, int)]
+    assert [type(d) for d in graded_decompose(g, WeightMap.uniform(g), x)] == [int, int]
+    half = WeightMap.from_mapping(g, {"e1": "1/2", "e2": 1, "e3": "3/2", "e4": 1})
+    parts = graded_decompose(g, half, x)
+    assert [(d, type(d)) for d in parts] == [
+        (0, int), (Fraction(1, 2), Fraction), (Fraction(3, 2), Fraction)
+    ]
+    assert type(half.degree_of_word((("e", "e1"), ("e", "e3")))) is int
