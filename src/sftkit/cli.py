@@ -31,12 +31,7 @@ from .graphs import (
     named_adjacency,
     payload_from_json,
 )
-from .invariants import (
-    bratteli,
-    bratteli_to_dot,
-    flow_equivalent,
-    invariants_report,
-)
+from .invariants import _flow_decision, bratteli, bratteli_to_dot, invariants_report
 from .linalg import Matrix
 
 EXIT_OK = 0
@@ -229,13 +224,8 @@ def _cmd_invariants(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
-    a, b = run.matrix(args.g1), run.matrix(args.g2)
-    same = flow_equivalent(a, b)
-    results = {
-        "flow_equivalent": same,
-        "first": invariants_report(a),
-        "second": invariants_report(b),
-    }
+    same, first, second = _flow_decision(run.matrix(args.g1), run.matrix(args.g2))
+    results = {"flow_equivalent": same, "first": first, "second": second}
     return (EXIT_OK if same else EXIT_NEGATIVE), results, None
 
 

@@ -210,14 +210,14 @@ def classify(g: Graph | Matrix) -> GraphReport:
     cycles = [comp for comp in comps if carries_cycle(comp, adj)]
     exits = all(any(sum(a.rows[v]) != 1 for v in comp) for comp in cycles)
     irreducible = len(comps) == 1 and len(cycles) == 1
-    return GraphReport(
-        sinks=sinks,
-        sources=sources,
-        essential=not sinks and not sources,
-        irreducible=irreducible,
-        trivial=irreducible and sum(map(sum, a.rows)) == len(names),
-        purely_infinite_simple=all(reaches_cycle(adj, comps)) and exits and len(cycles) == 1,
-        strongly_graded=not sinks,
+    return GraphReport(  # positional: the keyword path of `Frozen` costs more per call
+        sinks,
+        sources,
+        not sinks and not sources,  # essential
+        irreducible,
+        irreducible and sum(map(sum, a.rows)) == len(names),  # trivial
+        all(reaches_cycle(adj, comps)) and exits and len(cycles) == 1,  # purely infinite simple
+        not sinks,  # strongly graded
     )
 
 

@@ -8,6 +8,20 @@ from one Smith elimination of the bare I - A, with no unimodular transforms
 carried: the group from the diagonal D, and det(I - A) as the product of
 that diagonal times the sign det U * det V the elimination returns.
 
+Before that elimination, and before Faddeev-LeVerrier in
+`char_poly_away_from_zero`, A is amalgamated (`linalg._amalgamate`): equal
+columns are merged, and equal rows by the same step on A^T, until no two
+columns or rows are equal.  An out-split leaves equal columns behind and an
+in-split equal rows, so a split graph shrinks back towards its base.  Each
+merge writes A = E D with D a 0/1 division matrix and moves to A' = D E
+(n x n to k x k), and three identities keep every output exact:
+
+* det(x I_n - E D) = x^(n-k) det(x I_k - D E), so the characteristic
+  polynomial away from zero is unchanged;
+* det(I - E D) = det(I - D E);
+* D (I - E D) = (I - D E) D and E (I - D E) = (I - E D) E, so D and E
+  induce inverse isomorphisms coker(I - E D) = coker(I - D E).
+
 `flow_equivalent`, `bratteli` and `bratteli_to_dot` take a graph or its
 adjacency matrix (`graphs.named_adjacency`); the matrix functions check their
 argument with the one adjacency check, `graphs._checked_adjacency`.
@@ -27,7 +41,7 @@ from .graphs import (
     named_adjacency,
     sink_free_adjacency,
 )
-from .linalg import Matrix, _smith, char_poly
+from .linalg import Matrix, _amalgamate, _smith, char_poly
 from .polynomials import Poly
 
 
@@ -51,8 +65,8 @@ class AbelianGroupFP(Frozen):
 
 
 def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
-    """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a."""
-    a = _checked_adjacency(a)
+    """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a, a amalgamated."""
+    a = _amalgamate(_checked_adjacency(a))
     w = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
     sign = _smith(w, a.nrows, a.ncols)
     diag = [row[i] for i, row in enumerate(w)]
@@ -71,11 +85,23 @@ def det_i_minus_a(a: Matrix) -> int:
 
 def char_poly_away_from_zero(a: Matrix) -> Poly:
     """Characteristic polynomial with every factor of x stripped."""
-    p = char_poly(_checked_adjacency(a))
+    p = char_poly(_amalgamate(_checked_adjacency(a)))
     coeffs = list(p.coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
     return Poly.from_coeffs(coeffs)
+
+
+def _flow_class(g: Graph | Matrix, h: Graph | Matrix) -> tuple[Matrix, Matrix]:
+    """The adjacency matrices of g and h, each checked irreducible and not a single cycle."""
+    a, b = named_adjacency(g)[1], named_adjacency(h)[1]
+    for name, m in (("first", a), ("second", b)):
+        report = classify(m)
+        if not report.irreducible or report.trivial:
+            raise NotIrreducibleNontrivial(
+                f"{name} graph must be irreducible and not a single cycle"
+            )
+    return a, b
 
 
 def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
@@ -86,14 +112,15 @@ def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
     a complete invariant.  Raises NotIrreducibleNontrivial outside that range
     rather than guessing.
     """
-    a, b = named_adjacency(g)[1], named_adjacency(h)[1]
-    for name, m in (("first", a), ("second", b)):
-        report = classify(m)
-        if not report.irreducible or report.trivial:
-            raise NotIrreducibleNontrivial(
-                f"{name} graph must be irreducible and not a single cycle"
-            )
+    a, b = _flow_class(g, h)
     return _flow_invariants(a) == _flow_invariants(b)
+
+
+def _flow_decision(g: Graph | Matrix, h: Graph | Matrix) -> tuple[bool, dict, dict]:
+    """`flow_equivalent` with both `invariants_report`s, from one Smith elimination per matrix."""
+    a, b = _flow_class(g, h)
+    fa, fb = _flow_invariants(a), _flow_invariants(b)
+    return fa == fb, _report(a, *fa), _report(b, *fb)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +173,10 @@ def bratteli_to_dot(g: Graph | Matrix, diagram: BratteliDiagram) -> str:
 
 def invariants_report(a: Matrix) -> dict:
     """JSON-ready bundle of the flow invariants of one adjacency matrix."""
-    bf, det = _flow_invariants(a)
+    return _report(a, *_flow_invariants(a))
+
+
+def _report(a: Matrix, bf: AbelianGroupFP, det: int) -> dict:
     cp = char_poly_away_from_zero(a)
     return {
         "bf": {"factors": list(bf.factors), "rank": bf.free_rank},

@@ -20,6 +20,10 @@ leans on:
   array whose blocks hold U and V; the same in-place elimination runs on
   the bare matrix when only D and det U * det V are needed (the flow
   invariants), with no transform blocks to carry;
+* amalgamation, which merges equal columns and equal rows of a square
+  matrix until none are equal, each merge one elementary strong shift
+  equivalence A = E D to D E (`_merge`, one step; `_amalgamate`, all of
+  them); the flow invariants run on the merged matrix;
 * characteristic polynomials via Faddeev-LeVerrier, each product running
   over the nonzero entries of each row only (the matrices are mostly sparse
   0/1), which also yields column 0 of the adjugate of (xI - A) for free;
@@ -412,6 +416,52 @@ def _smith(w: list[list[int]], nr: int, nc: int) -> int:
                     w[t], pos = [x + y for x, y in zip(top, row)], (t, t)
                     break
     return sign
+
+
+def _merge(lines: Sequence[tuple[int, ...]]) -> tuple[list[int], list[list[int]]] | None:
+    """Merge the equal columns of a square A, given as its columns; None when all differ.
+
+    Number the classes of equal columns by first occurrence, class[c] for
+    column c.  With E the first column of each class (n x k) and D the 0/1
+    matrix with D[r][c] = 1 iff class[c] = r (k x n), A = E D, and the merged
+    matrix D E sums the rows of E by class: its column s is column s of E
+    with the entries of each class added up.  Returns (class, columns of D E).
+    Given the rows of A instead, the same step merges equal rows: it is the
+    step on A^T read transposed, A = D^T E^T and the merged matrix E^T D^T.
+    """
+    first: dict = {}
+    cls = [first.setdefault(line, len(first)) for line in lines]
+    if len(first) == len(cls):
+        return None
+    merged = []
+    for line in first:
+        out = [0] * len(first)
+        for r, x in zip(cls, line):
+            out[r] += x
+        merged.append(out)
+    return cls, merged
+
+
+def _amalgamate(m: Matrix) -> Matrix:
+    """m with equal columns, then equal rows, merged until no two are equal.
+
+    Each `_merge` is an elementary strong shift equivalence A = R S to S R,
+    so coker(I - A), det(I - A) and det(xI - A) away from x = 0 are those
+    of the smaller matrix.  When the first column scan and row scan merge
+    nothing, m itself is returned.
+    """
+    lines, idle, scans = m.rows, 0, 0
+    while idle < 2:
+        lines = list(zip(*lines))  # rows to columns, or back
+        scans += 1
+        step = _merge(lines)
+        if step is None:
+            idle += 1
+        else:
+            lines, idle = step[1], 0
+    if scans == 2:
+        return m
+    return Matrix(tuple(zip(*lines)) if scans % 2 else tuple(map(tuple, lines)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ e* f is r(e) when f = e and zero otherwise; any other composable pair is
 already normal.  Every word then lands on a monomial (real path times ghost
 path, or a lone vertex) or vanishes; these normal forms are canonical for the
 local relations, and the rewriting is confluent, so the scan strategy does
-not matter.
+not matter.  Each word is reduced in one stack pass (`_reduce_word`), with
+pair checks linear in its length.
 
 The summation relation (vertex = sum of e e* over its outgoing edges) is not
 applied by `reduce`.  Instead `equal_mod_ck2` decides equality modulo it by
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
 from ._frozen import Frozen
 from .errors import ParseError, SinkVertex, UnknownGenerator
@@ -140,21 +141,28 @@ def _rewrite_pair(g: Graph, x: Atom, y: Atom):
 
 
 def _reduce_word(g: Graph, word: Word, strategy: str) -> Word | None:
-    w = list(word)
-    while len(w) > 1:
-        positions: Sequence[int] = range(len(w) - 1)
-        if strategy == "rightmost":
-            positions = range(len(w) - 2, -1, -1)
-        for idx in positions:
-            res = _rewrite_pair(g, w[idx], w[idx + 1])
+    """The normal form of word, or None when it is zero, in one stack pass.
+
+    "leftmost" takes the atoms from the left.  Every prefix on the stack is
+    irreducible, so the stack top and the next atom form the leftmost
+    reducible pair; a rewrite pops the top and puts its atoms back in front
+    of the rest, so the rewrites fire in the order a rescan from the left
+    would fire them.  "rightmost" is the mirror pass, from the right.
+    """
+    right = strategy == "rightmost"
+    pending, done = list(word) if right else list(reversed(word)), []
+    while pending:
+        x = pending.pop()
+        if done:
+            res = _rewrite_pair(g, x, done[-1]) if right else _rewrite_pair(g, done[-1], x)
             if res == _KILL:
                 return None
             if res is not None:
-                w[idx : idx + 2] = res
-                break
-        else:
-            return tuple(w)
-    return tuple(w)
+                done.pop()
+                pending.extend(res if right else reversed(res))
+                continue
+        done.append(x)
+    return tuple(reversed(done)) if right else tuple(done)
 
 
 def reduce(g: Graph, x: AlgebraElement, strategy: str = "leftmost") -> AlgebraElement:

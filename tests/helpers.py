@@ -8,6 +8,8 @@ library results are checked against genuinely independent computations.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -539,3 +541,55 @@ def rewrite_oracle(g: Graph, x: tuple[str, str], y: tuple[str, str]):
         return [("v", dst[ix])] if ix == iy else "kill"
     # e* f* is a ghost path iff s(e) = r(f)
     return None if src[ix] == dst[iy] else "kill"
+
+
+def bowen_franks_oracle(m: Matrix) -> tuple[tuple[int, ...], int, int]:
+    """(invariant factors > 1, free rank, det) of coker(I - m), from determinantal divisors.
+
+    d_k is the gcd of all k x k minors of I - m, each taken with
+    `cofactor_det`; the k-th invariant factor is d_k / d_(k-1) while d_k is
+    nonzero, and the free rank is n minus the largest such k.
+    """
+    n = m.nrows
+    w = [[Fraction(int(i == j) - x) for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    divisors = [1]
+    for k in range(1, n + 1):
+        d = 0
+        subsets = list(itertools.combinations(range(n), k))
+        for rows, cols in itertools.product(subsets, repeat=2):
+            d = math.gcd(d, int(cofactor_det([[w[i][j] for j in cols] for i in rows])))
+            if d == 1:  # no gcd goes lower
+                break
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b // a > 1)
+    return factors, n + 1 - len(divisors), int(cofactor_det(w))
+
+
+def char_poly_away_from_zero_oracle(m: Matrix) -> list[int]:
+    """Coefficients of det(xI - m), constant term first, with every factor of x
+    stripped, from the dense `faddeev_leverrier_oracle`."""
+    coeffs, _ = faddeev_leverrier_oracle(m)
+    while coeffs[0] == 0 and len(coeffs) > 1:
+        coeffs = coeffs[1:]
+    return coeffs
+
+
+def rescan_reduce_oracle(g: Graph, word, strategy: str):
+    """(normal form or None, the pairs rewritten in order) of a word, by the
+    textbook strategy: rescan from the left end (or the right end) after
+    every rewrite and fire the first reducible pair of `rewrite_oracle`."""
+    w, fired = list(word), []
+    while True:
+        positions = range(len(w) - 1)
+        for i in reversed(positions) if strategy == "rightmost" else positions:
+            res = rewrite_oracle(g, w[i], w[i + 1])
+            if res is not None:
+                fired.append((w[i], w[i + 1]))
+                if res == "kill":
+                    return None, fired
+                w[i : i + 2] = res
+                break
+        else:
+            return tuple(w), fired

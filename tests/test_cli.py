@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -90,6 +91,18 @@ def test_flow_positive_and_negative(capsys):
     code, rep = _report(capsys, "flow", "[[2]]", "[[3]]")
     assert code == 1
     assert rep["results"]["flow_equivalent"] is False
+
+
+def test_flow_runs_one_smith_elimination_per_matrix(capsys):
+    from sftkit import invariants
+
+    calls = []
+    inner = invariants._smith
+    with mock.patch.object(invariants, "_smith", lambda *args: calls.append(1) or inner(*args)):
+        code, rep = _report(capsys, "flow", "[[1,2],[1,0]]", "[[1,1],[2,0]]")
+    assert code == 0 and rep["results"]["flow_equivalent"] is True
+    assert rep["results"]["first"]["det_i_minus_a"] == rep["results"]["second"]["det_i_minus_a"] == -2
+    assert len(calls) == 2
 
 
 def test_dimgroup_pos_decisions(capsys):

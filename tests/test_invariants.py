@@ -6,9 +6,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from helpers import (
+    bowen_franks_oracle,
+    char_poly_away_from_zero_oracle,
     det_oracle,
     random_adjacency,
     random_in_partition,
@@ -16,6 +19,8 @@ from helpers import (
     random_out_partition,
 )
 
+from sftkit import invariants, linalg
+from sftkit.equivalences import SSEWitness, verify_esse
 from sftkit.errors import HasSinks, InvalidMatrix, NotIrreducibleNontrivial
 from sftkit.graphs import from_adjacency, transpose
 from sftkit.invariants import (
@@ -220,3 +225,140 @@ def test_flow_invariants_are_pinned():
     assert all(row[6] for row in found)  # a split is conjugate, hence flow equivalent
     digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
     assert digest == _FLOW_INVARIANTS
+
+
+# ---------------------------------------------------------------------------
+# Amalgamation: the invariants of the merged matrix are those of the input
+# ---------------------------------------------------------------------------
+
+
+def _planted(rng: random.Random, n: int) -> Matrix:
+    """A seeded n x n adjacency matrix with columns and rows copied from
+    others, or zeroed, at random."""
+    rows = [[rng.randrange(0, 3) for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.randrange(1, n + 1)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.choice(["row", "column", "zero row", "zero column"])
+        if kind == "row":
+            rows[j] = list(rows[i])
+        elif kind == "zero row":
+            rows[j] = [0] * n
+        else:
+            for row in rows:
+                row[j] = row[i] if kind == "column" else 0
+    return Matrix.from_rows(rows)
+
+
+def _all_invariants(a: Matrix) -> tuple:
+    bf = bowen_franks(a)
+    return bf.factors, bf.free_rank, det_i_minus_a(a), list(char_poly_away_from_zero(a).coeffs)
+
+
+def _oracle_invariants(a: Matrix) -> tuple:
+    return (*bowen_franks_oracle(a), char_poly_away_from_zero_oracle(a))
+
+
+def _distinct_lines(m: Matrix) -> bool:
+    return len(set(m.rows)) == m.nrows and len(set(zip(*m.rows))) == m.ncols
+
+
+def test_planted_equal_lines_keep_the_oracle_invariants():
+    rng = random.Random(240)
+    shrunk = zero_lines = 0
+    for _ in range(300):
+        a = _planted(rng, rng.randint(1, 6))
+        assert _all_invariants(a) == _oracle_invariants(a), a
+        reduced = linalg._amalgamate(a)
+        assert _distinct_lines(reduced)
+        shrunk += reduced.nrows < a.nrows
+        zero_lines += not all(map(any, a.rows)) or not all(map(any, zip(*a.rows)))
+    assert shrunk >= 150 and zero_lines >= 50, (shrunk, zero_lines)
+
+
+def test_splits_keep_the_base_invariants():
+    # a split is strong shift equivalent to its base, so all three
+    # invariants must match the base's and the oracle's; the in-split of the
+    # out-split has equal rows and equal columns to merge
+    rng = random.Random(241)
+    for _ in range(40):
+        g = random_irreducible_nontrivial(rng, 3, 2)
+        base = g.adjacency()
+        expected = _oracle_invariants(base)
+        assert _all_invariants(base) == expected
+        h = g
+        for split, part in ((out_split, random_out_partition), (in_split, random_in_partition)):
+            h, _ = split(h, part(rng, h))
+            a = h.adjacency()
+            assert _all_invariants(a) == expected
+        assert _oracle_invariants(a) == expected
+
+
+def _recorded_merges(a: Matrix) -> tuple[Matrix, list]:
+    steps = []
+    inner = linalg._merge
+
+    def recording(lines):
+        out = inner(lines)
+        steps.append((lines, out))
+        return out
+
+    with mock.patch.object(linalg, "_merge", recording):
+        return linalg._amalgamate(a), steps
+
+
+def test_every_merge_step_is_an_elementary_sse():
+    rng = random.Random(242)
+    merges = rows_merged = 0
+    for _ in range(200):
+        if rng.random() < 0.5:
+            a = _planted(rng, rng.randint(1, 6))
+        else:
+            g = random_irreducible_nontrivial(rng, 3, 2)
+            split, part = rng.choice(((out_split, random_out_partition),
+                                      (in_split, random_in_partition)))
+            a = split(g, part(rng, g))[0].adjacency()
+        reduced, steps = _recorded_merges(a)
+        current = a
+        for lines, out in steps:
+            # the step sees the columns of the current matrix or its rows
+            m = _m(zip(*lines))
+            on_rows = m != current
+            assert m == (current.transpose() if on_rows else current)
+            if out is None:
+                continue
+            cls, merged = out
+            firsts = [cls.index(r) for r in range(max(cls) + 1)]  # classes by first column
+            e = _m([[row[c] for c in firsts] for row in m.rows])
+            d = _m([[int(cls[c] == r) for c in range(len(cls))] for r in range(len(firsts))])
+            after = _m(zip(*merged))
+            assert verify_esse(m, after, SSEWitness(e, d))
+            assert verify_esse(m.transpose(), after.transpose(),
+                               SSEWitness(d.transpose(), e.transpose()))
+            current = after.transpose() if on_rows else after
+            merges += 1
+            rows_merged += on_rows
+        assert current == reduced
+        assert (reduced is a) == (len(steps) == 2)
+    assert merges >= 150 and rows_merged >= 50, (merges, rows_merged)
+
+
+def test_amalgamate_returns_its_input_when_nothing_merges():
+    a = _m([[1, 2], [1, 0]])
+    assert linalg._amalgamate(a) is a
+    assert linalg._amalgamate(_m([[0]])) == _m([[0]])
+    # the out-split of vertex 1 of [[1,2],[1,0]] into its loop and its two
+    # edges to vertex 2: the two copies have equal columns, and one merge
+    # gives the base back
+    assert linalg._amalgamate(_m([[1, 1, 0], [0, 0, 2], [1, 1, 0]])) == _m([[1, 2], [1, 0]])
+
+
+def test_flow_decision_is_flow_equivalent_with_both_reports():
+    rng = random.Random(243)
+    corpus = [random_irreducible_nontrivial(rng, 4, 2) for _ in range(12)]
+    for g, h in zip(corpus, corpus[1:] + corpus[:1]):
+        same, first, second = invariants._flow_decision(g, h)
+        assert same == flow_equivalent(g, h)
+        assert first == invariants_report(g.adjacency())
+        assert second == invariants_report(h.adjacency())
+    with pytest.raises(NotIrreducibleNontrivial, match="second graph"):
+        invariants._flow_decision(corpus[0], _m([[0, 1], [1, 0]]))

@@ -5,9 +5,16 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from helpers import random_adjacency, random_in_partition, random_sink_free, rewrite_oracle
+from helpers import (
+    random_adjacency,
+    random_in_partition,
+    random_sink_free,
+    rescan_reduce_oracle,
+    rewrite_oracle,
+)
 
 from sftkit.errors import ParseError, SinkVertex, UnknownGenerator
 from sftkit.graphs import from_adjacency
@@ -94,6 +101,53 @@ def test_reduce_is_idempotent_and_strategies_agree():
         right = reduce(_G, x, "rightmost")
         assert left == right
         assert reduce(_G, left) == left
+
+
+def _fired_pairs(g, word, strategy):
+    """The normal form of word and the atom pairs rewritten, in order."""
+    fired = []
+    inner = terms._rewrite_pair
+
+    def recording(g, x, y):
+        res = inner(g, x, y)
+        if res is not None:
+            fired.append((x, y))
+        return res
+
+    with mock.patch.object(terms, "_rewrite_pair", recording):
+        return terms._reduce_word(g, word, strategy), fired
+
+
+def test_stack_pass_fires_the_rewrites_of_a_rescan():
+    # one vertex with three loops kills only e_i* e_j with i != j, so most
+    # words take many rewrites; _G adds endpoint mismatches
+    rng = random.Random(72)
+    loops = from_adjacency(Matrix.from_rows([[3]]))
+    rewrites = 0
+    for _ in range(400):
+        g = rng.choice((_G, loops))
+        word = _random_word(rng, g, rng.randrange(0, 12))
+        for strategy in ("leftmost", "rightmost"):
+            found = _fired_pairs(g, word, strategy)
+            assert found == rescan_reduce_oracle(g, word, strategy), (word, strategy)
+            rewrites += len(found[1])
+    assert rewrites > 1000
+
+
+def test_rewrite_pair_calls_grow_linearly():
+    # a rescan after every rewrite takes about n^2 / 2 pair checks on
+    # e1^n v1^n (leftmost) and on its mirror v1^n e1^n (rightmost)
+    g = from_adjacency(Matrix.from_rows([[2]]))
+    e, v = ("e", "e1"), ("v", "v1")
+    inner = terms._rewrite_pair
+    for n in (100, 200, 400):
+        for strategy, word in (("leftmost", (e,) * n + (v,) * n),
+                               ("rightmost", (v,) * n + (e,) * n)):
+            calls = []
+            with mock.patch.object(terms, "_rewrite_pair",
+                                   lambda *args: calls.append(args) or inner(*args)):
+                assert terms._reduce_word(g, word, strategy) == (e,) * n
+            assert len(calls) <= 3 * n, (strategy, n, len(calls))
 
 
 def test_reduce_unknown_strategy():
