@@ -31,7 +31,14 @@ from .graphs import (
     named_adjacency,
     payload_from_json,
 )
-from .invariants import _flow_decision, bratteli, bratteli_to_dot, invariants_report
+from .invariants import (
+    _bf_json,
+    _flow_decision,
+    _poly_json,
+    bratteli,
+    bratteli_to_dot,
+    invariants_report,
+)
 from .linalg import Matrix
 
 EXIT_OK = 0
@@ -300,8 +307,20 @@ def _cmd_se_verify(run: _Run, args) -> tuple[int, dict, str | None]:
     return (EXIT_OK if ok else EXIT_NEGATIVE), {"verified": ok, "lag": w.lag}, None
 
 
-def _witness_not_found() -> tuple[int, dict, None]:
-    """The report of a witness search that stopped at its bounds without a witness."""
+def _witness_not_found(differs: tuple | None) -> tuple[int, dict, None]:
+    """The report of a witness search that returned no witness.
+
+    differs is the search's prefilter verdict on the pair
+    (`equivalences._proven_different`): the invariant that tells the two
+    matrices apart proves there is no witness at all.  Without one, the
+    search stopped at its bounds.
+    """
+    if differs is not None:
+        reason, at_a, at_b = differs
+        as_json = _poly_json if reason == "char_poly_away_from_zero" else _bf_json
+        results = {"outcome": "not_equivalent", "conclusive": True, "reason": reason,
+                   "a": as_json(at_a), "b": as_json(at_b)}
+        return EXIT_NEGATIVE, results, None
     results = {
         "outcome": "not_found_within_bounds",
         "conclusive": False,
@@ -316,7 +335,7 @@ def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_se(a, b, **_given(args, "lag_max", "entry_bound", budget="candidate_budget"))
     if w is None:
-        return _witness_not_found()
+        return _witness_not_found(eqv._proven_different(a, b))
     return EXIT_OK, {"outcome": "found", "witness": eqv.se_witness_to_json(w)}, None
 
 
@@ -336,7 +355,7 @@ def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
     w = eqv.search_esse(a, b, **_given(args, "inner_dim_max", "entry_bound",
                                        budget="candidate_budget"))
     if w is None:
-        return _witness_not_found()
+        return _witness_not_found(eqv._proven_different(a, b))
     return EXIT_OK, {"outcome": "found", "witness": eqv.sse_witness_to_json(w)}, None
 
 

@@ -7,13 +7,24 @@ witness strong shift equivalence; a shift equivalence of lag l is (R, S) with
     a^l = R S,   b^l = S R,   a R = R b,   S a = b S.
 
 Searches here are bounded and sound: any returned witness has been verified,
-and a miss is reported as "not found within the bounds", never as a proof of
-inequivalence.  An ESSE is a lag-1 shift equivalence (a R = R S R = R b and
-S a = S R S = b S), so `search_esse` is the lag-1 run of the one witness loop
-that `search_se` runs over lags 1..lag_max.
+and a miss within the bounds is never a proof of inequivalence; only a
+prefilter difference is, and the CLI reports it as one.  An ESSE is a lag-1
+shift equivalence (a R = R S R = R b and S a = S R S = b S), so
+`search_esse` reads the lag-1 run of the one witness loop that `search_se`
+runs over lags 1..lag_max.
+
+Both searches read one record per ordered pair (a, b), `_Pair`, built once
+per pair: the prefilter verdict (the characteristic polynomial away from
+zero and the Bowen-Franks group, from one check and one amalgamation of
+each matrix), both intertwiner bases, and the first verified witness of
+each (lag, entry_bound, candidate_budget) asked so far.  The record lives
+in a memo of exactly one pair, so `search_se` and `search_esse` asked of
+the same pair back to back share the prefilters, the bases and the lag-1
+run, and nothing carries across an intervening pair.  An exception is
+never recorded: bad input raises on every call.
 
 The loop runs on ints.  Both intertwiner bases are scaled to primitive
-integer matrices once per search, and a candidate R stays the int tuple
+integer matrices once per pair, and a candidate R stays the int tuple
 the scan yields.  `_partner_solutions` writes the columns vec(R S_k) and
 vec(S_k R) of its system with `linalg._product`, the kernel of `Matrix`
 products, keeping each repeated equation once; only a pair handed out is
@@ -24,12 +35,12 @@ is formed.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
 from .graphs import _int_rows
-from .invariants import bowen_franks, char_poly_away_from_zero
+from .invariants import _away_from_zero, _flow_invariants, _reduced
 from .linalg import (
     AffineInfeasible,
     AffineSolution,
@@ -142,11 +153,21 @@ def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
 PARTNER_SCAN_BUDGET = 5000
 
 
-def _prefilters_pass(a: Matrix, b: Matrix) -> bool:
-    """Cheap necessary conditions shared by SE and SSE; False means no witness exists."""
-    if char_poly_away_from_zero(a) != char_poly_away_from_zero(b):
-        return False
-    return bowen_franks(a) == bowen_franks(b)
+def _first_difference(a: Matrix, b: Matrix) -> tuple[str, object, object] | None:
+    """The first SE invariant that tells a from b, as (name, value at a, value at b), or None.
+
+    The invariants are the characteristic polynomial away from zero, then
+    the Bowen-Franks group, each read off the one `_reduced` form of each
+    matrix.  A difference proves that no shift equivalence exists.
+    """
+    ra, rb = _reduced(a), _reduced(b)
+    pa, pb = _away_from_zero(ra), _away_from_zero(rb)
+    if pa != pb:
+        return "char_poly_away_from_zero", pa, pb
+    ga, gb = _flow_invariants(ra)[0], _flow_invariants(rb)[0]
+    if ga != gb:
+        return "bowen_franks", ga, gb
+    return None
 
 
 def _integer_basis(a: Matrix, b: Matrix) -> list[list[int]]:
@@ -209,34 +230,77 @@ def _solve_for_partner(
     return next((_reshape(f, bl.nrows, al.nrows) for f in points), None)
 
 
-def _witnesses(
-    a: Matrix, b: Matrix, lag_max: int, entry_bound: int, candidate_budget: int
-) -> Iterator[SEWitness]:
-    """The witness loop: candidate (R, S, l) for lags 1..lag_max, to be verified.
+class _Pair:
+    """What the searches learn about one ordered pair (a, b).
 
-    Candidates R are the integer points of the rational intertwiner space
-    {R : a R = R b} with entries in [0, entry_bound], at most
-    candidate_budget per lag; for each one, the partner S is solved for
-    exactly in the partner space {S : S a = b S}, whose basis is computed
-    once per call.  Both bases are scaled to ints (`_integer_basis`), and a
-    candidate stays the flat int tuple the scan yields: a `Matrix` is built
-    only for a pair that is handed out.  Lags ascend and candidates are
-    lexicographic, so the first witness to verify is deterministic.
+    `differs` is the prefilter verdict, `_first_difference(a, b)`.  When it
+    is None, `space` and `partner` are the int bases (`_integer_basis`) of
+    {R : a R = R b} and {S : S a = b S}, and `found` maps each
+    (lag, entry_bound, candidate_budget) asked so far to the first verified
+    witness of that lag, or None.
     """
-    # {R : a R = R b} is the intertwiner space with the roles swapped
-    space = _integer_basis(b, a)
-    partner = _integer_basis(a, b)
-    origin = (0,) * (a.nrows * b.nrows)
-    al, bl = a, b
-    for lag in range(1, lag_max + 1):
-        if lag > 1:
-            al, bl = al @ a, bl @ b
-        for flat in integer_points(origin, space, 0, entry_bound, budget=candidate_budget):
+
+    __slots__ = ("a", "b", "differs", "space", "partner", "found")
+
+    def __init__(self, a: Matrix, b: Matrix) -> None:
+        self.a, self.b = a, b
+        self.differs = _first_difference(a, b)
+        if self.differs is None:
+            # {R : a R = R b} is the intertwiner space with the roles swapped
+            self.space, self.partner = _integer_basis(b, a), _integer_basis(a, b)
+        self.found: dict[tuple[int, int, int], SEWitness | None] = {}
+
+    def witness(self, lag: int, entry_bound: int, candidate_budget: int) -> SEWitness | None:
+        """The first verified lag-`lag` witness within the bounds; the prefilters must pass."""
+        key = (lag, entry_bound, candidate_budget)
+        if key not in self.found:
+            self.found[key] = self._first_witness(*key)
+        return self.found[key]
+
+    def _first_witness(self, lag: int, entry_bound: int, candidate_budget: int) -> SEWitness | None:
+        """The witness loop at one lag.
+
+        Candidates R are the integer points of {R : a R = R b} with entries
+        in [0, entry_bound], at most candidate_budget of them, in
+        lexicographic order; for each one the partner S is solved for
+        exactly (`_solve_for_partner`).  A candidate stays the flat int
+        tuple the scan yields: a `Matrix` is built only for a pair that
+        is checked.
+        """
+        a, b = self.a, self.b
+        al, bl = (a, b) if lag == 1 else (a**lag, b**lag)
+        origin = (0,) * (a.nrows * b.nrows)
+        for flat in integer_points(origin, self.space, 0, entry_bound, budget=candidate_budget):
             if not any(flat):
                 continue
-            s = _solve_for_partner(partner, flat, al, bl, entry_bound)
+            s = _solve_for_partner(self.partner, flat, al, bl, entry_bound)
             if s is not None:
-                yield SEWitness(_reshape(flat, a.nrows, b.nrows), s, lag)
+                w = SEWitness(_reshape(flat, a.nrows, b.nrows), s, lag)
+                if verify_se(a, b, w):
+                    return w
+        return None
+
+
+# The one-pair memo: the record of the last pair a search read, and nothing
+# else.  Its only reuse is a pair asked again before any other, as when both
+# searches are asked of one pair back to back; a second pair would carry
+# answers across unrelated questions.
+_memo: dict[tuple[Matrix, Matrix], _Pair] = {}
+
+
+def _pair(a: Matrix, b: Matrix) -> _Pair:
+    """The record of (a, b): the memo's if it holds that pair, else a new one that replaces it."""
+    rec = _memo.get((a, b))
+    if rec is None:
+        _memo.clear()
+        rec = _memo[a, b] = _Pair(a, b)
+    return rec
+
+
+def _proven_different(a: Matrix, b: Matrix) -> tuple[str, object, object] | None:
+    """The invariant by which the last search, if it read (a, b), proved them not SE."""
+    rec = _memo.get((a, b))
+    return None if rec is None else rec.differs
 
 
 def search_se(
@@ -248,17 +312,22 @@ def search_se(
 ) -> SEWitness | None:
     """Bounded search for a shift equivalence witness; None means not found.
 
-    Runs the witness loop (`_witnesses`) over lags 1..lag_max after the SE
-    invariant prefilters.  The first verified witness (lags ascending,
-    candidates lexicographic) is returned, so the search is deterministic
-    and complete within its bounds up to two budgets: at most
-    candidate_budget candidates R per lag, and at most PARTNER_SCAN_BUDGET
-    (5000) integer points scanned for the partner of each R.
+    Reads the pair's record (`_pair`): None if the SE invariant prefilters
+    differ, else its first verified witness for lags 1..lag_max in turn.
+    Lags ascend and candidates are lexicographic, so the search is
+    deterministic and complete within its bounds up to two budgets: at
+    most candidate_budget candidates R per lag, and at most
+    PARTNER_SCAN_BUDGET (5000) integer points scanned for the partner of
+    each R.
     """
-    if not _prefilters_pass(a, b):
+    rec = _pair(a, b)
+    if rec.differs is not None:
         return None
-    found = _witnesses(a, b, lag_max, entry_bound, candidate_budget)
-    return next((w for w in found if verify_se(a, b, w)), None)
+    for lag in range(1, lag_max + 1):
+        w = rec.witness(lag, entry_bound, candidate_budget)
+        if w is not None:
+            return w
+    return None
 
 
 def search_esse(
@@ -272,21 +341,28 @@ def search_esse(
 
     An elementary SSE is exactly a lag-1 shift equivalence: a = R S and
     b = S R give a R = R S R = R b and S a = S R S = b S.  So after its own
-    guards this runs the witness loop of `search_se` with lag 1 only, and
-    the same budgets.  The inner dimension of the factorization is forced by
-    b (R is n x m), so inner_dim_max acts as a refusal bound on the size of
-    b.  Equal traces are necessary too, but the prefilters already imply
-    them: the trace is minus the second-highest coefficient of the
-    characteristic polynomial away from zero, or 0 when that polynomial is 1.
+    guards this reads the lag-1 witness of the pair's record, the one
+    `search_se` finds with the same bounds, and checks it again with
+    `verify_esse`.  The inner dimension of the factorization is forced by
+    b (R is n x m), so inner_dim_max acts as a refusal bound on the size
+    of b; a refused search reads no record and leaves the memo empty.
+    Equal traces are necessary too, but the prefilters already imply them:
+    the trace is minus the second-highest coefficient of the characteristic
+    polynomial away from zero, or 0 when that polynomial is 1.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("search needs square matrices")
     if b.nrows > inner_dim_max:
+        _memo.clear()
         return None
-    if not _prefilters_pass(a, b):
+    rec = _pair(a, b)
+    if rec.differs is not None:
         return None
-    found = (SSEWitness(w.r, w.s) for w in _witnesses(a, b, 1, entry_bound, candidate_budget))
-    return next((w for w in found if verify_esse(a, b, w)), None)
+    w = rec.witness(1, entry_bound, candidate_budget)
+    if w is None:
+        return None
+    esse = SSEWitness(w.r, w.s)
+    return esse if verify_esse(a, b, esse) else None
 
 
 # ---------------------------------------------------------------------------

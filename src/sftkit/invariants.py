@@ -24,7 +24,11 @@ merge writes A = E D with D a 0/1 division matrix and moves to A' = D E
 
 `flow_equivalent`, `bratteli` and `bratteli_to_dot` take a graph or its
 adjacency matrix (`graphs.named_adjacency`); the matrix functions check their
-argument with the one adjacency check, `graphs._checked_adjacency`.
+argument with the one adjacency check, `graphs._checked_adjacency`.  Check
+and amalgamation are one step, `_reduced`, taken once per matrix however
+many invariants are read off it: `invariants_report`, `_flow_decision` and
+the prefilters of the witness searches pass the reduced matrix on to both
+Smith and Faddeev-LeVerrier.
 """
 
 from __future__ import annotations
@@ -64,9 +68,13 @@ class AbelianGroupFP(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
+def _reduced(a: Matrix) -> Matrix:
+    """a checked as an adjacency matrix and amalgamated: what Smith and Faddeev-LeVerrier run on."""
+    return _amalgamate(_checked_adjacency(a))
+
+
 def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
-    """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a, a amalgamated."""
-    a = _amalgamate(_checked_adjacency(a))
+    """(cokernel of I - a, det(I - a)) from one Smith elimination of I - a, a `_reduced`."""
     w = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a.rows)]
     sign = _smith(w, a.nrows, a.ncols)
     diag = [row[i] for i, row in enumerate(w)]
@@ -74,22 +82,26 @@ def _flow_invariants(a: Matrix) -> tuple[AbelianGroupFP, int]:
     return group, sign * math.prod(diag)
 
 
+def _away_from_zero(a: Matrix) -> Poly:
+    """The characteristic polynomial of a `_reduced` a with every factor of x stripped."""
+    coeffs = list(char_poly(a).coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    return Poly.from_coeffs(coeffs)
+
+
 def bowen_franks(a: Matrix) -> AbelianGroupFP:
     """Cokernel of I - a as an abstract abelian group."""
-    return _flow_invariants(a)[0]
+    return _flow_invariants(_reduced(a))[0]
 
 
 def det_i_minus_a(a: Matrix) -> int:
-    return _flow_invariants(a)[1]
+    return _flow_invariants(_reduced(a))[1]
 
 
 def char_poly_away_from_zero(a: Matrix) -> Poly:
     """Characteristic polynomial with every factor of x stripped."""
-    p = char_poly(_amalgamate(_checked_adjacency(a)))
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    return Poly.from_coeffs(coeffs)
+    return _away_from_zero(_reduced(a))
 
 
 def _flow_class(g: Graph | Matrix, h: Graph | Matrix) -> tuple[Matrix, Matrix]:
@@ -113,12 +125,12 @@ def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
     rather than guessing.
     """
     a, b = _flow_class(g, h)
-    return _flow_invariants(a) == _flow_invariants(b)
+    return _flow_invariants(_reduced(a)) == _flow_invariants(_reduced(b))
 
 
 def _flow_decision(g: Graph | Matrix, h: Graph | Matrix) -> tuple[bool, dict, dict]:
     """`flow_equivalent` with both `invariants_report`s, from one Smith elimination per matrix."""
-    a, b = _flow_class(g, h)
+    a, b = map(_reduced, _flow_class(g, h))
     fa, fb = _flow_invariants(a), _flow_invariants(b)
     return fa == fb, _report(a, *fa), _report(b, *fb)
 
@@ -173,15 +185,25 @@ def bratteli_to_dot(g: Graph | Matrix, diagram: BratteliDiagram) -> str:
 
 def invariants_report(a: Matrix) -> dict:
     """JSON-ready bundle of the flow invariants of one adjacency matrix."""
+    a = _reduced(a)
     return _report(a, *_flow_invariants(a))
 
 
+def _bf_json(bf: AbelianGroupFP) -> dict:
+    return {"factors": list(bf.factors), "rank": bf.free_rank}
+
+
+def _poly_json(p: Poly) -> list[str]:
+    return [str(c) for c in p.coeffs]
+
+
 def _report(a: Matrix, bf: AbelianGroupFP, det: int) -> dict:
-    cp = char_poly_away_from_zero(a)
+    """The report of a `_reduced` a, given its flow invariants."""
+    cp = _away_from_zero(a)
     return {
-        "bf": {"factors": list(bf.factors), "rank": bf.free_rank},
+        "bf": _bf_json(bf),
         "bf_description": bf.describe(),
         "det_i_minus_a": det,
-        "char_poly_away_from_zero": [str(c) for c in cp.coeffs],
+        "char_poly_away_from_zero": _poly_json(cp),
         "char_poly_pretty": cp.pretty(),
     }

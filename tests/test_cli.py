@@ -195,12 +195,36 @@ def test_se_search_finds_transpose_witness(capsys):
 
 
 def test_se_search_miss_is_marked_inconclusive(capsys):
-    code, rep = _report(capsys, "se", "search", "[[2]]", "[[3]]")
+    code, rep = _report(capsys, "se", "search", "[[19,5],[4,1]]", "[[19,4],[5,1]]")
     assert code == 1
     res = rep["results"]
     assert res["outcome"] == "not_found_within_bounds"
     assert res["conclusive"] is False
     assert "does not decide" in res["note"]
+
+
+@pytest.mark.parametrize("command", ["se", "sse"])
+@pytest.mark.parametrize("a, b, reason, values", [
+    ("[[2]]", "[[3]]", "char_poly_away_from_zero", (["-2", "1"], ["-3", "1"])),
+    ("[[0,1],[3,2]]", "[[1,2],[2,1]]", "bowen_franks",
+     ({"factors": [4], "rank": 0}, {"factors": [2, 2], "rank": 0})),
+])
+def test_search_prefilter_reject_is_a_conclusive_no(capsys, command, a, b, reason, values):
+    code, rep = _report(capsys, command, "search", a, b)
+    assert code == 1
+    assert rep["results"] == {"outcome": "not_equivalent", "conclusive": True,
+                              "reason": reason, "a": values[0], "b": values[1]}
+    # the values are those `invariants --json` prints
+    for arg, value in zip((a, b), values):
+        _, inv = _report(capsys, "invariants", arg)
+        assert value == inv["results"]["bf" if reason == "bowen_franks" else reason]
+
+
+def test_sse_search_refusal_stays_inconclusive(capsys):
+    code, rep = _report(capsys, "sse", "search", "[[2]]", "[[3,0],[0,0]]", "--inner-dim-max", "1")
+    assert code == 1
+    assert rep["results"]["outcome"] == "not_found_within_bounds"
+    assert rep["results"]["conclusive"] is False
 
 
 def test_sse_verify_chain(capsys):

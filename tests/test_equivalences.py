@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     stacked_partner_oracle,
 )
 
+from sftkit import equivalences
 from sftkit.equivalences import (
     ChainLink,
     ChainWitness,
@@ -38,7 +40,7 @@ from sftkit.equivalences import (
     _integer_basis,
     _partner_solutions,
 )
-from sftkit.errors import InvalidWitness, ShapeError
+from sftkit.errors import InvalidMatrix, InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
 from sftkit.linalg import Matrix, _flat, intertwiner_space
 from sftkit.moves import in_split, out_split
@@ -312,6 +314,57 @@ def test_truncated_witness_searches_are_pinned():
             esse.append(None if w is None else sse_witness_to_json(w))
     assert _digest(se) == _TRUNCATED_SE_WITNESSES
     assert _digest(esse) == _TRUNCATED_ESSE_WITNESSES
+
+
+_HARD = _m([[19, 5], [4, 1]])
+
+
+def _fresh(search, *args, **bounds):
+    """search run on an empty pair memo."""
+    equivalences._memo.clear()
+    return search(*args, **bounds)
+
+
+def test_pair_memo_is_invisible():
+    # both orders of the two searches on one pair give what each gives alone
+    for a, b in [*_criterion_08_pairs(), (_HARD, _HARD.transpose())]:
+        se, esse = _fresh(search_se, a, b), _fresh(search_esse, a, b)
+        assert _fresh(search_se, a, b) == se and search_esse(a, b) == esse
+        assert _fresh(search_esse, a, b) == esse and search_se(a, b) == se
+    assert search_se(_HARD, _HARD.transpose(), lag_max=2) is None
+
+
+def test_pair_memo_keys_witnesses_by_their_bounds():
+    # here the lag-1 witness within entry bound 1 is none, within 3 one exists
+    a, b = _m([[1, 2], [2, 2]]), _m([[1, 1, 1], [2, 1, 1], [2, 1, 1]])
+    esse = _fresh(search_esse, a, b)
+    assert esse is not None and verify_esse(a, b, esse)
+    assert _fresh(search_se, a, b, entry_bound=1) is None
+    assert search_esse(a, b) == esse
+
+
+def test_pair_memo_keeps_the_guards_and_records_no_exception():
+    for a, b in list(_criterion_08_pairs())[:10]:
+        assert _fresh(search_se, a, b) is not None
+        assert search_esse(a, b, inner_dim_max=b.nrows - 1) is None
+        with pytest.raises(ShapeError):
+            search_esse(a, _m([[1, 0]]))
+    bad = _m([[1, -1], [0, 1]])
+    for _ in range(2):
+        with pytest.raises(InvalidMatrix):
+            search_se(_AE, bad)
+
+
+def test_pair_memo_holds_one_pair():
+    (a, b), (c, d) = list(_criterion_08_pairs())[:2]
+    with mock.patch.object(equivalences, "intertwiner_space", wraps=intertwiner_space) as spy:
+        for pairs, calls in (([(a, b)], 2), ([(a, b), (c, d), (a, b)], 6)):
+            equivalences._memo.clear()
+            spy.reset_mock()
+            for x, y in pairs:
+                search_se(x, y)
+                search_esse(x, y)
+            assert spy.call_count == calls
 
 
 def _bumped(m: Matrix) -> list[Matrix]:

@@ -19,7 +19,7 @@ from helpers import (
     random_out_partition,
 )
 
-from sftkit import invariants, linalg
+from sftkit import equivalences, invariants, linalg
 from sftkit.equivalences import SSEWitness, verify_esse
 from sftkit.errors import HasSinks, InvalidMatrix, NotIrreducibleNontrivial
 from sftkit.graphs import from_adjacency, transpose
@@ -362,3 +362,22 @@ def test_flow_decision_is_flow_equivalent_with_both_reports():
         assert second == invariants_report(h.adjacency())
     with pytest.raises(NotIrreducibleNontrivial, match="second graph"):
         invariants._flow_decision(corpus[0], _m([[0, 1], [1, 0]]))
+
+
+def test_each_matrix_is_checked_and_amalgamated_once():
+    # h is an out-split of g, so it merges back to g
+    g = _m([[1, 2], [1, 0]])
+    h = _m([[1, 1, 0], [0, 0, 2], [1, 1, 0]])
+    runs = [
+        (lambda: invariants_report(h), 1),
+        (lambda: invariants._flow_decision(g, h), 2),
+        (lambda: equivalences.search_se(g, h), 2),
+        (lambda: equivalences.search_esse(g, h), 0),  # the same pair, read off its record
+    ]
+    equivalences._memo.clear()
+    for run, matrices in runs:
+        with mock.patch.object(invariants, "_amalgamate", wraps=linalg._amalgamate) as amalgamate, \
+                mock.patch.object(invariants, "_checked_adjacency",
+                                  wraps=invariants._checked_adjacency) as checked:
+            run()
+        assert (amalgamate.call_count, checked.call_count) == (matrices, matrices)
