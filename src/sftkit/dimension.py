@@ -18,12 +18,14 @@ reducible M beyond the iteration bound the honest answer is Unknown.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._frozen import Frozen
-from .errors import InvalidMatrix, NotIrreducible, ShapeError, UndecidedError
-from .graphs import Graph, _int_entry, sink_free_adjacency
+from .errors import NotIrreducible, ShapeError, UndecidedError
+from .graphs import Graph, sink_free_adjacency
 from .linalg import (
     AffineInfeasible,
     Matrix,
@@ -374,15 +376,19 @@ def _intertwiner_system(
     return IntertwinerSystem(Matrix(tuple(rows)), tuple(rhs), tuple(labels))
 
 
-def _grid_values(denominator_max: int, value_max: int) -> list[Fraction]:
-    """Small rationals ordered by denominator, then magnitude, positives first."""
-    values = {Fraction(0)} | {
-        Fraction(sign * p, q)
-        for q in range(1, denominator_max + 1)
-        for p in range(1, value_max * q + 1)
-        for sign in (1, -1)
-    }
-    return sorted(values, key=lambda f: (f.denominator, abs(f), f < 0))
+def _grid_values(denominator_max: int, value_max: int, limit: int | None = None) -> list[Fraction]:
+    """The first `limit` values of the rational grid (all for None), in scan order.
+
+    The grid is 0 and every reduced p/q with q <= denominator_max and
+    |p/q| <= value_max, by denominator, then magnitude, positives first.
+    The values are made lazily and only the first `limit` are built: a
+    lexicographic scan of k tuples reads only the first k values, so
+    `search_module_iso` asks for as many as its candidate budget.
+    """
+    qs = range(1, denominator_max + 1) if value_max > 0 else ()
+    pos = (Fraction(p, q) for q in qs for p in range(1, value_max * q + 1) if math.gcd(p, q) == 1)
+    values = itertools.chain([Fraction(0)], itertools.chain.from_iterable((x, -x) for x in pos))
+    return list(itertools.islice(values, None if limit is None else max(limit, 0)))
 
 
 def search_module_iso(
@@ -402,14 +408,15 @@ def search_module_iso(
     `integer_points` runs too), each candidate checked with
     verify_module_iso, and the first verified one returned.  At most
     candidate_budget grid points are scanned (none for a budget of 0 or
-    less); a miss reports how many were.
+    less), and no more grid values are built than that; a miss reports how
+    many were scanned.
     """
     system = _intertwiner_system(t_a, t_b, pointed)
     res = solve_affine_exact(system.coefficients, system.rhs)
     if isinstance(res, AffineInfeasible):
         return Infeasible(system, res.certificate)
     n, m = t_a.n, t_b.n
-    grid = _grid_values(denominator_max, value_max)
+    grid = _grid_values(denominator_max, value_max, candidate_budget)
     tried = 0
     for tried, flat in enumerate(_scan(res.particular, res.basis, grid, candidate_budget), 1):
         u = _reshape(flat, m, n)
@@ -479,32 +486,5 @@ def element_to_json(x: DimElement) -> dict:
     return {"a": list(x.a), "k": x.k}
 
 
-def element_from_json(obj) -> DimElement:
-    try:
-        return DimElement(tuple(_element_int(v) for v in obj["a"]), _element_int(obj["k"]))
-    except (KeyError, TypeError) as exc:
-        raise ShapeError(f"malformed element payload: {exc}") from exc
-
-
-def _element_int(x) -> int:
-    try:
-        return _int_entry(x)
-    except InvalidMatrix as exc:
-        raise ShapeError(
-            f"malformed element payload: element entries must be integers, got {x!r}"
-        ) from exc
-
-
 def candidate_to_json(cand: ModuleIsoCandidate) -> dict:
     return {"matrix": cand.matrix.to_json_rows(), "pointed": cand.pointed}
-
-
-def candidate_from_json(obj) -> ModuleIsoCandidate:
-    try:
-        rows = [[Fraction(str(x)) for x in row] for row in obj["matrix"]]
-        pointed = obj.get("pointed", False)
-        if not isinstance(pointed, bool):
-            raise ShapeError(f"malformed candidate payload: pointed={pointed!r} is not a bool")
-        return ModuleIsoCandidate(Matrix.from_rows(rows), pointed)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ShapeError(f"malformed candidate payload: {exc}") from exc

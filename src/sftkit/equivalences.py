@@ -10,10 +10,10 @@ Searches here are bounded and sound: any returned witness has been verified,
 and a miss within the bounds is never a proof of inequivalence; only a
 prefilter difference is, and the CLI reports it as one.  An ESSE is a lag-1
 shift equivalence (a R = R S R = R b and S a = S R S = b S), so
-`search_esse` reads the lag-1 run of the one witness loop that `search_se`
-runs over lags 1..lag_max.
+`search_esse` is `search_se` at lag 1 behind a refusal bound on the size
+of b, and each witness either returns is checked once, by `verify_se`.
 
-Both searches read one record per ordered pair (a, b), `_Pair`, built once
+`search_se` reads one record per ordered pair (a, b), `_Pair`, built once
 per pair: the prefilter verdict (the characteristic polynomial away from
 zero and the Bowen-Franks group, from one check and one amalgamation of
 each matrix), both intertwiner bases, and the first verified witness of
@@ -35,7 +35,7 @@ is formed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._frozen import Frozen
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
@@ -340,29 +340,23 @@ def search_esse(
     """Bounded search for an elementary SSE pair a = R S, b = S R.
 
     An elementary SSE is exactly a lag-1 shift equivalence: a = R S and
-    b = S R give a R = R S R = R b and S a = S R S = b S.  So after its own
-    guards this reads the lag-1 witness of the pair's record, the one
-    `search_se` finds with the same bounds, and checks it again with
-    `verify_esse`.  The inner dimension of the factorization is forced by
-    b (R is n x m), so inner_dim_max acts as a refusal bound on the size
-    of b; a refused search reads no record and leaves the memo empty.
-    Equal traces are necessary too, but the prefilters already imply them:
-    the trace is minus the second-highest coefficient of the characteristic
-    polynomial away from zero, or 0 when that polynomial is 1.
+    b = S R give a R = R S R = R b and S a = S R S = b S.  So after its
+    guards this is `search_se` at lag 1 with the same bounds, and the pair
+    it returns has passed `verify_se`, which at lag 1 is `verify_esse`.
+    The inner dimension of the factorization is forced by b (R is n x m),
+    so inner_dim_max acts as a refusal bound on the size of b; a refused
+    search reads no record and leaves the memo empty.  Equal traces are
+    necessary too, but the prefilters already imply them: the trace is
+    minus the second-highest coefficient of the characteristic polynomial
+    away from zero, or 0 when that polynomial is 1.
     """
     if not a.is_square or not b.is_square:
         raise ShapeError("search needs square matrices")
     if b.nrows > inner_dim_max:
         _memo.clear()
         return None
-    rec = _pair(a, b)
-    if rec.differs is not None:
-        return None
-    w = rec.witness(1, entry_bound, candidate_budget)
-    if w is None:
-        return None
-    esse = SSEWitness(w.r, w.s)
-    return esse if verify_esse(a, b, esse) else None
+    w = search_se(a, b, lag_max=1, entry_bound=entry_bound, candidate_budget=candidate_budget)
+    return None if w is None else SSEWitness(w.r, w.s)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ edges, not the matrix, so a sparse graph costs O(V + E).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from ._frozen import Frozen, _set
 from .errors import HasSinks, InvalidMatrix, ParseError

@@ -61,9 +61,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen, _set
 from .errors import InvalidMatrix, NotIrreducible, ShapeError

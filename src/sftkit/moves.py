@@ -14,8 +14,8 @@ laid out from its crossing path, path by path, together with its theta entry.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from ._frozen import Frozen
 from .equivalences import SSEWitness

@@ -27,8 +27,8 @@ of p and p'q mod p, read at two endpoints that are not roots of p.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from ._frozen import Frozen, _set
 from .errors import ShapeError

@@ -29,9 +29,9 @@ Like terms are summed in one place, `_collect`.
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, TypeVar
 
 from ._frozen import Frozen
 from .errors import ParseError, SinkVertex, UnknownGenerator
@@ -41,14 +41,13 @@ from .polynomials import Rat, _num
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
 Word = tuple[Atom, ...]
-Key = TypeVar("Key")
 
 _KILL = "kill"
 
 
-def _collect(pairs: Iterable[tuple[Key, Rat]]) -> dict[Key, Rat]:
+def _collect(pairs: Iterable[tuple[Hashable, Rat]]) -> dict[Hashable, Rat]:
     """The coefficients of equal keys summed, keys in order of first appearance."""
-    out: dict[Key, Rat] = {}
+    out: dict[Hashable, Rat] = {}
     for key, coeff in pairs:
         out[key] = out.get(key, 0) + coeff
     return out

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -161,6 +162,19 @@ def test_iso_search_found_and_infeasible(capsys):
     assert code == 1
     assert rep["results"]["outcome"] == "infeasible"
     assert rep["results"]["certificate"]
+
+
+def test_iso_search_huge_grid_maxima_answer_within_the_budget(capsys):
+    # the scan reads only as many grid values as its budget, so maxima of
+    # 10**9 answer at once and as the default maxima do
+    big = str(10**9)
+    for a, b in (("[[2]]", "[[2]]"), ("[[2]]", "[[1,1],[1,1]]"), (_FULL, _FULL)):
+        code, out = _run(capsys, "iso", "search", a, b, "--budget", "1")
+        start = time.perf_counter()
+        huge = _run(capsys, "iso", "search", a, b, "--budget", "1",
+                    "--value-max", big, "--denominator-max", big)
+        assert time.perf_counter() - start < 1
+        assert huge == (code, out)
 
 
 def test_se_verify_witness(capsys):
@@ -419,6 +433,7 @@ def test_matrix_commands_read_large_entries_without_edges(argv, key, answer):
 
 @pytest.mark.parametrize("vec, bad", [
     ('["1",-2]', "'1'"), ('["x"]', "'x'"), ("[true]", "True"), ("[[1]]", "[1]"),
+    ("[1.5,1]", "1.5"), ("[1,1e400]", "inf"),
 ])
 def test_bad_json_vector_entries_are_parse_errors(capsys, vec, bad):
     code, out = _run(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", vec)
@@ -427,6 +442,15 @@ def test_bad_json_vector_entries_are_parse_errors(capsys, vec, bad):
         "type": "ParseError",
         "message": f"vector entries must be integers, got {bad}",
     }
+
+
+def test_json_vector_reads_integral_floats_as_ints(capsys):
+    code, out = _run(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", "[1,-2.0]", "--json")
+    assert code == 1
+    element = json.loads(out)["results"]["element"]
+    assert element == {"a": [1, -2], "k": 0}
+    # json.loads reads "-2.0" as a float, so ints here mean ints were printed
+    assert [type(x) for x in element["a"]] == [int, int]
 
 
 @pytest.mark.parametrize("argv", _MALFORMED, ids=" ".join)
@@ -553,20 +577,23 @@ for argv in ARGVS:
     from sftkit.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
-    assert "dataclasses" not in sys.modules, argv
+    assert ABSENT not in sys.modules, argv
 for name in IMPORTS:
     importlib.import_module(name)
-    assert "dataclasses" not in sys.modules, name
+    assert ABSENT not in sys.modules, name
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("sftkit"))))
 """
 
 
-def _modules_loaded_by(*argvs: list[str], imports: tuple[str, ...] = ()) -> set[str]:
-    """The sftkit modules a fresh interpreter holds after `import sftkit`, these
-    runs and these imports; the probe fails if any of them loaded `dataclasses`."""
-    probe = _PROBE.replace("ARGVS", repr(list(argvs))).replace("IMPORTS", repr(imports))
+def _modules_loaded_by(*argvs: list[str], imports: tuple[str, ...] = (),
+                       absent: str = "dataclasses", flags: tuple[str, ...] = ()) -> set[str]:
+    """The sftkit modules a fresh interpreter (run with these flags) holds after
+    `import sftkit`, these runs and these imports; the probe fails if any of
+    them loaded the module named by absent."""
+    probe = (_PROBE.replace("ARGVS", repr(list(argvs))).replace("IMPORTS", repr(imports))
+             .replace("ABSENT", repr(absent)))
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, *flags, "-c", probe],
         capture_output=True, text=True, timeout=60, cwd=_ROOT,
         env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
     )
@@ -594,4 +621,13 @@ def test_no_command_or_module_loads_dataclasses():
     modules = sorted(f"sftkit.{p.stem}" for p in (_ROOT / "src" / "sftkit").glob("[!_]*.py"))
     commands = [shlex.split(line, comments=True)[1:] for line in _readme_commands()]
     loaded = _modules_loaded_by(*commands, imports=tuple(modules))
+    assert set(modules) <= loaded
+
+
+def test_no_command_or_module_loads_typing():
+    # the abstract types come from `collections.abc`, which start-up loads
+    # already; -S leaves out `site`, whose `.pth` files may import `typing`
+    modules = sorted(f"sftkit.{p.stem}" for p in (_ROOT / "src" / "sftkit").glob("[!_]*.py"))
+    commands = [shlex.split(line, comments=True)[1:] for line in _readme_commands()]
+    loaded = _modules_loaded_by(*commands, imports=tuple(modules), absent="typing", flags=("-S",))
     assert set(modules) <= loaded

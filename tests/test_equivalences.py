@@ -367,6 +367,43 @@ def test_pair_memo_holds_one_pair():
             assert spy.call_count == calls
 
 
+def test_search_esse_is_the_lag_one_search_se():
+    # the criterion 08 pairs, the hard pair and a pair the Bowen-Franks
+    # prefilter separates, each bound set on a fresh memo in both orders
+    separated = (_m([[0, 1], [3, 2]]), _m([[1, 2], [2, 1]]))
+    for a, b in [*_criterion_08_pairs(), (_HARD, _HARD.transpose()), separated]:
+        for entry_bound in (1, 3):
+            for budget in (1, 3, 20, None):
+                bounds = {"entry_bound": entry_bound}
+                if budget is not None:
+                    bounds["candidate_budget"] = budget
+                se = _fresh(search_se, a, b, lag_max=1, **bounds)
+                esse = search_esse(a, b, inner_dim_max=8, **bounds)
+                assert _fresh(search_esse, a, b, inner_dim_max=8, **bounds) == esse
+                assert search_se(a, b, lag_max=1, **bounds) == se
+                assert esse == (None if se is None else SSEWitness(se.r, se.s))
+                assert esse is None or verify_esse(a, b, esse)
+    assert search_esse(*separated, inner_dim_max=8) is None
+
+
+def test_search_esse_makes_one_keyword_call_of_search_se():
+    a, b = next(_criterion_08_pairs())
+    with mock.patch.object(equivalences, "search_se", wraps=search_se) as spy:
+        w = _fresh(search_esse, a, b, inner_dim_max=8, entry_bound=2, candidate_budget=7)
+    spy.assert_called_once_with(a, b, lag_max=1, entry_bound=2, candidate_budget=7)
+    assert w is not None and verify_esse(a, b, w)
+
+
+def test_refused_search_esse_reads_nothing_and_empties_the_memo():
+    for a, b in (next(_criterion_08_pairs()), (_m([[2]]), _m([[3, 0], [0, 0]]))):
+        search_se(a, b)
+        assert equivalences._memo
+        with mock.patch.object(equivalences, "intertwiner_space", wraps=intertwiner_space) as spy:
+            assert search_esse(a, b, inner_dim_max=b.nrows - 1) is None
+        assert spy.call_count == 0
+        assert equivalences._memo == {}
+
+
 def _bumped(m: Matrix) -> list[Matrix]:
     """m with 1 added to one entry, for every entry in turn."""
     return [
