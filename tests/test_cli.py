@@ -397,6 +397,8 @@ _PARSE_ERRORS = {
     ("analyze", '{"adjacency": [[1,'): "invalid JSON: ",
     ("analyze", "[[1, 2"): "invalid JSON: ",
     ("analyze", '{"unexpected": 1}'): "graph object needs either 'adjacency' or 'vertices'+'edges'",
+    ("dimgroup", "pos", "[[1,2],[1,0]]", "[]"): "empty vector",
+    ("dimgroup", "pos", "[[1,2],[1,0]]", "[1,2"): "invalid vector JSON: ",
 }
 _MALFORMED += list(_PARSE_ERRORS)
 
@@ -433,7 +435,7 @@ def test_matrix_commands_read_large_entries_without_edges(argv, key, answer):
 
 @pytest.mark.parametrize("vec, bad", [
     ('["1",-2]', "'1'"), ('["x"]', "'x'"), ("[true]", "True"), ("[[1]]", "[1]"),
-    ("[1.5,1]", "1.5"), ("[1,1e400]", "inf"),
+    ("[1.5,1]", "1.5"), ("[1,1e400]", "inf"), ("[1,-2.9]", "-2.9"),
 ])
 def test_bad_json_vector_entries_are_parse_errors(capsys, vec, bad):
     code, out = _run(capsys, "dimgroup", "pos", "[[1,2],[1,0]]", vec)
