@@ -13,13 +13,14 @@ error object.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 
-# Every command needs these four modules; a handler that needs dimension,
-# equivalences, moves or terms imports it itself, so a fresh process compiles
-# only what its command runs.
+# Every command needs these three modules; a handler that needs dimension,
+# equivalences, invariants, moves or terms imports it itself, so a fresh
+# process compiles only what its command runs.
 from .errors import InvalidMatrix, ParseError, SftkitError
 from .graphs import (
     Graph,
@@ -30,14 +31,6 @@ from .graphs import (
     graph_to_json,
     named_adjacency,
     payload_from_json,
-)
-from .invariants import (
-    _bf_json,
-    _flow_decision,
-    _poly_json,
-    bratteli,
-    bratteli_to_dot,
-    invariants_report,
 )
 from .linalg import Matrix
 
@@ -86,18 +79,29 @@ class _Run:
             raise ParseError(f"invalid JSON: {exc}") from exc
 
     def report(self, args: argparse.Namespace, results: dict) -> dict:
-        import hashlib  # only --json runs pay for loading it
-
-        digest = hashlib.sha256(
-            "\x1e".join(self.raw_inputs).encode("utf-8")
-        ).hexdigest()[:16]
         return {
             "command": " ".join(self.argv),
-            "inputs": digest,
+            "inputs": _sha256_hex("\x1e".join(self.raw_inputs).encode("utf-8"))[:16],
             "seed": args.seed,
             "results": results,
             "timing": {"seconds": round(time.perf_counter() - self.start, 6)},
         }
+
+
+def _sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 of data, from the interpreter's builtin module if it has one.
+
+    `_sha2` (3.12+) and `_sha256` (3.10, 3.11) give hashlib's digest without
+    loading OpenSSL, which `import hashlib` does at a cost of several ms.
+    """
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _vector_entry(x) -> int:
@@ -227,10 +231,14 @@ def _cmd_analyze(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_invariants(run: _Run, args) -> tuple[int, dict, str | None]:
+    from .invariants import invariants_report
+
     return EXIT_OK, invariants_report(run.matrix(args.graph)), None
 
 
 def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
+    from .invariants import _flow_decision
+
     same, first, second = _flow_decision(run.matrix(args.g1), run.matrix(args.g2))
     results = {"flow_equivalent": same, "first": first, "second": second}
     return (EXIT_OK if same else EXIT_NEGATIVE), results, None
@@ -316,6 +324,8 @@ def _witness_not_found(differs: tuple | None) -> tuple[int, dict, None]:
     search stopped at its bounds.
     """
     if differs is not None:
+        from .invariants import _bf_json, _poly_json
+
         reason, at_a, at_b = differs
         as_json = _poly_json if reason == "char_poly_away_from_zero" else _bf_json
         results = {"outcome": "not_equivalent", "conclusive": True, "reason": reason,
@@ -387,6 +397,8 @@ def _cmd_split(run: _Run, args) -> tuple[int, dict, str | None]:
 
 
 def _cmd_bratteli(run: _Run, args) -> tuple[int, dict, str | None]:
+    from .invariants import bratteli, bratteli_to_dot
+
     g = run.payload(args.graph)
     d = bratteli(g, args.depth)
     if args.dot:
@@ -452,7 +464,14 @@ def _cmd_terms_family(run: _Run, args) -> tuple[int, dict, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command tree; given argv, only the leaf that argv names and its group.
+
+    A leaf's usage, help and errors do not mention its siblings, so the lone
+    leaf parses argv as the full tree does.  When argv names no leaf
+    (top-level or group --help, an unknown name, a missing command, an option
+    before the command) the full tree is built.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the full JSON report")
     common.add_argument("--seed", type=int, default=0,
@@ -463,76 +482,92 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Invariants, equivalences and term calculus for finite directed graphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    group_help = {
+        "dimgroup": "dimension group computations",
+        "iso": "graded module isomorphism search",
+        "se": "shift equivalence",
+        "sse": "strong shift equivalence",
+        "terms": "path algebra term calculus",
+    }
+    groups = {}
 
-    def command(parent, name, func, help, *positionals):
-        """Add leaf `name`; a positional is a name or the add_argument keywords of one."""
-        p = parent.add_parser(name, parents=[common], help=help)
+    def command(path, func, help, *positionals, **options):
+        """Add the leaf at path ("name" or "group name") unless argv names another.
+
+        A positional is a name or the add_argument keywords of one; an option
+        is given as dest=keywords and spelled --dest-with-hyphens.
+        """
+        names = path.split()
+        if argv is not None and argv[:len(names)] != names:
+            return
+        parent = sub
+        if len(names) == 2:
+            head = names[0]
+            if head not in groups:
+                groups[head] = sub.add_parser(head, help=group_help[head]).add_subparsers(
+                    dest=f"{head}_cmd", required=True)
+            parent = groups[head]
+        p = parent.add_parser(names[-1], parents=[common], help=help)
         for pos in positionals:
             p.add_argument(**(pos if isinstance(pos, dict) else {"dest": pos}))
+        for dest, keywords in options.items():
+            p.add_argument("--" + dest.replace("_", "-"), **keywords)
         p.set_defaults(func=func)
-        return p
 
-    def group(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_cmd", required=True)
-
-    p = command(sub, "analyze", _cmd_analyze, "classify a graph", "graph")
-    p.add_argument("--dot", action="store_true", help="print the graph as DOT")
-    command(sub, "invariants", _cmd_invariants,
+    flag = {"action": "store_true"}
+    number = {"type": int}
+    command("analyze", _cmd_analyze, "classify a graph", "graph",
+            dot={**flag, "help": "print the graph as DOT"})
+    command("invariants", _cmd_invariants,
             "Bowen-Franks group, det(I-A), characteristic polynomial away from zero", "graph")
-    command(sub, "flow", _cmd_flow, "decide flow equivalence", "g1", "g2")
+    command("flow", _cmd_flow, "decide flow equivalence", "g1", "g2")
 
-    g = group("dimgroup", "dimension group computations")
-    p = command(g, "pos", _cmd_dimgroup_pos, "decide cone membership of [a, k]", "graph",
-                {"dest": "vector", "help": "integer vector, e.g. '1,-2' or '[1,-2]'; "
-                 "one that starts with a minus sign as JSON ('[-1,2]') or after --"},
-                {"dest": "k", "nargs": "?", "type": int, "default": 0})
-    p.add_argument("--bound", type=int)
-    command(g, "unit", _cmd_dimgroup_unit, "print the order unit", "graph")
+    command("dimgroup pos", _cmd_dimgroup_pos, "decide cone membership of [a, k]", "graph",
+            {"dest": "vector", "help": "integer vector, e.g. '1,-2' or '[1,-2]'; "
+             "one that starts with a minus sign as JSON ('[-1,2]') or after --"},
+            {"dest": "k", "nargs": "?", "type": int, "default": 0},
+            bound=number)
+    command("dimgroup unit", _cmd_dimgroup_unit, "print the order unit", "graph")
 
-    g = group("iso", "graded module isomorphism search")
-    p = command(g, "search", _cmd_iso_search, "search for an intertwiner", "g1", "g2")
-    p.add_argument("--pointed", action="store_true", help="require the unit to map to the unit")
-    for flag in ("--denominator-max", "--value-max", "--budget"):
-        p.add_argument(flag, type=int)
+    command("iso search", _cmd_iso_search, "search for an intertwiner", "g1", "g2",
+            pointed={**flag, "help": "require the unit to map to the unit"},
+            denominator_max=number, value_max=number, budget=number)
 
-    g = group("se", "shift equivalence")
-    command(g, "verify", _cmd_se_verify, "verify a witness", "a", "b",
+    command("se verify", _cmd_se_verify, "verify a witness", "a", "b",
             {"dest": "witness", "help": "JSON with R, S, l"})
-    p = command(g, "search", _cmd_se_search, "search for a witness", "a", "b")
-    for flag in ("--lag-max", "--entry-bound", "--budget"):
-        p.add_argument(flag, type=int)
+    command("se search", _cmd_se_search, "search for a witness", "a", "b",
+            lag_max=number, entry_bound=number, budget=number)
 
-    g = group("sse", "strong shift equivalence")
-    command(g, "verify-chain", _cmd_sse_verify_chain, "verify an elementary chain", "a", "b",
+    command("sse verify-chain", _cmd_sse_verify_chain, "verify an elementary chain", "a", "b",
             {"dest": "chain", "help": "JSON with links"})
-    p = command(g, "search", _cmd_sse_search, "search for a one-step witness", "a", "b")
-    for flag in ("--inner-dim-max", "--entry-bound", "--budget"):
-        p.add_argument(flag, type=int)
+    command("sse search", _cmd_sse_search, "search for a one-step witness", "a", "b",
+            inner_dim_max=number, entry_bound=number, budget=number)
 
-    p = command(sub, "product", _cmd_product, "Kronecker product graph", "g1", "g2")
-    p.add_argument("--dot", action="store_true")
-    command(sub, "split", _cmd_split, "out- or in-split with witness",
+    command("product", _cmd_product, "Kronecker product graph", "g1", "g2", dot=flag)
+    command("split", _cmd_split, "out- or in-split with witness",
             {"dest": "direction", "choices": ("out", "in")}, "graph",
             {"dest": "partition", "help": "JSON list of {vertex, blocks}"})
-    p = command(sub, "bratteli", _cmd_bratteli, "stationary level diagram", "graph")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
+    command("bratteli", _cmd_bratteli, "stationary level diagram", "graph",
+            depth={**number, "required": True}, dot=flag)
 
-    g = group("terms", "path algebra term calculus")
-    p = command(g, "reduce", _cmd_terms_reduce, "normal form of an expression", "graph", "expr")
-    p.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
-    p = command(g, "decompose", _cmd_terms_decompose, "homogeneous components", "graph", "expr")
-    p.add_argument("--weights", help="JSON mapping edge id to rational weight")
-    command(g, "family", _cmd_terms_family,
+    command("terms reduce", _cmd_terms_reduce, "normal form of an expression", "graph", "expr",
+            strategy={"choices": ("leftmost", "rightmost"), "default": "leftmost"})
+    command("terms decompose", _cmd_terms_decompose, "homogeneous components", "graph", "expr",
+            weights={"help": "JSON mapping edge id to rational weight"})
+    command("terms family", _cmd_terms_family,
             "build and verify the canonical in-split family", "graph", "partition")
 
+    if not sub.choices:
+        return _build_parser()
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser(argv).parse_known_args(argv)
+    if extra:
+        # the error's usage line names every command, so the full tree reports it
+        args = _build_parser().parse_args(argv)
     run = _Run(argv)
     try:
         _check_bounds(args)

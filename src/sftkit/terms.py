@@ -36,7 +36,6 @@ from functools import cached_property
 from ._frozen import Frozen
 from .errors import ParseError, SinkVertex, UnknownGenerator
 from .graphs import Graph
-from .moves import _block_index, _copy_name, in_split
 from .polynomials import Rat, _num
 
 Atom = tuple[str, str]  # ("v", name) | ("e", edge id) | ("g", edge id)
@@ -404,6 +403,8 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     maps to the sum over edges f leaving that range of e.1 f.i f.1*.  The
     source graph must have no sinks for this to be a family.
     """
+    from .moves import _block_index, _copy_name, in_split  # reduce and decompose skip moves
+
     h, _ = in_split(g, p)
     q = {v: vertex_element(h, _copy_name(v, 0) if g.in_edges(v) else v) for v in g.vertices}
     t: dict[str, AlgebraElement] = {}

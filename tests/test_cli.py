@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import shlex
@@ -14,7 +16,8 @@ from unittest import mock
 
 import pytest
 
-from sftkit.cli import main
+from sftkit import cli
+from sftkit.cli import _build_parser, main
 from sftkit.graphs import from_adjacency, graph_from_json, graph_to_json
 from sftkit.linalg import Matrix
 
@@ -538,10 +541,45 @@ def test_unset_bounds_answer_as_the_former_cli_defaults(capsys, argv, defaults):
     ["terms"], ["terms", "reduce"], ["terms", "decompose"], ["terms", "family"],
 ], ids=lambda prefix: "-".join(["sftkit", *prefix]))
 def test_every_parser_prints_help(capsys, prefix):
+    code, out, err = _parsed(capsys, main, [*prefix, "--help"])
+    assert code == 0
+    assert out.startswith("usage: ")
+    assert (code, out, err) == _parsed(capsys, _build_parser().parse_args, [*prefix, "--help"])
+
+
+def _parsed(capsys, parse, argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of a parse that argparse ends."""
     with pytest.raises(SystemExit) as exc:
-        main([*prefix, "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: ")
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["dimgroup", "neg"],
+    ["dimgroup"],
+    ["flow", "[[2]]"],
+    ["--json", "analyze", "x"],
+    ["analyze", "[[2]]", "--bogus"],
+    ["bratteli", "[[2]]", "--depth", "two"],
+    ["split", "sideways", "[[2]]", "[]"],
+], ids=lambda argv: "-".join(["sftkit", *argv]))
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    code, out, err = _parsed(capsys, main, argv)
+    assert code == 2
+    assert err.startswith("usage: ")
+    assert (code, out, err) == _parsed(capsys, _build_parser().parse_args, argv)
+
+
+def test_a_named_leaf_is_built_without_its_siblings():
+    full = _build_parser().format_usage()
+    assert "{analyze,invariants,flow,dimgroup,iso,se,sse,product,split,bratteli,terms}" in full
+    assert _build_parser(["analyze", "x"]).format_usage() == "usage: sftkit [-h] {analyze} ...\n"
+    assert _build_parser(["dimgroup", "pos"]).format_usage() == "usage: sftkit [-h] {dimgroup} ...\n"
+    for argv in ([], ["dimgroup"], ["dimgroup", "neg"], ["--json", "analyze"], ["-h"]):
+        assert _build_parser(argv).format_usage() == full, argv
 
 
 def test_missing_subcommand_exits_with_usage_error():
@@ -615,6 +653,74 @@ def test_commands_import_only_the_modules_they_run():
     assert not plain & optional, plain
     cone = _modules_loaded_by(["dimgroup", "pos", "[[1,2],[1,0]]", "1,1"])
     assert cone - plain == {"sftkit.dimension"}
+    no_flow = _modules_loaded_by(
+        ["analyze", "[[1,2],[1,0]]", "--json"],
+        ["dimgroup", "pos", "[[1,2],[1,0]]", "1,1", "--json"],
+        ["iso", "search", _FULL, _FULL_REV, "--json"],
+    )
+    assert "sftkit.invariants" not in no_flow, no_flow
+    algebra = _modules_loaded_by(
+        ["terms", "reduce", _FULL, "e1* e1 + e2* e3", "--json"],
+        ["terms", "decompose", _FULL, "e1 + v1 + e4*", "--json"],
+    )
+    assert not algebra & {f"sftkit.{m}" for m in ("moves", "equivalences", "invariants")}, algebra
+
+
+_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+
+
+def _json_commands() -> list[list[str]]:
+    """The README commands that print a report, each with --json (before any --)."""
+    commands = []
+    for line in _readme_commands():
+        argv = shlex.split(line, comments=True)[1:]
+        if "--dot" in argv:
+            continue
+        if "--json" not in argv:
+            at = argv.index("--") if "--" in argv else len(argv)
+            argv[at:at] = ["--json"]
+        commands.append(argv)
+    return commands
+
+
+@pytest.mark.skipif(not _BUILTIN_SHA256, reason="the interpreter has no builtin sha256 module")
+def test_json_reports_do_not_load_openssl_hashes():
+    # -S leaves out `site`, whose `.pth` files may import `hashlib`
+    _modules_loaded_by(*_json_commands(), absent="_hashlib", flags=("-S",))
+
+
+def test_report_digest_is_the_sha256_of_the_inputs(capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    _, rep = _report(capsys, "analyze", "[[1,2],[1,0]]")
+    assert rep["inputs"] == hashlib.sha256(b"[[1,2],[1,0]]").hexdigest()[:16]
+    joined = []
+    report = cli._Run.report
+
+    def recording(self, args, results):
+        joined.append("\x1e".join(self.raw_inputs))
+        return report(self, args, results)
+
+    monkeypatch.setattr(cli._Run, "report", recording)
+    commands = _json_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        _, out = _run(capsys, *argv)
+        assert json.loads(out)["inputs"] == hashlib.sha256(joined[-1].encode()).hexdigest()[:16]
+    assert len(joined) == len(commands)
+
+
+def test_report_digest_falls_back_to_hashlib(capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    spy = mock.Mock(wraps=hashlib.sha256)
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    builtin = [_run(capsys, *argv)[1] for argv in _json_commands()]
+    assert spy.call_count == (0 if _BUILTIN_SHA256 else len(builtin))
+    spy.reset_mock()
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # makes `import name` fail
+    fallback = [_run(capsys, *argv)[1] for argv in _json_commands()]
+    assert spy.call_count == len(fallback)
+    assert [json.loads(o)["inputs"] for o in fallback] == [json.loads(o)["inputs"] for o in builtin]
 
 
 def test_no_command_or_module_loads_dataclasses():
