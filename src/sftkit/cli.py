@@ -7,7 +7,13 @@ A search bound left unset takes the library function's default.  Exit codes
 follow one discipline throughout: 0 for a positive or neutral outcome, 1 for
 a negative mathematical decision (not equivalent, not in the cone, nothing
 found within bounds), 2 for errors, which always come with a machine-readable
-error object.
+error object, never a traceback: malformed or too deeply nested JSON is a
+ParseError, and integers of any size are read and printed exactly.
+
+A decision reports its own verdict, (yes, the keys printed): the records of
+`dg_positive` and `search_module_iso` through their `_verdict()`, a witness
+search through `equivalences._witness_verdict`.  A handler runs the
+computation and maps yes to exit 0 and no to 1.
 """
 
 from __future__ import annotations
@@ -73,10 +79,7 @@ class _Run:
         return named_adjacency(self.payload(arg))[1]
 
     def json_obj(self, arg: str):
-        try:
-            return json.loads(self.read(arg))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        return _decode(self.read(arg))
 
     def report(self, args: argparse.Namespace, results: dict) -> dict:
         return {
@@ -104,6 +107,14 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _decode(text: str, what: str = "JSON"):
+    """The JSON value of text; malformed or too deeply nested text is a ParseError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid {what}: {exc}") from exc
+
+
 def _vector_entry(x) -> int:
     try:
         return _int_entry(x)
@@ -118,10 +129,7 @@ def _parse_vector(run: _Run, text: str) -> tuple[int, ...]:
     else:
         raw = run.read(text).strip()
     if raw.startswith("["):
-        try:
-            items = [_vector_entry(x) for x in json.loads(raw)]
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid vector JSON: {exc}") from exc
+        items = [_vector_entry(x) for x in _decode(raw, "vector JSON")]
     else:
         try:
             items = [int(p) for p in raw.split(",")]
@@ -209,6 +217,11 @@ def _human(obj, indent: int = 0) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _decided(yes: bool, results: dict) -> tuple[int, dict, None]:
+    """The handler result of a decision: exit 0 for yes, 1 for no."""
+    return (EXIT_OK if yes else EXIT_NEGATIVE), results, None
+
+
 def _cmd_analyze(run: _Run, args) -> tuple[int, dict, str | None]:
     if args.dot:
         return EXIT_OK, {}, graph_to_dot(run.graph(args.graph))
@@ -240,8 +253,7 @@ def _cmd_flow(run: _Run, args) -> tuple[int, dict, str | None]:
     from .invariants import _flow_decision
 
     same, first, second = _flow_decision(run.matrix(args.g1), run.matrix(args.g2))
-    results = {"flow_equivalent": same, "first": first, "second": second}
-    return (EXIT_OK if same else EXIT_NEGATIVE), results, None
+    return _decided(same, {"flow_equivalent": same, "first": first, "second": second})
 
 
 def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -249,24 +261,9 @@ def _cmd_dimgroup_pos(run: _Run, args) -> tuple[int, dict, str | None]:
 
     t = dim.from_graph(run.payload(args.graph))
     x = dim.DimElement(_parse_vector(run, args.vector), args.k)
-    res = dim.dg_positive(t, x, **_given(args, bound="iterate_bound"))
-    results: dict = {
-        "acting_matrix": t.matrix.to_json_rows(),
-        "element": dim.element_to_json(x),
-    }
-    if isinstance(res, dim.InCone):
-        results["decision"] = "in_cone"
-        if res.power is not None:
-            results["certificate_power"] = res.power
-        return EXIT_OK, results, None
-    if isinstance(res, dim.NotInCone):
-        results["decision"] = "not_in_cone"
-        if res.reason:
-            results["reason"] = res.reason
-        return EXIT_NEGATIVE, results, None
-    results["decision"] = "unknown"
-    results["iterate_bound"] = res.bound
-    return EXIT_NEGATIVE, results, None
+    yes, verdict = dim.dg_positive(t, x, **_given(args, bound="iterate_bound"))._verdict()
+    return _decided(yes, {"acting_matrix": t.matrix.to_json_rows(),
+                          "element": dim.element_to_json(x), **verdict})
 
 
 def _cmd_dimgroup_unit(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -289,21 +286,7 @@ def _cmd_iso_search(run: _Run, args) -> tuple[int, dict, str | None]:
         t_a, t_b, pointed=args.pointed,
         **_given(args, "denominator_max", "value_max", budget="candidate_budget"),
     )
-    if isinstance(res, dim.Candidate):
-        results = {"outcome": "found", "matrix": res.matrix.to_json_rows()}
-        return EXIT_OK, results, None
-    if isinstance(res, dim.Infeasible):
-        results = {
-            "outcome": "infeasible",
-            "system": {
-                "labels": list(res.system.labels),
-                "coefficients": res.system.coefficients.to_json_rows(),
-                "rhs": [str(x) for x in res.system.rhs],
-            },
-            "certificate": [str(x) for x in res.certificate],
-        }
-        return EXIT_NEGATIVE, results, None
-    return EXIT_NEGATIVE, {"outcome": "not_found_within_bounds", "tried": res.tried}, None
+    return _decided(*res._verdict())
 
 
 def _cmd_se_verify(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -312,31 +295,7 @@ def _cmd_se_verify(run: _Run, args) -> tuple[int, dict, str | None]:
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.se_witness_from_json(run.json_obj(args.witness))
     ok = eqv.verify_se(a, b, w)
-    return (EXIT_OK if ok else EXIT_NEGATIVE), {"verified": ok, "lag": w.lag}, None
-
-
-def _witness_not_found(differs: tuple | None) -> tuple[int, dict, None]:
-    """The report of a witness search that returned no witness.
-
-    differs is the search's prefilter verdict on the pair
-    (`equivalences._proven_different`): the invariant that tells the two
-    matrices apart proves there is no witness at all.  Without one, the
-    search stopped at its bounds.
-    """
-    if differs is not None:
-        from .invariants import _bf_json, _poly_json
-
-        reason, at_a, at_b = differs
-        as_json = _poly_json if reason == "char_poly_away_from_zero" else _bf_json
-        results = {"outcome": "not_equivalent", "conclusive": True, "reason": reason,
-                   "a": as_json(at_a), "b": as_json(at_b)}
-        return EXIT_NEGATIVE, results, None
-    results = {
-        "outcome": "not_found_within_bounds",
-        "conclusive": False,
-        "note": "absence of a witness within these bounds does not decide inequivalence",
-    }
-    return EXIT_NEGATIVE, results, None
+    return _decided(ok, {"verified": ok, "lag": w.lag})
 
 
 def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -344,9 +303,8 @@ def _cmd_se_search(run: _Run, args) -> tuple[int, dict, str | None]:
 
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_se(a, b, **_given(args, "lag_max", "entry_bound", budget="candidate_budget"))
-    if w is None:
-        return _witness_not_found(eqv._proven_different(a, b))
-    return EXIT_OK, {"outcome": "found", "witness": eqv.se_witness_to_json(w)}, None
+    found = None if w is None else eqv.se_witness_to_json(w)
+    return _decided(*eqv._witness_verdict(a, b, found))
 
 
 def _cmd_sse_verify_chain(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -355,7 +313,7 @@ def _cmd_sse_verify_chain(run: _Run, args) -> tuple[int, dict, str | None]:
     a, b = run.matrix(args.a), run.matrix(args.b)
     chain = eqv.chain_from_json(run.json_obj(args.chain))
     ok = eqv.verify_chain(a, b, chain)
-    return (EXIT_OK if ok else EXIT_NEGATIVE), {"verified": ok, "links": len(chain.links)}, None
+    return _decided(ok, {"verified": ok, "links": len(chain.links)})
 
 
 def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -364,9 +322,8 @@ def _cmd_sse_search(run: _Run, args) -> tuple[int, dict, str | None]:
     a, b = run.matrix(args.a), run.matrix(args.b)
     w = eqv.search_esse(a, b, **_given(args, "inner_dim_max", "entry_bound",
                                        budget="candidate_budget"))
-    if w is None:
-        return _witness_not_found(eqv._proven_different(a, b))
-    return EXIT_OK, {"outcome": "found", "witness": eqv.sse_witness_to_json(w)}, None
+    found = None if w is None else eqv.sse_witness_to_json(w)
+    return _decided(*eqv._witness_verdict(a, b, found))
 
 
 def _cmd_product(run: _Run, args) -> tuple[int, dict, str | None]:
@@ -456,7 +413,7 @@ def _cmd_terms_family(run: _Run, args) -> tuple[int, dict, str | None]:
         "vertex_images": {v: terms.format_element(x) for v, x in fa.vertex_images},
         "edge_images": {e: terms.format_element(x) for e, x in fa.edge_images},
     }
-    return (EXIT_OK if ok else EXIT_NEGATIVE), results, None
+    return _decided(ok, results)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +520,23 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Python 3.11 (and 3.10.7 on) caps int-to-string conversion at 4,300
+    digits; the cap is lifted while the command runs, so integers of any
+    size are read and printed exactly, and restored when it returns.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _main(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args, extra = _build_parser(argv).parse_known_args(argv)
     if extra:

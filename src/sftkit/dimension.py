@@ -152,15 +152,27 @@ class InCone(Frozen):
 
     power: int | None = None
 
+    def _verdict(self) -> tuple[bool, dict]:
+        """(yes, the keys `dimgroup pos` reports), as for every decision record here."""
+        power = {} if self.power is None else {"certificate_power": self.power}
+        return True, {"decision": "in_cone", **power}
+
 
 class NotInCone(Frozen):
     reason: str = ""
+
+    def _verdict(self) -> tuple[bool, dict]:
+        reason = {"reason": self.reason} if self.reason else {}
+        return False, {"decision": "not_in_cone", **reason}
 
 
 class Unknown(Frozen):
     """No decision within the iteration bound (reducible acting matrix)."""
 
     bound: int
+
+    def _verdict(self) -> tuple[bool, dict]:
+        return False, {"decision": "unknown", "iterate_bound": self.bound}
 
 
 Positivity = InCone | NotInCone | Unknown
@@ -351,13 +363,29 @@ class Infeasible(Frozen):
     system: IntertwinerSystem
     certificate: Vector
 
+    def _verdict(self) -> tuple[bool, dict]:
+        """(yes, the keys `iso search` reports), as for every search result here."""
+        system = {
+            "labels": list(self.system.labels),
+            "coefficients": self.system.coefficients.to_json_rows(),
+            "rhs": [str(x) for x in self.system.rhs],
+        }
+        return False, {"outcome": "infeasible", "system": system,
+                       "certificate": [str(x) for x in self.certificate]}
+
 
 class Candidate(Frozen):
     matrix: Matrix
 
+    def _verdict(self) -> tuple[bool, dict]:
+        return True, {"outcome": "found", "matrix": self.matrix.to_json_rows()}
+
 
 class NotFoundWithinBounds(Frozen):
     tried: int
+
+    def _verdict(self) -> tuple[bool, dict]:
+        return False, {"outcome": "not_found_within_bounds", "tried": self.tried}
 
 
 PointedSearchResult = Infeasible | Candidate | NotFoundWithinBounds

@@ -8,10 +8,11 @@ witness strong shift equivalence; a shift equivalence of lag l is (R, S) with
 
 Searches here are bounded and sound: any returned witness has been verified,
 and a miss within the bounds is never a proof of inequivalence; only a
-prefilter difference is, and the CLI reports it as one.  An ESSE is a lag-1
-shift equivalence (a R = R S R = R b and S a = S R S = b S), so
-`search_esse` is `search_se` at lag 1 behind a refusal bound on the size
-of b, and each witness either returns is checked once, by `verify_se`.
+prefilter difference is, and `_witness_verdict`, the answer of the search
+just run on a pair, reports it as one.  An ESSE is a lag-1 shift
+equivalence (a R = R S R = R b and S a = S R S = b S), so `search_esse` is
+`search_se` at lag 1 behind a refusal bound on the size of b, and each
+witness either returns is checked once, by `verify_se`.
 
 `search_se` reads one record per ordered pair (a, b), `_Pair`, built once
 per pair: the prefilter verdict (the characteristic polynomial away from
@@ -40,7 +41,7 @@ from collections.abc import Sequence
 from ._frozen import Frozen
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
 from .graphs import _int_rows
-from .invariants import _away_from_zero, _flow_invariants, _reduced
+from .invariants import _first_difference
 from .linalg import (
     AffineInfeasible,
     AffineSolution,
@@ -153,23 +154,6 @@ def verify_se(a: Matrix, b: Matrix, w: SEWitness) -> bool:
 PARTNER_SCAN_BUDGET = 5000
 
 
-def _first_difference(a: Matrix, b: Matrix) -> tuple[str, object, object] | None:
-    """The first SE invariant that tells a from b, as (name, value at a, value at b), or None.
-
-    The invariants are the characteristic polynomial away from zero, then
-    the Bowen-Franks group, each read off the one `_reduced` form of each
-    matrix.  A difference proves that no shift equivalence exists.
-    """
-    ra, rb = _reduced(a), _reduced(b)
-    pa, pb = _away_from_zero(ra), _away_from_zero(rb)
-    if pa != pb:
-        return "char_poly_away_from_zero", pa, pb
-    ga, gb = _flow_invariants(ra)[0], _flow_invariants(rb)[0]
-    if ga != gb:
-        return "bowen_franks", ga, gb
-    return None
-
-
 def _integer_basis(a: Matrix, b: Matrix) -> list[list[int]]:
     """Basis of {U : U a = b U} from intertwiner_space(a, b), all int.
 
@@ -233,11 +217,13 @@ def _solve_for_partner(
 class _Pair:
     """What the searches learn about one ordered pair (a, b).
 
-    `differs` is the prefilter verdict, `_first_difference(a, b)`.  When it
-    is None, `space` and `partner` are the int bases (`_integer_basis`) of
-    {R : a R = R b} and {S : S a = b S}, and `found` maps each
-    (lag, entry_bound, candidate_budget) asked so far to the first verified
-    witness of that lag, or None.
+    `differs` is the prefilter verdict, `invariants._first_difference(a, b)`:
+    None, or the first invariant that differs with both values in their
+    `invariants --json` form.  When it is None, `space` and `partner` are
+    the int bases (`_integer_basis`) of {R : a R = R b} and
+    {S : S a = b S}, and `found` maps each (lag, entry_bound,
+    candidate_budget) asked so far to the first verified witness of that
+    lag, or None.
     """
 
     __slots__ = ("a", "b", "differs", "space", "partner", "found")
@@ -297,12 +283,6 @@ def _pair(a: Matrix, b: Matrix) -> _Pair:
     return rec
 
 
-def _proven_different(a: Matrix, b: Matrix) -> tuple[str, object, object] | None:
-    """The invariant by which the last search, if it read (a, b), proved them not SE."""
-    rec = _memo.get((a, b))
-    return None if rec is None else rec.differs
-
-
 def search_se(
     a: Matrix,
     b: Matrix,
@@ -357,6 +337,27 @@ def search_esse(
         return None
     w = search_se(a, b, lag_max=1, entry_bound=entry_bound, candidate_budget=candidate_budget)
     return None if w is None else SSEWitness(w.r, w.s)
+
+
+def _witness_verdict(a: Matrix, b: Matrix, witness_json: dict | None) -> tuple[bool, dict]:
+    """The answer of the search just run on (a, b), given its witness as JSON (None: none).
+
+    Without a witness the answer is a proven no when the pair's record (the
+    memo's, if the search read (a, b)) holds a differing invariant, and a
+    bounded miss otherwise; a refused `search_esse` leaves the memo empty.
+    """
+    if witness_json is not None:
+        return True, {"outcome": "found", "witness": witness_json}
+    rec = _memo.get((a, b))
+    if rec is not None and rec.differs is not None:
+        reason, at_a, at_b = rec.differs
+        return False, {"outcome": "not_equivalent", "conclusive": True, "reason": reason,
+                       "a": at_a, "b": at_b}
+    return False, {
+        "outcome": "not_found_within_bounds",
+        "conclusive": False,
+        "note": "absence of a witness within these bounds does not decide inequivalence",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ adjacency matrix (`graphs.named_adjacency`); the matrix functions check their
 argument with the one adjacency check, `graphs._checked_adjacency`.  Check
 and amalgamation are one step, `_reduced`, taken once per matrix however
 many invariants are read off it: `invariants_report`, `_flow_decision` and
-the prefilters of the witness searches pass the reduced matrix on to both
-Smith and Faddeev-LeVerrier.
+`_first_difference`, the prefilter of the witness searches, pass the reduced
+matrix on to both Smith and Faddeev-LeVerrier.  `_first_difference` returns
+the invariant that tells two matrices apart as `invariants --json` prints it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,24 @@ def det_i_minus_a(a: Matrix) -> int:
 def char_poly_away_from_zero(a: Matrix) -> Poly:
     """Characteristic polynomial with every factor of x stripped."""
     return _away_from_zero(_reduced(a))
+
+
+def _first_difference(a: Matrix, b: Matrix) -> tuple[str, object, object] | None:
+    """The first SE invariant that tells a from b, as (name, value at a, value at b), or None.
+
+    The invariants are the characteristic polynomial away from zero, then
+    the Bowen-Franks group, each read off the one `_reduced` form of each
+    matrix; the values are in the form `invariants --json` prints them.
+    A difference proves that no shift equivalence exists.
+    """
+    ra, rb = _reduced(a), _reduced(b)
+    pa, pb = _away_from_zero(ra), _away_from_zero(rb)
+    if pa != pb:
+        return "char_poly_away_from_zero", _poly_json(pa), _poly_json(pb)
+    ga, gb = _flow_invariants(ra)[0], _flow_invariants(rb)[0]
+    if ga != gb:
+        return "bowen_franks", _bf_json(ga), _bf_json(gb)
+    return None
 
 
 def _flow_class(g: Graph | Matrix, h: Graph | Matrix) -> tuple[Matrix, Matrix]:

@@ -5,10 +5,12 @@ equivalence witness relating the two adjacency matrices, so "this move
 preserves conjugacy" is a checkable artifact, not a promise.  The witness is
 read off the split graph: R is copy membership, and since every copy of a
 vertex receives the same edges, column w of S is the split graph's adjacency
-column at the first copy of w.  Bridge graphs
-package a matrix factorization a = r s as a two-class graph whose crossing
-length-2 paths biject with the edges of the factors: each factor edge is
-laid out from its crossing path, path by path, together with its theta entry.
+column at the first copy of w.  `SSEWitness` is imported where a split
+builds one, so `product` and the bridge moves load neither `equivalences`
+nor the `invariants` it imports.  Bridge graphs package a matrix
+factorization a = r s as a two-class graph whose crossing length-2 paths
+biject with the edges of the factors: each factor edge is laid out from its
+crossing path, path by path, together with its theta entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections.abc import Mapping
 from functools import cached_property
 
 from ._frozen import Frozen
-from .equivalences import SSEWitness
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
 from .graphs import Edge, Graph, graph_to_json, transpose
 from .linalg import Matrix
@@ -123,6 +124,8 @@ def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
     An in-split is a transposed out-split: if out_split(transpose(g), p)
     returns (h, (R, S)), then in_split(g, p) returns (transpose(h), (S^T, R^T)).
     """
+    from .equivalences import SSEWitness
+
     h, w = _out_split(transpose(g), p, "incoming")
     return transpose(h), SSEWitness(w.s.transpose(), w.r.transpose())
 
@@ -130,6 +133,8 @@ def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
 def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness]:
     """The out-split construction; `kind` names the split side of the caller's
     graph in partition errors."""
+    from .equivalences import SSEWitness
+
     required = {v: {e.id for e in g.out_edges(v)} for v in g.vertices if g.out_edges(v)}
     _check_partition(g, p, required, kind)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -244,6 +245,19 @@ def test_sse_search_refusal_stays_inconclusive(capsys):
     assert rep["results"]["conclusive"] is False
 
 
+# stdout and exit code of every outcome shape of the searches and decisions,
+# human and --json (the report cut before "timing"), recorded from an earlier
+# CLI that built each report itself; compared as text, so key order counts
+_OUTCOMES = json.loads((Path(__file__).parent / "cli_outcomes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", _OUTCOMES, ids=[" ".join(p["argv"]) for p in _OUTCOMES])
+def test_outcomes_print_the_recorded_bytes(capsys, monkeypatch, pin):
+    monkeypatch.chdir(_ROOT)
+    code, out = _run(capsys, *pin["argv"])
+    assert (code, out.split(',\n  "timing": ')[0]) == (pin["exit"], pin["stdout"])
+
+
 def test_sse_verify_chain(capsys):
     code, rep = _report(capsys, "sse", "verify-chain", _FULL, _FULL_REV, _CHAIN)
     assert code == 0
@@ -404,6 +418,77 @@ _PARSE_ERRORS = {
     ("dimgroup", "pos", "[[1,2],[1,0]]", "[1,2"): "invalid vector JSON: ",
 }
 _MALFORMED += list(_PARSE_ERRORS)
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+_NESTED_INPUTS = {
+    "graph": (("analyze", _NESTED), "invalid JSON: "),
+    "witness": (("se", "verify", "[[2]]", "[[2]]", _NESTED), "invalid JSON: "),
+    "chain": (("sse", "verify-chain", "[[2]]", "[[2]]", _NESTED), "invalid JSON: "),
+    "partition": (("split", "out", _AB, _NESTED), "invalid JSON: "),
+    "family partition": (("terms", "family", _FULL, _NESTED), "invalid JSON: "),
+    "weights": (("terms", "decompose", _FULL, "v1", "--weights", _NESTED), "invalid JSON: "),
+    "vector": (("dimgroup", "pos", "[[2]]", _NESTED), "invalid vector JSON: "),
+}
+
+
+@pytest.mark.parametrize("argv, prefix", _NESTED_INPUTS.values(), ids=_NESTED_INPUTS)
+def test_deeply_nested_json_is_a_parse_error(capsys, argv, prefix):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth limit
+    # (about 1,000 levels up to Python 3.12, some 10,000 from 3.13 on)
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ParseError"
+    assert err["message"].startswith(prefix + "maximum recursion depth exceeded")
+
+
+_DIGIT_CAP = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                reason="the interpreter does not cap int-to-string digits")
+
+
+def _uncapped_json(text: str):
+    """json.loads(text) with the int digit cap lifted, as the CLI lifts it."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@_DIGIT_CAP
+def test_invariants_are_exact_past_the_int_digit_cap(capsys):
+    # det(I - A) = (1 - n)^2 - 1 has about 6,000 digits, more than the cap's 4,300
+    n = 10**3000 - 1
+    code, out = _run(capsys, "invariants", f"[[{n},1],[1,{n}]]", "--json")
+    assert code == 0
+    assert _uncapped_json(out)["results"]["det_i_minus_a"] == (1 - n) ** 2 - 1
+
+
+@_DIGIT_CAP
+@pytest.mark.parametrize("spelling", ["[{}]", "{}"])
+def test_dimgroup_pos_prints_a_huge_element_back(capsys, spelling):
+    code, out = _run(capsys, "dimgroup", "pos", "[[2]]", spelling.format("9" * 5000), "--json")
+    assert code == 0
+    assert _uncapped_json(out)["results"]["element"] == {"a": [10**5000 - 1], "k": 0}
+
+
+@_DIGIT_CAP
+@pytest.mark.parametrize("argv", [
+    ("analyze", "[[" + "9" * 5000 + "]]"),
+    ("analyze", "[[1.5]]"),
+    ("analyze", "--no-such-option"),
+], ids=["answer", "error object", "usage error"])
+def test_main_restores_the_int_digit_cap(capsys, argv):
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 _HUGE = "[[1000000000]]"
@@ -664,6 +749,9 @@ def test_commands_import_only_the_modules_they_run():
         ["terms", "decompose", _FULL, "e1 + v1 + e4*", "--json"],
     )
     assert not algebra & {f"sftkit.{m}" for m in ("moves", "equivalences", "invariants")}, algebra
+    product = _modules_loaded_by(["product", "[[1,1],[1,0]]", "[[2]]", "--json"])
+    assert "sftkit.moves" in product
+    assert not product & {"sftkit.equivalences", "sftkit.invariants"}, product
 
 
 _BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))

@@ -29,6 +29,7 @@ from sftkit.dimension import (
     DimensionTriple,
     InCone,
     Infeasible,
+    IntertwinerSystem,
     ModuleIsoCandidate,
     NotFoundWithinBounds,
     NotInCone,
@@ -594,6 +595,32 @@ def test_search_module_iso_builds_no_more_grid_than_its_budget():
                                       candidate_budget=5)
             assert search_module_iso(ta, tb, pointed=pointed, denominator_max=big,
                                      value_max=big, candidate_budget=5) == small
+
+
+def test_decision_records_report_their_verdict():
+    # (yes, the keys `dimgroup pos` and `iso search` print, in order); a record
+    # without a power or a reason leaves that key out
+    system = IntertwinerSystem(Matrix.from_rows([[-1], [1]]), (0, 1), ("intertwine[0,0]", "unit[0]"))
+    half = Matrix.from_rows([[1, 0], [0, Fraction(1, 2)]])
+    cases = [
+        (InCone(3), True, {"decision": "in_cone", "certificate_power": 3}),
+        (InCone(), True, {"decision": "in_cone"}),
+        (NotInCone("some cyclic class stays negative"), False,
+         {"decision": "not_in_cone", "reason": "some cyclic class stays negative"}),
+        (NotInCone(), False, {"decision": "not_in_cone"}),
+        (Unknown(24), False, {"decision": "unknown", "iterate_bound": 24}),
+        (Candidate(half), True, {"outcome": "found", "matrix": [[1, 0], [0, "1/2"]]}),
+        (Infeasible(system, (1, Fraction(1, 2))), False, {
+            "outcome": "infeasible",
+            "system": {"labels": ["intertwine[0,0]", "unit[0]"], "coefficients": [[-1], [1]],
+                       "rhs": ["0", "1"]},
+            "certificate": ["1", "1/2"],
+        }),
+        (NotFoundWithinBounds(25), False, {"outcome": "not_found_within_bounds", "tried": 25}),
+    ]
+    for record, yes, payload in cases:
+        assert record._verdict() == (yes, payload)
+        assert json.dumps(record._verdict()[1]) == json.dumps(payload)
 
 
 def test_search_module_iso_negative_budget_scans_nothing():

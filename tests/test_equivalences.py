@@ -404,6 +404,31 @@ def test_refused_search_esse_reads_nothing_and_empties_the_memo():
         assert equivalences._memo == {}
 
 
+def test_witness_verdict_reads_the_record_of_the_pair_just_searched():
+    found = {"R": [[1]], "S": [[2]], "l": 1}
+    assert equivalences._witness_verdict(_m([[2]]), _m([[2]]), found) == (
+        True, {"outcome": "found", "witness": found})
+    proven = (False, {"outcome": "not_equivalent", "conclusive": True,
+                      "reason": "char_poly_away_from_zero", "a": ["-2", "1"], "b": ["-3", "1"]})
+    bounded = (False, {
+        "outcome": "not_found_within_bounds",
+        "conclusive": False,
+        "note": "absence of a witness within these bounds does not decide inequivalence",
+    })
+    a, b = _m([[2]]), _m([[3]])
+    assert _fresh(search_se, a, b) is None
+    assert equivalences._witness_verdict(a, b, None) == proven
+    # the record of another pair, or none, proves nothing about (a, b)
+    assert equivalences._witness_verdict(b, a, None) == bounded
+    assert search_esse(a, b) is None
+    assert equivalences._witness_verdict(a, b, None) == proven
+    # a refused search reads no record and clears the memo: a bounded miss
+    assert search_esse(a, b, inner_dim_max=0) is None
+    assert equivalences._witness_verdict(a, b, None) == bounded
+    assert _fresh(search_se, _HARD, _HARD.transpose()) is None
+    assert equivalences._witness_verdict(_HARD, _HARD.transpose(), None) == bounded
+
+
 def _bumped(m: Matrix) -> list[Matrix]:
     """m with 1 added to one entry, for every entry in turn."""
     return [

@@ -364,6 +364,18 @@ def test_flow_decision_is_flow_equivalent_with_both_reports():
         invariants._flow_decision(corpus[0], _m([[0, 1], [1, 0]]))
 
 
+def test_first_difference_names_the_invariant_as_the_report_prints_it():
+    g = _m([[1, 2], [1, 0]])
+    h = _m([[1, 1, 0], [0, 0, 2], [1, 1, 0]])  # an out-split of g
+    assert invariants._first_difference(g, h) is None
+    for a, b, name, key in (
+        (_m([[2]]), _m([[3]]), "char_poly_away_from_zero", "char_poly_away_from_zero"),
+        (_m([[0, 1], [3, 2]]), _m([[1, 2], [2, 1]]), "bowen_franks", "bf"),
+    ):
+        assert invariants._first_difference(a, b) == (
+            name, invariants_report(a)[key], invariants_report(b)[key])
+
+
 def test_each_matrix_is_checked_and_amalgamated_once():
     # h is an out-split of g, so it merges back to g
     g = _m([[1, 2], [1, 0]])
