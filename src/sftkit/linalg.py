@@ -8,8 +8,9 @@ coefficients.  The module supplies the kernels the rest of the package
 leans on:
 
 * an immutable `Matrix` with exact arithmetic, RREF and nullspaces; its
-  products are `_product`, which `equivalences` runs on bare int rows too,
-  and `pow(m, k, p)` reduces its entries modulo p as it goes;
+  products, matrix-vector ones included, are `_product`, which
+  `equivalences` runs on bare int rows too, and `pow(m, k, p)` reduces its
+  entries modulo p as it goes;
 * fraction-free elimination over the integers: `_rref` clears the
   denominators of each row once and divides it by its content (the
   integer-row helpers of `polynomials`), and runs Gauss-Jordan with
@@ -26,7 +27,10 @@ leans on:
   them); the flow invariants run on the merged matrix;
 * characteristic polynomials via Faddeev-LeVerrier, each product running
   over the nonzero entries of each row only (the matrices are mostly sparse
-  0/1), which also yields column 0 of the adjugate of (xI - A) for free;
+  0/1) and adding the rows it picks in C: a chain of `map` adds for a row
+  with at most `_CHAIN_ROWS` nonzero entries, one `zip` past it, so no lazy
+  chain is deeper than that; the run also yields column 0 of the adjugate
+  of (xI - A) for free;
 * exact affine solving by one reduction of [A | b]; only an
   inconsistent system is reduced again, as [A | b | I], where the identity
   block records the row operations and yields the infeasibility certificate
@@ -64,6 +68,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from enum import IntEnum
 from fractions import Fraction
+from functools import partial, reduce
 
 from ._frozen import Frozen, _set
 from .errors import InvalidMatrix, NotIrreducible, ShapeError
@@ -194,8 +199,7 @@ class Matrix(Frozen):
     def apply(self, v: Sequence[Rat]) -> Vector:
         if len(v) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        v = vector(v)
-        return vector(sum(a * x for a, x in zip(row, v) if a) for row in self.rows)
+        return vector(_product(self.rows, [vector(v)]))
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else Matrix(())
@@ -469,6 +473,22 @@ def _amalgamate(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+# `_row_sum` chains lazy C-level adds over at most this many rows, the point
+# past which one zip under `sum` is faster; the bound also keeps the chain
+# shallow, as some 10^5 nested maps overflow the C stack.
+_CHAIN_ROWS = 4
+_add_rows = partial(map, operator.add)
+
+
+def _row_sum(rows: list[Iterable[int]], n: int) -> list[int]:
+    """The column sums of these rows of length n (zeros when there are none)."""
+    if not rows:
+        return [0] * n
+    if len(rows) > _CHAIN_ROWS:
+        return list(map(sum, zip(*rows)))
+    return list(reduce(_add_rows, rows))
+
+
 def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Integer Faddeev-LeVerrier over the nonzero entries of each row of A.
 
@@ -478,22 +498,21 @@ def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, 
     adj(xI - A) = sum B_k x^(n-1-k) for k = 0..n-1; Cayley-Hamilton makes
     B_n zero, which is asserted.  Row i of A B_(k-1) is the sum of
     x * (row l of B_(k-1)) over the nonzero entries a[i][l] = x, so a step
-    costs nnz(A) * n rather than n^3.  Only column 0 of the adjugate is
-    kept: returns (c, column) with column[j] the coefficients of
-    adj(xI - A)[j][0], constant term first.
+    costs nnz(A) * n rather than n^3; `_row_sum` adds the rows in C.  Only
+    column 0 of the adjugate is kept: returns (c, column) with column[j]
+    the coefficients of adj(xI - A)[j][0], constant term first.
     """
     n = len(a)
     nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in a]
-    zero = [0] * n
     b = [[int(i == j) for j in range(n)] for i in range(n)]
     cs = [1]
     firsts = [[row[0] for row in b]]  # column 0 of B_0, B_1, ...
     for k in range(1, n + 1):
         # row i of A B_(k-1): the rows l of B_(k-1), each scaled by its
-        # a[i][l] = x, summed column by column (zeros for a zero row of A)
+        # a[i][l] = x, summed column by column
         b = [
-            [sum(col) for col in zip(zero, *(b[l] if x == 1 else [x * y for y in b[l]]
-                                             for l, x in terms))]
+            _row_sum([b[l] if x == 1 else map(operator.mul, b[l], itertools.repeat(x))
+                      for l, x in terms], n)
             for terms in nonzero
         ]
         tr = sum(b[i][i] for i in range(n))

@@ -52,11 +52,10 @@ def matmul_count(fn):
 
 
 def apply_power_oracle(m: Matrix, p: int, v) -> tuple:
-    """m^p v by p plain matrix-vector loops, entry by entry."""
-    n = m.nrows
+    """m^p v by p plain matrix-vector loops, entry by entry (m may be non-square when p is 1)."""
     v = list(v)
     for _ in range(p):
-        v = [sum(m[i, j] * v[j] for j in range(n)) for i in range(n)]
+        v = [sum(m[i, j] * v[j] for j in range(m.ncols)) for i in range(m.nrows)]
     return tuple(v)
 
 

@@ -8,12 +8,14 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, groupby, product
 from unittest import mock
 
 import pytest
 from helpers import (
     adjugate_xi_minus,
+    apply_power_oracle,
     cofactor_det,
     det_oracle,
     faddeev_leverrier_oracle,
@@ -96,6 +98,32 @@ def test_kron_matches_oracle():
         a = random_int_matrix(rng, rng.randrange(1, 4), -2, 2)
         b = random_int_matrix(rng, rng.randrange(1, 4), -2, 2)
         assert a.kron(b) == kron_oracle(a, b)
+
+
+def test_apply_matches_the_oracle():
+    # Matrix.apply is one row-by-column product; every entry follows the
+    # number rule, and a vector of the wrong length is refused
+    rng = random.Random(23)
+    cases = [Matrix.from_rows([[0, 0, 0], [1, -2, 3]]), Matrix.from_rows([[0, 0]] * 3)]
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 1, rng.randint(-4, 4))) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            rows[rng.randrange(nrows)] = [0] * ncols
+        cases.append(Matrix.from_rows(rows))
+    for m in cases:
+        vectors = [
+            [rng.randint(-5, 5) for _ in range(m.ncols)],
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m.ncols)],
+            [Fraction(rng.randint(-5, 5)) for _ in range(m.ncols)],
+        ]
+        for v in vectors:
+            got = m.apply(v)
+            assert got == apply_power_oracle(m, 1, v), (m, v)
+            assert all(type(x) is int or x.denominator > 1 for x in got), (m, v)
+        for bad in ([0] * (m.ncols + 1), [0] * (m.ncols - 1)):
+            with pytest.raises(ShapeError, match="vector length does not match column count"):
+                m.apply(bad)
 
 
 def test_inverse_random_nonsingular():
@@ -265,11 +293,16 @@ def _sparse_primitive_01(rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def _faddeev_leverrier_oracle(m: Matrix) -> tuple:
+    """(c, column) as `_faddeev_leverrier` returns them, read off the dense oracle."""
+    n = m.nrows
+    coeffs, bs = faddeev_leverrier_oracle(m)
+    return coeffs[::-1], tuple(tuple(bs[n - 1 - d][j][0] for d in range(n)) for j in range(n))
+
+
 def _perron_column_oracle(m: Matrix) -> tuple:
     """Column 0 of adj(xI - m^T) from the oracle's B_k, constant term first."""
-    n = m.nrows
-    _, bs = faddeev_leverrier_oracle(m.transpose())
-    return tuple(tuple(bs[n - 1 - d][j][0] for d in range(n)) for j in range(n))
+    return _faddeev_leverrier_oracle(m.transpose())[1]
 
 
 def test_char_poly_and_perron_column_match_faddeev_leverrier_oracle():
@@ -300,6 +333,47 @@ def test_char_poly_and_perron_column_match_faddeev_leverrier_oracle():
     # the reducible ones have no PerronData; read their column off the run
     for m in zero_rows + diagonal:
         assert _faddeev_leverrier(m.transpose().to_int_rows())[1] == _perron_column_oracle(m), m
+
+
+def test_faddeev_leverrier_rows_on_both_sides_of_the_chain_bound():
+    # a row of A with at most _CHAIN_ROWS nonzero entries is summed by a
+    # chain of adds, a longer one by one zip: rows of every length up to
+    # n, 0/1 and larger or negative entries, zero rows, 1 x 1 matrices, and
+    # a wide matrix with one fully dense row
+    rng = random.Random(29)
+    bound = linalg._CHAIN_ROWS
+    cases = [Matrix.from_rows([[x]]) for x in (0, 1, 3, -2)]
+    for n in (2, 5, 8, 12):
+        for entries in ((1,), (1, 2, 3), (-3, -1, 1, 4)):
+            rows = []
+            for _ in range(n):
+                row = [0] * n
+                for l in rng.sample(range(n), min(n, rng.choice((0, 1, bound, bound + 1, n)))):
+                    row[l] = rng.choice(entries)
+                rows.append(row)
+            cases.append(Matrix.from_rows(rows))
+    n = 60
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+        rows[i][rng.randrange(n)] = rng.randint(1, 3)
+    rows[7] = [rng.randint(1, 2) for _ in range(n)]
+    wide = Matrix.from_rows(rows)
+    assert max(sum(1 for x in row if x) for row in wide.rows) == n > bound
+    with mock.patch.object(linalg, "reduce", wraps=reduce) as chained:
+        for m in cases + [wide]:
+            assert _faddeev_leverrier(m.to_int_rows()) == _faddeev_leverrier_oracle(m), m
+    # every chain is at most the stated number of rows deep, and both
+    # sides of the bound ran
+    assert max(len(call.args[1]) for call in chained.call_args_list) == bound
+    assert any(sum(1 for x in row if x) > bound for m in cases for row in m.rows)
+
+
+def test_row_sum_of_many_rows_keeps_the_chain_shallow():
+    # 200,000 rows chained lazily would nest 200,000 iterators, deep enough
+    # to overflow the C stack; past the bound they are summed by one zip
+    assert linalg._row_sum([[1, 2]] * 200_000, 2) == [200_000, 400_000]
+    assert linalg._row_sum([], 3) == [0, 0, 0]
 
 
 def test_cyclic_structure_builds_one_support_digraph():
