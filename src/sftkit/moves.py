@@ -63,9 +63,7 @@ def partition_from_json(obj) -> EdgePartition:
     return EdgePartition(tuple((v, tuple(tuple(b) for b in blocks)) for v, blocks in entries))
 
 
-def _check_partition(
-    g: Graph, p: EdgePartition, required: dict[str, set[str]], kind: str
-) -> None:
+def _check_partition(p: EdgePartition, required: dict[str, set[str]], kind: str) -> None:
     given = p.vertices()
     if len(set(given)) != len(given):
         raise BadPartition("vertex listed twice in partition")
@@ -136,7 +134,7 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
     from .equivalences import SSEWitness
 
     required = {v: {e.id for e in g.out_edges(v)} for v in g.vertices if g.out_edges(v)}
-    _check_partition(g, p, required, kind)
+    _check_partition(p, required, kind)
 
     copies = {
         v: [_copy_name(v, i) for i in range(len(p.blocks_at(v)))] if v in required else [v]

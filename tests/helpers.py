@@ -59,6 +59,25 @@ def apply_power_oracle(m: Matrix, p: int, v) -> tuple:
     return tuple(v)
 
 
+def lattice_level_oracle(m: Matrix, v) -> int | None:
+    """Smallest k with m^k v integral, or None, by the residue walk w <- m w mod d.
+
+    With d the common denominator of v and w = d v, m^k v is integral iff
+    m^k w = 0 mod d.  The walk stays among at most d^n residues and 0 is a
+    fixed point, so it reaches 0 within d^n steps or never: before 0 the
+    residues are distinct, and a repeat closes a cycle that misses 0.
+    """
+    n = m.nrows
+    v = [Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in v))
+    w = [int(x * d) % d for x in v]
+    for k in range(d**n + 1):
+        if not any(w):
+            return k
+        w = [sum(m[i, j] * w[j] for j in range(n)) % d for i in range(n)]
+    return None
+
+
 def random_int_matrix(rng: random.Random, n: int, lo: int, hi: int) -> Matrix:
     return Matrix.from_rows(
         [[rng.randrange(lo, hi + 1) for _ in range(n)] for _ in range(n)]

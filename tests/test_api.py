@@ -110,6 +110,53 @@ def test_every_import_is_used():
         assert not bound - read, f"{path.name}: unused {sorted(bound - read)}"
 
 
+def _module_level_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _loads(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_no_dead_private_name_or_parameter():
+    # a module-level private name (`_x` def, class or assignment) is read
+    # somewhere in the package outside its own definition: by name, as an
+    # attribute or by an import; and every parameter of every function and
+    # lambda is read in its body, dunder protocol methods (`__setattr__`)
+    # being exempt, since the protocol fixes their signatures
+    trees = [ast.parse(p.read_text()) for p in sorted(Path(sftkit.__file__).parent.glob("*.py"))]
+    stmts = [stmt for tree in trees for stmt in tree.body]
+
+    def reads(stmt: ast.stmt) -> set[str]:
+        return _loads(stmt) | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)} | {
+            alias.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom) for alias in n.names
+        }
+
+    read_by = [(stmt, reads(stmt)) for stmt in stmts]
+    dead = sorted(
+        name
+        for stmt in stmts
+        for name in _module_level_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in read_by if other is not stmt)
+    )
+    assert not dead, f"private names never read: {dead}"
+    unused = []
+    for fn in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = fn.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+        unused += [f"{name}({p}), line {fn.lineno}" for p in sorted(params - _loads(fn))]
+    assert not unused, f"parameters never read: {unused}"
+
+
 def test_no_module_imports_dataclasses():
     # the value classes derive from `sftkit._frozen.Frozen`, which generates no
     # code; `dataclasses` would load `inspect` into every command

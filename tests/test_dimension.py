@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -14,8 +15,10 @@ import pytest
 from helpers import (
     apply_power_oracle,
     cyclic_cone_oracle,
+    det_oracle,
     is_primitive_matrix,
     kron_oracle,
+    lattice_level_oracle,
     matmul_count,
     random_adjacency,
     random_block_cyclic,
@@ -54,9 +57,10 @@ from sftkit.dimension import (
     verify_module_iso,
     zero,
 )
-from sftkit.errors import HasSinks, ShapeError
+from sftkit.errors import HasSinks, ShapeError, UndecidedError
 from sftkit.graphs import from_adjacency, transpose
 from sftkit.linalg import Matrix
+from sftkit.polynomials import Poly
 
 
 def _m(rows) -> Matrix:
@@ -424,6 +428,122 @@ def test_lattice_level_and_rational_elements():
     assert dg_equal(t, el, DimElement((2, 1), 1))
 
 
+def _acting_matrix(rng: random.Random, kind: str, n: int) -> Matrix:
+    """A nonnegative n x n integer matrix that is singular, nilpotent (strictly
+    upper triangular), a permutation, or invertible."""
+    while True:
+        if kind == "nilpotent":
+            return _m([[rng.randint(0, 2) * (j > i) for j in range(n)] for i in range(n)])
+        if kind == "permutation":
+            p = rng.sample(range(n), n)
+            return _m([[int(j == p[i]) for j in range(n)] for i in range(n)])
+        m = random_adjacency(rng, n, 2)
+        if (det_oracle(m) == 0) == (kind == "singular"):
+            return m
+
+
+def test_lattice_level_matches_residue_walk_oracle():
+    # the bounded walk against the oracle's complete residue walk, for n <= 3
+    # and common denominators d <= 12: the same smallest k, the same misses,
+    # and the class's vector is M^k v with int entries
+    rng = random.Random(301)
+    seen = Counter()
+    for trial in range(600):
+        kind = ("singular", "nilpotent", "permutation", "invertible")[trial % 4]
+        n = rng.randint(1, 3)
+        m = _acting_matrix(rng, kind, n)
+        t = DimensionTriple(m)
+        d = rng.randint(1, 12)
+        v = [Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(n)]
+        want = lattice_level_oracle(m, v)
+        assert lattice_level(t, v) == want, (m, v)
+        el = rational_to_element(t, v)
+        if want is None:
+            assert el is None, (m, v)
+        else:
+            assert el.k == want and el.a == apply_power_oracle(m, want, v), (m, v)
+            assert all(type(x) is int for x in el.a)
+        seen[kind, "miss" if want is None else min(want, 2)] += 1
+    for key in (("singular", "miss"), ("singular", 2), ("nilpotent", 2),
+                ("permutation", "miss"), ("permutation", 0), ("invertible", "miss"),
+                ("invertible", 2)):
+        assert seen[key] >= 5, seen
+    assert seen["nilpotent", "miss"] == 0, seen
+
+
+def test_group_membership_walk_stops_at_its_proven_bound():
+    # the companion graph of x^15 - x - 1: vertex i -> i + 1, and the last
+    # vertex -> the first two.  M is invertible over Z, so e_1 / 2 never
+    # becomes integral, and the fractional parts of its iterates run through
+    # all 2^15 - 1 nonzero residues mod 2; the walk stops after
+    # n floor(log2 2) = 15 products
+    n = 15
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    rows[-1][0] = rows[-1][1] = 1
+    a = _m(rows)
+    assert is_primitive_matrix(a) and sum(map(sum, rows)) == 16
+    assert linalg.char_poly(a) == Poly.from_coeffs([-1, -1] + [0] * 13 + [1])
+    t = from_graph(a)
+    with mock.patch.object(Matrix, "apply", autospec=True, side_effect=Matrix.apply) as apply:
+        assert lattice_level(t, [Fraction(1, 2)] + [0] * (n - 1)) is None
+    assert apply.call_count <= 16
+    start = time.perf_counter()
+    two = _m([[2 * (i == j) for j in range(n)] for i in range(n)])
+    assert not verify_module_iso(t, t, ModuleIsoCandidate(two))
+    assert time.perf_counter() - start < 1
+
+
+def _unit_class_equal(t: DimensionTriple, u: Matrix) -> bool:
+    """The pointed condition as a class equality: U 1 is an element of the
+    group and equals the order unit."""
+    elem = rational_to_element(t, u.apply((1,) * u.ncols))
+    return elem is not None and dg_equal(t, elem, order_unit(t))
+
+
+def test_pointed_condition_matches_unit_class_equality():
+    # verify_module_iso's pointed condition M_B^n (U 1 - 1) = 0 against the
+    # class equality it stands for, on rational combinations of the
+    # intertwiners of seeded acting matrices (singular ones included) and on
+    # the identity; on M = [[1, 1], [0, 0]] with U = [[1, b], [0, 1 - b]],
+    # whose U 1 - 1 is the nonzero kernel vector (b, -b); and on diagonal U
+    # for M = [[2, 0], [0, 0]] and [[2, 0], [0, 3]], an order automorphism
+    # when its entries are powers of 2 and 3 (of 2 and anything for the
+    # first M)
+    rng = random.Random(302)
+    grid = [Fraction(p, q) for q in (1, 2, 3) for p in range(-2, 3)]
+    cases = []
+    for trial in range(120):
+        kind = ("singular", "nilpotent", "permutation", "invertible")[trial % 4]
+        n = rng.randint(1, 3)
+        ma = _acting_matrix(rng, kind, n)
+        mb = ma if trial % 3 else _acting_matrix(rng, "singular", n)
+        basis = linalg.intertwiner_space(ma, mb)
+        coeffs = [rng.choice(grid) for _ in basis]
+        u = _m([[sum(c * b[i, j] for c, b in zip(coeffs, basis)) for j in range(n)]
+                for i in range(n)])
+        cases += [(ma, mb, u), (ma, ma, Matrix.identity(n))]
+    ker = _m([[1, 1], [0, 0]])
+    cases += [(ker, ker, _m([[1, b], [0, 1 - b]])) for b in grid if b != 1]
+    for m in (_m([[2, 0], [0, 0]]), _m([[2, 0], [0, 3]])):
+        for x in (Fraction(1, 2), 1, 2, 4, -2):
+            cases += [(m, m, _m([[x, 0], [0, y]])) for y in (Fraction(1, 3), 1, 3, Fraction(1, 2))]
+    seen = Counter()
+    for ma, mb, u in cases:
+        ta, tb = DimensionTriple(ma), DimensionTriple(mb)
+        unit = _unit_class_equal(tb, u)
+        excess = [x - 1 for x in apply_power_oracle(u, 1, [1] * u.ncols)]
+        assert unit == (not any(apply_power_oracle(mb, mb.nrows, excess))), (mb, u)
+        try:
+            iso = verify_module_iso(ta, tb, ModuleIsoCandidate(u))
+        except UndecidedError:
+            seen["undecided"] += 1
+            continue
+        assert verify_module_iso(ta, tb, ModuleIsoCandidate(u, pointed=True)) == (iso and unit)
+        seen[iso, unit, det_oracle(mb) == 0] += 1
+    assert seen[True, True, True] >= 5 and seen[True, False, True] >= 5, seen
+    assert seen[True, True, False] >= 5 and seen[True, False, False] >= 5, seen
+
+
 def test_verify_module_iso_identity_and_diagonal_half():
     g = from_adjacency(_m([[1, 2], [1, 0]]))
     ta = from_graph(g)
@@ -441,6 +561,49 @@ def test_verify_module_iso_rejects_singular_and_bad_shape():
     )
     with pytest.raises(ShapeError):
         verify_module_iso(_FULL2, _FULL2, ModuleIsoCandidate(Matrix.identity(3)))
+
+
+def _assert_refusals(cases) -> None:
+    for call, message in cases:
+        with pytest.raises(ShapeError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_element_maps_check_their_triple_and_entries():
+    # dg_neg and dg_scale check the element against the triple, as dg_add
+    # does, and an element's entries and stage are ints: a float or a
+    # Fraction is refused when the element is built
+    _assert_refusals([
+        (lambda: dg_neg(_FULL2, DimElement((1, 2, 3), 0)), "element lives in Z^3, triple needs Z^2"),
+        (lambda: dg_scale(_FULL2, 2, DimElement((1,), 0)), "element lives in Z^1, triple needs Z^2"),
+        (lambda: dg_positive(_FULL2, DimElement((0.5, 1), 0)),
+         "element entries must be ints, got (0.5, 1)"),
+        (lambda: dg_scale(_FULL2, Fraction(1, 2), DimElement((2, 1), 0)),
+         "element entries must be ints, got (Fraction(1, 1), Fraction(1, 2))"),
+        (lambda: DimElement((True, 1), 0), "element entries must be ints, got (True, 1)"),
+        (lambda: DimElement((1, 1), 0.5), "stage index must be a nonnegative int, got 0.5"),
+    ])
+
+
+def test_refusals_name_their_cause():
+    # each remaining refusal path of the module, with its message
+    two_by_three = ModuleIsoCandidate(_m([[1, 0, 0], [0, 1, 0]]))
+    _assert_refusals([
+        (lambda: dg_add(_FULL2, zero(_FULL2), DimElement((1,), 0)),
+         "element lives in Z^1, triple needs Z^2"),
+        (lambda: _t([[1, -1], [0, 1]]), "acting matrix must be a nonnegative integer matrix"),
+        (lambda: _t([[Fraction(1, 2)]]), "acting matrix must be a nonnegative integer matrix"),
+        (lambda: verify_module_iso(_FULL2, _t([[1]]), two_by_three),
+         "triples of different rank cannot be compared by a square matrix"),
+        (lambda: tensor_psi(_FULL2, _FULL2, DimElement((1, 2, 3), 0)),
+         "element does not live in the product triple"),
+        (lambda: lattice_level(_FULL2, [Fraction(1, 2)]), "vector length does not match the triple"),
+        (lambda: rational_to_element(_FULL2, [0.5, 1]), "vector entries must be ints or Fractions"),
+    ])
+    # an exact candidate that does not intertwine is a plain no
+    assert _m([[1, 1], [0, 1]]) @ _FULL2.matrix != _FULL2.matrix @ _m([[1, 1], [0, 1]])
+    assert not verify_module_iso(_FULL2, _FULL2, ModuleIsoCandidate(_m([[1, 1], [0, 1]])))
 
 
 def test_search_pointed_intertwiner_infeasible_for_reversed_pair():

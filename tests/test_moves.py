@@ -199,7 +199,7 @@ def _with_theta1(**changes):
 
 # each entry breaks one bridge condition of the example bridge, whose theta1
 # is p1: u1 -> u1 to (x1, y1), p2 and p3: u1 -> u2 to (x1, y2) and (x2, y3),
-# p4: u2 -> u1 to (x3, y4)
+# p4: u2 -> u1 to (x3, y4), and whose classes are (u1, u2) and (w1, w2, w3)
 _TAMPERED = [
     ("path with another range", _with_theta1(p2=("x1", "y1"))),
     ("paths swapped between edges of other ranges", _with_theta1(p1=("x1", "y2"), p2=("x1", "y1"))),
@@ -220,6 +220,11 @@ _TAMPERED = [
     ("image with an unhashable edge id", _with_theta1(p1=(["x1"], "y1"))),
     ("image that is one string", _with_theta1(p1="x1y1")),
     ("image that is None", _with_theta1(p1=None)),
+    ("an empty class", lambda bg: replace(bg, class1=())),
+    ("overlapping classes", lambda bg: replace(bg, class2=bg.class2 + ("u1",))),
+    ("classes that miss a vertex", lambda bg: replace(bg, class2=bg.class2[:-1])),
+    ("an edge that does not cross", lambda bg: replace(bg, graph=Graph(
+        bg.graph.vertices, bg.graph.edges + (Edge("u1", "u2", "z1"),)))),
 ]
 
 

@@ -12,6 +12,7 @@ from helpers import (
     random_adjacency,
     random_in_partition,
     random_sink_free,
+    replace,
     rescan_reduce_oracle,
     rewrite_oracle,
 )
@@ -283,12 +284,16 @@ def test_equal_mod_ck2_respects_plain_equality():
         assert equal_mod_ck2(_G, x, reduce(_G, x))
 
 
-def test_verify_family_identity():
-    fa = FamilyAssignment.build(
-        _G,
-        {v: vertex_element(_G, v) for v in _G.vertices},
-        {e.id: _edge(e.id) for e in _G.edges},
+def _identity_family(g):
+    return FamilyAssignment.build(
+        g,
+        {v: vertex_element(g, v) for v in g.vertices},
+        {e.id: word_element(g, (("e", e.id),)) for e in g.edges},
     )
+
+
+def test_verify_family_identity():
+    fa = _identity_family(_G)
     assert verify_family(fa, _G)
     assert fa.tstar("e1") == word_element(_G, (("g", "e1"),))
 
@@ -325,6 +330,42 @@ def test_verify_family_rejects_dropped_summand():
         _G, {v: vertex_element(_G, v) for v in _G.vertices}, edges
     )
     assert not verify_family(fa, _G)
+
+
+def _with_images(part, **changes):
+    """The family with the named images of one part replaced, each given as text."""
+    return lambda fa: replace(fa, **{part: tuple(
+        (name, parse_element(fa.target, changes[name]) if name in changes else x)
+        for name, x in getattr(fa, part)
+    )})
+
+
+# each entry breaks one relation of the identity family of _G and keeps every
+# relation verify_family checks before it; e2: v1 -> v2, e4: v2 -> v1
+_TAMPERED = [
+    ("vertex images not orthogonal", _with_images("vertex_images", v2="v1")),
+    ("edge image with another source", _with_images("edge_images", e4="e2")),
+    ("ghost image with another range", _with_images("ghost_images", e2="e2")),
+    ("ghost image not inverse to its edge", _with_images("ghost_images", e2="e3*")),
+]
+
+
+def test_tampered_family_fails_verification():
+    fa = _identity_family(_G)
+    for label, tamper in _TAMPERED:
+        bad = tamper(fa)
+        assert bad != fa, label
+        assert not verify_family(bad, _G), label
+
+
+def test_verify_family_checks_the_summation_identity_at_non_sinks_only():
+    # one loop sent to one of the two loops of a vertex: every relation holds
+    # but the summation identity, as e1 e1* + e2 e2* = v1 in the target
+    one, two = from_adjacency(Matrix.from_rows([[1]])), from_adjacency(Matrix.from_rows([[2]]))
+    assert not verify_family(_identity_family(two), one)
+    # a sink has no summation identity: the empty sum is not its vertex image
+    sink = from_adjacency(Matrix.from_rows([[0, 1], [0, 0]]))
+    assert verify_family(_identity_family(sink), sink)
 
 
 def test_in_split_family_two_blocks():
