@@ -310,13 +310,15 @@ def verify_module_iso(
 ) -> bool:
     """Check that the candidate matrix induces an order isomorphism of triples.
 
-    Five conditions: exact intertwining U M_A = M_B U; invertibility over Q;
-    both U and U^{-1} map the integer lattices into the groups (decided by
-    `rational_to_element`'s bounded walk); positivity of the images of the
-    standard positive generators in both directions; and, for pointed
-    candidates, M_B^n (U 1 - 1) = 0.  That is the order unit mapping to the
-    order unit: [U 1, 0] is the class of the unit iff M_B^j (U 1 - 1) = 0
-    for some j, and over Q the kernel chain of M_B is constant from n on.
+    Five conditions, in this order: exact intertwining U M_A = M_B U; for
+    pointed candidates, M_B^n (U 1 - 1) = 0; invertibility over Q; both U
+    and U^{-1} map the integer lattices into the groups (decided by
+    `rational_to_element`'s bounded walk); and positivity of the images of
+    the standard positive generators in both directions.  The pointed
+    condition is the order unit mapping to the order unit: [U 1, 0] is the
+    class of the unit iff M_B^j (U 1 - 1) = 0 for some j, and over Q the
+    kernel chain of M_B is constant from n on.  It is exact, so it comes
+    before positivity, and a candidate it refutes is a proven no.
 
     Raises UndecidedError if a positivity subquestion comes back Unknown.
     """
@@ -326,6 +328,8 @@ def verify_module_iso(
     if u.shape() != (t_b.n, t_a.n):
         raise ShapeError(f"candidate shape {u.shape()} does not map rank {t_a.n} to rank {t_b.n}")
     if u @ t_a.matrix != t_b.matrix @ u:
+        return False
+    if cand.pointed and any(_apply_pow(t_b, t_b.n, [x - 1 for x in u.apply((1,) * t_a.n)])):
         return False
     try:
         uinv = u.inverse()
@@ -347,11 +351,7 @@ def verify_module_iso(
                 return False
         return True
 
-    if not side_ok(t_a, t_b, u) or not side_ok(t_b, t_a, uinv):
-        return False
-    return not cand.pointed or not any(
-        _apply_pow(t_b, t_b.n, [x - 1 for x in u.apply((1,) * t_a.n)])
-    )
+    return side_ok(t_a, t_b, u) and side_ok(t_b, t_a, uinv)
 
 
 # ---------------------------------------------------------------------------

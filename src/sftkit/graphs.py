@@ -70,7 +70,7 @@ class Graph(Frozen):
     # -- lookups -----------------------------------------------------------
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
+        return v in self._incident[0]  # every vertex is a key
 
     @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:

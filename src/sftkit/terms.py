@@ -23,7 +23,10 @@ expanding monomials to a common ghost depth: within one path-length degree the
 expanded monomials of fixed shape are linearly independent, so an element is
 zero exactly when all expanded coefficients cancel.  That is what the family
 verifier uses.
-Like terms are summed in one place, `_collect`.
+Like terms are summed in one place, `_collect`, and each element is built
+from all of its (word, coefficient) pairs in one call, never one `+` at a
+time: the parser, the in-split family and the summation identity of
+`verify_family` collect their sums once, so k terms cost O(k).
 """
 
 from __future__ import annotations
@@ -383,9 +386,8 @@ def verify_family(fa: FamilyAssignment, source: Graph) -> bool:
         outs = source.out_edges(v)
         if not outs:
             continue
-        total = zero_element()
-        for e in outs:
-            total = total + multiply(tg, fa.t(e.id), fa.tstar(e.id))
+        products = (multiply(tg, fa.t(e.id), fa.tstar(e.id)) for e in outs)
+        total = AlgebraElement(_collect(pair for x in products for pair in x.terms.items()))
         if not eq(total, fa.q(v)):
             return False
     return True
@@ -410,15 +412,11 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     t: dict[str, AlgebraElement] = {}
     for e in g.edges:
         i = _block_index(p, e.dst, e.id)
-        total = zero_element()
-        for f in g.out_edges(e.dst):
-            word: Word = (
-                ("e", _copy_name(e.id, 0)),
-                ("e", _copy_name(f.id, i)),
-                ("g", _copy_name(f.id, 0)),
-            )
-            total = total + word_element(h, word)
-        t[e.id] = total
+        head = ("e", _copy_name(e.id, 0))
+        t[e.id] = AlgebraElement({
+            (head, ("e", _copy_name(f.id, i)), ("g", _copy_name(f.id, 0))): 1
+            for f in g.out_edges(e.dst)
+        })
     return h, FamilyAssignment.build(h, q, t)
 
 
@@ -442,45 +440,52 @@ def parse_rational(x: Fraction | int | float | str) -> Fraction:
         raise ParseError(f"expected a rational number, got {x!r}") from exc
 
 
-def parse_element(g: Graph, text: str) -> AlgebraElement:
-    """Parse `3/2 e1 e2* + v1 - e3` style expressions over the graph's generators."""
-    pos = 0
-    tokens: list[tuple[str, str]] = []
+def _tokens(text: str) -> list[tuple[str, str]]:
+    """The (kind, text) of each token, kind "op", "num" or "gen", left to right."""
+    tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize {rest[:20]!r}")
+            if rest:
+                raise ParseError(f"cannot tokenize {rest[:20]!r}")
+            break
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
-        for kind in ("op", "num", "gen"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
+    return tokens
+
+
+def parse_element(g: Graph, text: str) -> AlgebraElement:
+    """Parse `3/2 e1 e2* + v1 - e3` style expressions over the graph's generators.
+
+    Every term adds its (word, coefficient) pairs to one list, which is
+    collected once; a bare scalar is that multiple of the unit, the sum of
+    all vertices, so "0" parses to the zero element.
+    """
+    tokens = _tokens(text)
     if not tokens:
         raise ParseError("empty expression")
-
-    result = zero_element()
+    pairs: list[tuple[Word, Rat]] = []
     idx = 0
-
-    def parse_term(sign: int) -> AlgebraElement:
-        nonlocal idx
-        coeff: Rat = sign
-        saw_number = False
-        if idx < len(tokens) and tokens[idx][0] == "num":
+    while idx < len(tokens):
+        kind, val = tokens[idx]
+        coeff: Rat = 1
+        if kind == "op":
+            coeff, idx = (-1 if val == "-" else 1), idx + 1
+        elif idx:
+            raise ParseError(f"expected + or - before {val!r}")
+        saw_number = idx < len(tokens) and tokens[idx][0] == "num"
+        if saw_number:
             try:
                 coeff *= Fraction(tokens[idx][1])
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {tokens[idx][1]!r}") from None
-            saw_number = True
             idx += 1
         atoms: list[Atom] = []
         while idx < len(tokens) and tokens[idx][0] == "gen":
             tok = tokens[idx][1]
             idx += 1
-            starred = tok.endswith("*")
-            name = tok[:-1] if starred else tok
+            name, starred = tok.removesuffix("*"), tok.endswith("*")
             if g.has_vertex(name):
                 if starred:
                     raise ParseError(f"vertices are self-adjoint; write {name!r} without *")
@@ -489,26 +494,13 @@ def parse_element(g: Graph, text: str) -> AlgebraElement:
                 atoms.append(("g" if starred else "e", name))
             else:
                 raise UnknownGenerator(f"{name!r} is neither a vertex nor an edge")
-        if not atoms:
-            if saw_number:
-                # a bare scalar means that multiple of the unit, the sum of
-                # all vertices; in particular "0" parses to the zero element
-                return AlgebraElement({(("v", v),): coeff for v in g.vertices})
+        if atoms:
+            pairs.append((tuple(atoms), coeff))
+        elif saw_number:
+            pairs.extend(((("v", v),), coeff) for v in g.vertices)
+        else:
             raise ParseError("term without generators")
-        return word_element(g, atoms).scale(coeff)
-
-    sign = 1
-    if tokens[idx][0] == "op":
-        sign = -1 if tokens[idx][1] == "-" else 1
-        idx += 1
-    result = result + parse_term(sign)
-    while idx < len(tokens):
-        kind, val = tokens[idx]
-        if kind != "op":
-            raise ParseError(f"expected + or - before {val!r}")
-        idx += 1
-        result = result + parse_term(-1 if val == "-" else 1)
-    return result
+    return AlgebraElement(_collect(pairs))
 
 
 def format_element(x: AlgebraElement) -> str:

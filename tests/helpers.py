@@ -611,3 +611,114 @@ def rescan_reduce_oracle(g: Graph, word, strategy: str):
                 break
         else:
             return tuple(w), fired
+
+
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_NAME_REST = _NAME_START + "0123456789.|"
+
+
+def parse_oracle(g: Graph, text: str) -> dict:
+    """The terms {word: coefficient} of an expression such as `3/2 e1 e2* + v1
+    - e3`, read character by character without regular expressions.
+
+    The whole text is split into tokens first (signs, numbers d or d/d, and
+    generator names with an optional trailing *), so a character no token
+    starts with is reported before any term is read.  Then each term is a
+    sign (optional on the first), an optional number and generators; a lone
+    number is that multiple of the sum of all vertices.  Raises ParseError or
+    UnknownGenerator where `terms.parse_element` does."""
+    from sftkit.errors import ParseError, UnknownGenerator
+
+    tokens, i = [], 0
+    while i < len(text):
+        c, j = text[i], i + 1
+        if c.isspace():
+            i = j
+            continue
+        if c in "+-":
+            tokens.append(("op", c))
+        elif c.isdigit() and c.isascii():
+            while j < len(text) and text[j].isdigit() and text[j].isascii():
+                j += 1
+            if text[j : j + 1] == "/" and text[j + 1 : j + 2].isdigit():
+                j += 2
+                while j < len(text) and text[j].isdigit() and text[j].isascii():
+                    j += 1
+            tokens.append(("num", text[i:j]))
+        elif c in _NAME_START:
+            while j < len(text) and text[j] in _NAME_REST:
+                j += 1
+            j += text[j : j + 1] == "*"
+            tokens.append(("gen", text[i:j]))
+        else:
+            raise ParseError("cannot tokenize")
+        i = j
+    if not tokens:
+        raise ParseError("empty expression")
+    vertices, edges = set(g.vertices), {e.id for e in g.edges}
+    out: dict = {}
+    k = 0
+    while k < len(tokens):
+        coeff = Fraction(1)
+        if tokens[k][0] == "op":
+            coeff = Fraction(-1 if tokens[k][1] == "-" else 1)
+            k += 1
+        elif k > 0:
+            raise ParseError("expected + or -")
+        number = k < len(tokens) and tokens[k][0] == "num"
+        if number:
+            top, _, bottom = tokens[k][1].partition("/")
+            if bottom and int(bottom) == 0:
+                raise ParseError("zero denominator")
+            coeff *= Fraction(int(top), int(bottom or 1))
+            k += 1
+        word = []
+        while k < len(tokens) and tokens[k][0] == "gen":
+            tok = tokens[k][1]
+            name = tok.rstrip("*")
+            if name in vertices and tok != name:
+                raise ParseError("vertices are self-adjoint")
+            if name not in vertices and name not in edges:
+                raise UnknownGenerator(name)
+            word.append(("v" if name in vertices else "g" if tok != name else "e", name))
+            k += 1
+        if not word and not number:
+            raise ParseError("term without generators")
+        for w in [tuple(word)] if word else [(("v", v),) for v in g.vertices]:
+            out[w] = out.get(w, 0) + coeff
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def random_expression(rng: random.Random, g: Graph) -> str:
+    """A seeded expression over g's names: up to 5 signed terms, each an
+    optional number (zero denominators included) and up to 3 generators,
+    edges mostly starred at random; about a third of them then get one slip
+    (a starred vertex, an unknown name, a dropped or doubled sign, a stray
+    character), and the spacing varies down to none at all."""
+    vertices, edges = list(g.vertices), [e.id for e in g.edges]
+    tokens = []
+    for t in range(rng.randint(0, 5)):
+        if t or rng.random() < 0.3:
+            tokens.append(rng.choice("+-"))
+        number = rng.random() < 0.4
+        if number:
+            tokens.append(rng.choice(["0", "1", "2", "3/2", "12/8", "07", "0/3", "1/0"]))
+        for _ in range(rng.randint(0 if number else 1, 3)):
+            if rng.random() < 0.3:
+                tokens.append(rng.choice(vertices))
+            else:
+                tokens.append(rng.choice(edges) + ("*" if rng.random() < 0.5 else ""))
+    if tokens and rng.random() < 0.35:
+        slip = rng.choice(["v*", "unknown", "drop", "double", "stray"])
+        at = rng.randrange(len(tokens))
+        if slip == "v*":
+            tokens.insert(at, rng.choice(vertices) + "*")
+        elif slip == "unknown":
+            tokens.insert(at, rng.choice(["w1", "e0", "x.y", "v", "_"]))
+        elif slip == "drop":
+            del tokens[at]
+        elif slip == "double":
+            tokens.insert(at, rng.choice("+-"))
+        else:
+            tokens.insert(at, rng.choice(["$", "*", "/", "2/", "#x", "\u00e9"]))
+    return "".join(tok + rng.choice(["", " ", " ", " ", "  ", "\t"]) for tok in tokens)

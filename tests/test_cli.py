@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -726,32 +727,38 @@ def _modules_loaded_by(*argvs: list[str], imports: tuple[str, ...] = (),
     return set(json.loads(proc.stdout))
 
 
+def _readme_load_table() -> tuple[set[str], list[tuple[list[str], set[str]]]]:
+    """README "Layout": the modules every command loads, and each row of its
+    table as (command names, the modules it also loads)."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1]
+    base = re.findall(r"`(\w+)`", re.search(r"Every command loads (.+?)\.\s", text, re.S)[1])
+    rows = []
+    for line in text.split("| also loads", 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        commands, modules = line.strip("|").split("|")
+        names = [name.removesuffix(" ...") for name in re.findall(r"`([^`]+)`", commands)]
+        rows.append((names, {f"sftkit.{m}" for m in re.findall(r"`(\w+)`", modules)}))
+    return {"sftkit", *(f"sftkit.{m}" for m in base)}, rows
+
+
 def test_commands_import_only_the_modules_they_run():
+    # every README command, in a fresh interpreter per table command, loads
+    # exactly the modules of its row of README's load table
     assert _modules_loaded_by() == {"sftkit"}
-    plain = _modules_loaded_by(
-        ["analyze", "[[1,2],[1,0]]", "--json"],
-        ["invariants", _FULL],
-        ["flow", _FULL, _FULL_REV],
-        ["bratteli", _FULL, "--depth", "2"],
-    )
-    optional = {f"sftkit.{m}" for m in ("dimension", "equivalences", "moves", "terms")}
-    assert not plain & optional, plain
-    cone = _modules_loaded_by(["dimgroup", "pos", "[[1,2],[1,0]]", "1,1"])
-    assert cone - plain == {"sftkit.dimension"}
-    no_flow = _modules_loaded_by(
-        ["analyze", "[[1,2],[1,0]]", "--json"],
-        ["dimgroup", "pos", "[[1,2],[1,0]]", "1,1", "--json"],
-        ["iso", "search", _FULL, _FULL_REV, "--json"],
-    )
-    assert "sftkit.invariants" not in no_flow, no_flow
-    algebra = _modules_loaded_by(
-        ["terms", "reduce", _FULL, "e1* e1 + e2* e3", "--json"],
-        ["terms", "decompose", _FULL, "e1 + v1 + e4*", "--json"],
-    )
-    assert not algebra & {f"sftkit.{m}" for m in ("moves", "equivalences", "invariants")}, algebra
-    product = _modules_loaded_by(["product", "[[1,1],[1,0]]", "[[2]]", "--json"])
-    assert "sftkit.moves" in product
-    assert not product & {"sftkit.equivalences", "sftkit.invariants"}, product
+    base, rows = _readme_load_table()
+    assert base >= {"sftkit.cli", "sftkit.graphs"} and len(rows) >= 8, (base, rows)
+    runs: dict[str, list[list[str]]] = {}
+    for line in _readme_commands():
+        argv = shlex.split(line, comments=True)[1:]
+        matches = [name for names, _ in rows for name in names
+                   if argv[: len(name.split())] == name.split()]
+        assert len(matches) == 1, (line, matches)
+        runs.setdefault(matches[0], []).append(argv)
+    for names, modules in rows:
+        for name in names:
+            assert name in runs, f"README runs no `{name}` command"
+            assert _modules_loaded_by(*runs[name]) == base | modules, name
 
 
 _BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))

@@ -544,6 +544,20 @@ def test_pointed_condition_matches_unit_class_equality():
     assert seen[True, True, False] >= 5 and seen[True, False, False] >= 5, seen
 
 
+def test_pointed_check_comes_before_positivity():
+    # U intertwines M with itself, but M^3 (U 1 - 1) != 0, so the pointed
+    # candidate is a proven no; positivity of its generator images is
+    # undecided, which the unpointed candidate shows, and is never asked
+    m = _m([[0, 0, 2], [0, 2, 0], [2, 2, 0]])
+    h = Fraction(1, 2)
+    u = _m([[-1, h, -h], [0, -3 * h, 0], [-h, 0, -1]])
+    t = DimensionTriple(m)
+    with pytest.raises(UndecidedError):
+        verify_module_iso(t, t, ModuleIsoCandidate(u))
+    with mock.patch.object(dimension, "dg_positive", side_effect=AssertionError):
+        assert verify_module_iso(t, t, ModuleIsoCandidate(u, pointed=True)) is False
+
+
 def test_verify_module_iso_identity_and_diagonal_half():
     g = from_adjacency(_m([[1, 2], [1, 0]]))
     ta = from_graph(g)

@@ -95,6 +95,14 @@ def test_edge_lookup_by_id():
         g.edge("e9")
 
 
+def test_vertex_lookup():
+    # answered from the cached incidence table, which has every vertex as a
+    # key, edgeless or isolated ones included
+    for g in (_graph([[1, 2], [1, 0]]), Graph(("a", "b", "c"), ()), _graph([[0]])):
+        assert all(g.has_vertex(v) for v in g.vertices)
+        assert not g.has_vertex("e1") and not g.has_vertex("zz")
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ParseError):
         Graph(("a", "a"), ())

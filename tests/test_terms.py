@@ -9,7 +9,9 @@ from unittest import mock
 
 import pytest
 from helpers import (
+    parse_oracle,
     random_adjacency,
+    random_expression,
     random_in_partition,
     random_sink_free,
     replace,
@@ -405,13 +407,71 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        _p("v1*")  # vertices are self-adjoint
-    with pytest.raises(ParseError):
-        _p("e1 +")
-    with pytest.raises(ParseError):
-        _p("$nope")
-    with pytest.raises(UnknownGenerator):
-        _p("e9")
-    with pytest.raises(UnknownGenerator):
-        _p("w1")
+    # each rejection branch of the parser, with its message; the whole text
+    # is tokenized before any term is read, so "$" beats the unknown "e9"
+    for text, exc, message in [
+        ("v1*", ParseError, "vertices are self-adjoint; write 'v1' without *"),
+        ("e1 +", ParseError, "term without generators"),
+        ("e1 + - e2", ParseError, "term without generators"),
+        ("", ParseError, "empty expression"),
+        ("   ", ParseError, "empty expression"),
+        ("e1 e2* 3", ParseError, "expected + or - before '3'"),
+        ("2 e1 + 1/0 e2", ParseError, "zero denominator in '1/0'"),
+        ("$nope", ParseError, "cannot tokenize '$nope'"),
+        ("e1 + #" + "x" * 30 + "  ", ParseError, "cannot tokenize '#" + "x" * 19 + "'"),
+        ("e1 $ e9", ParseError, "cannot tokenize '$ e9'"),
+        ("e9", UnknownGenerator, "'e9' is neither a vertex nor an edge"),
+        ("e1 w1 3", UnknownGenerator, "'w1' is neither a vertex nor an edge"),
+    ]:
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            _p(text)
+
+
+def test_parse_bare_scalar_is_a_multiple_of_the_unit():
+    assert _p("2") == _p("2 v1 + 2 v2")
+    assert _p("0").is_zero() and _p("e1 + 0") == _edge("e1")
+    assert _p("e1 - 1/2") == _p("e1 - 1/2 v1 - 1/2 v2")
+
+
+def test_parse_matches_the_oracle():
+    # a seeded corpus over graphs with loops, parallel edges, a sink and
+    # dotted names: the same element, or the same exception type
+    graphs = [
+        _G,
+        from_adjacency(Matrix.from_rows([[1, 1, 0], [0, 0, 2], [0, 0, 0]])),
+        in_split_family(_G, random_in_partition(random.Random(5), _G))[0],
+    ]
+    rng = random.Random(31)
+    seen = {"parsed": 0, "raised": 0}
+    for trial in range(1500):
+        g = graphs[trial % len(graphs)]
+        text = random_expression(rng, g)
+        try:
+            want = parse_oracle(g, text)
+        except (ParseError, UnknownGenerator) as exc:
+            with pytest.raises(type(exc)):
+                parse_element(g, text)
+            seen["raised"] += 1
+            continue
+        assert parse_element(g, text).terms == want, text
+        seen["parsed"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_parse_collects_each_term_once():
+    # k distinct terms pass at most 2k pairs through `_collect`; summing one
+    # term at a time re-collects the running sum, about k^2 / 2 pairs
+    g = from_adjacency(Matrix.from_rows([[50]]))
+    k = 2000
+    text = " + ".join(f"e{1 + i // 50} e{1 + i % 50}*" for i in range(k))
+    collect, passed = terms._collect, []
+
+    def counting(pairs):
+        pairs = list(pairs)
+        passed.append(len(pairs))
+        return collect(pairs)
+
+    with mock.patch.object(terms, "_collect", counting):
+        x = parse_element(g, text)
+    assert len(x.terms) == k
+    assert sum(passed) <= 2 * k, sum(passed)
