@@ -28,9 +28,9 @@ leans on:
 * characteristic polynomials via Faddeev-LeVerrier, each product running
   over the nonzero entries of each row only (the matrices are mostly sparse
   0/1) and adding the rows it picks in C: a chain of `map` adds for a row
-  with at most `_CHAIN_ROWS` nonzero entries, one `zip` past it, so no lazy
-  chain is deeper than that; the run also yields column 0 of the adjugate
-  of (xI - A) for free;
+  with at most `_CHAIN_ROWS` nonzero entries, one `zip` over rows scaled as
+  lists past it, so no lazy chain is deeper than that; the run also yields
+  column 0 of the adjugate of (xI - A) for free;
 * exact affine solving by one reduction of [A | b]; only an
   inconsistent system is reduced again, as [A | b | I], where the identity
   block records the row operations and yields the infeasibility certificate
@@ -51,9 +51,15 @@ leans on:
   adj(xI - A^T), a positive multiple of the left Perron eigenvector at the
   Perron root, and the period and cyclic classes of A from the one
   irreducibility check the data needs.  The exact sign of the pairing of a
-  rational vector against that eigenvector is then one polynomial h, whose
-  sign there is one Tarski query (Sylvester's theorem) on the isolating
-  interval.  Both remainder sequences are primitive pseudo-remainder
+  rational vector against that eigenvector is then the sign of one
+  polynomial h at the Perron root.  The isolating interval is halved by the
+  sign of the characteristic polynomial alone, which changes sign there
+  only at the simple Perron root, until a Taylor bound at the centre shows
+  that h has no root on the half: h has its sign at the centre.  A pairing
+  still open after `_HALVINGS` halvings, as every zero pairing is, takes
+  one Tarski query (Sylvester's theorem) on the isolating interval, so a
+  matrix costs one remainder sequence and each nonzero pairing O(n^2)
+  arithmetic.  Both remainder sequences are primitive pseudo-remainder
   sequences over the integers, read by integer sign evaluation; each
   element is a positive multiple of its counterpart over the rationals, so
   every sign is the same and no coefficient grows as rational arithmetic
@@ -480,13 +486,19 @@ _CHAIN_ROWS = 4
 _add_rows = partial(map, operator.add)
 
 
-def _row_sum(rows: list[Iterable[int]], n: int) -> list[int]:
-    """The column sums of these rows of length n (zeros when there are none)."""
-    if not rows:
+def _row_sum(b: list[list[int]], terms: list[tuple[int, int]], n: int) -> list[int]:
+    """Row i of A B: the sum of x * b[l] over the nonzero entries (l, x) of row i of A.
+
+    Zeros when there are none.  A chain scales its rows lazily; the zip
+    reads each row once per column, so past `_CHAIN_ROWS` the scaled rows
+    are built as lists first, which it walks faster.
+    """
+    if len(terms) > _CHAIN_ROWS:
+        return list(map(sum, zip(*[b[l] if x == 1 else [x * y for y in b[l]] for l, x in terms])))
+    if not terms:
         return [0] * n
-    if len(rows) > _CHAIN_ROWS:
-        return list(map(sum, zip(*rows)))
-    return list(reduce(_add_rows, rows))
+    return list(reduce(_add_rows, [b[l] if x == 1 else map(operator.mul, b[l], itertools.repeat(x))
+                                   for l, x in terms]))
 
 
 def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -498,7 +510,7 @@ def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, 
     adj(xI - A) = sum B_k x^(n-1-k) for k = 0..n-1; Cayley-Hamilton makes
     B_n zero, which is asserted.  Row i of A B_(k-1) is the sum of
     x * (row l of B_(k-1)) over the nonzero entries a[i][l] = x, so a step
-    costs nnz(A) * n rather than n^3; `_row_sum` adds the rows in C.  Only
+    costs nnz(A) * n rather than n^3; `_row_sum` forms each row.  Only
     column 0 of the adjugate is kept: returns (c, column) with column[j]
     the coefficients of adj(xI - A)[j][0], constant term first.
     """
@@ -508,13 +520,7 @@ def _faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], tuple[tuple[int, 
     cs = [1]
     firsts = [[row[0] for row in b]]  # column 0 of B_0, B_1, ...
     for k in range(1, n + 1):
-        # row i of A B_(k-1): the rows l of B_(k-1), each scaled by its
-        # a[i][l] = x, summed column by column
-        b = [
-            _row_sum([b[l] if x == 1 else map(operator.mul, b[l], itertools.repeat(x))
-                      for l, x in terms], n)
-            for terms in nonzero
-        ]
+        b = [_row_sum(b, terms, n) for terms in nonzero]
         tr = sum(b[i][i] for i in range(n))
         assert tr % k == 0, "Faddeev-LeVerrier trace division must be exact"
         c = -(tr // k)
@@ -815,9 +821,12 @@ class PerronData(Frozen):
     `poly` is det(xI - A), monic with integer coefficients and possibly
     repeated roots; the interval (lo, hi) contains exactly one of its
     distinct roots, namely the spectral radius, and neither endpoint is a
-    root.  Both Sturm counting and the Tarski query count distinct roots
-    under that condition, and both read their signed remainder sequences over
-    the integers (`polynomials.sturm_chain`).  `column` is column 0 of
+    root.  The Perron root is simple, so the polynomial changes sign at it
+    and has one sign on each side of it in the interval, which is what lets
+    `sign_at_perron_root` halve the interval by that sign alone.  Both Sturm
+    counting and the Tarski query count distinct roots under that
+    condition, and both read their signed remainder sequences over the
+    integers (`polynomials.sturm_chain`).  `column` is column 0 of
     adj(xI - A^T), row j as its integer coefficients, constant term first,
     collected entry by entry as the Faddeev-LeVerrier run forms each B_k (no
     other adjugate entry is kept); at the Perron root it is a positive
@@ -874,13 +883,92 @@ def isolate_perron_root(m: Matrix) -> PerronData:
     return PerronData(cp, lo, hi, column, period, tuple(map(tuple, classes)))
 
 
-def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
-    """Exact sign of h at the Perron root described by pd.
+# A pairing still undecided after this many halvings of the isolating interval
+# goes to the Tarski query; the Taylor test runs on every _TAYLOR_EVERY-th
+# interval, as it costs about deg(h)/2 Horner evaluations of p.
+_HALVINGS = 32
+_TAYLOR_EVERY = 4
 
-    The Tarski query of h on (pd.lo, pd.hi), whose only root of pd.poly is
-    the Perron root; this needs the endpoints not to be roots, which
-    `isolate_perron_root` guarantees.
+
+def _halvings(p: Poly, lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """(lo, hi), then up to `_HALVINGS` halves of it, each around the one root of p inside.
+
+    Nothing unless p has opposite nonzero signs at the ends.  Then that sign
+    change is the root, so the half kept is the one whose ends p gives
+    opposite signs, one integer Horner evaluation per step; a midpoint where
+    p vanishes is the root itself, yielded as (mid, mid) to end the run.
     """
+    s_lo = p.sign_at(lo)
+    if not s_lo or p.sign_at(hi) != -s_lo:
+        return
+    yield lo, hi
+    for _ in range(_HALVINGS):
+        mid = (lo + hi) / 2
+        s = p.sign_at(mid)
+        if not s:
+            yield mid, mid
+            return
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+        yield lo, hi
+
+
+def _taylor_sign(h: list[int], lo: Fraction, hi: Fraction) -> int:
+    """The sign of h (integer coefficients, constant first) on [lo, hi] when a
+    Taylor bound shows h has no root there, else 0.
+
+    With centre a/b and radius r/b, g(s) = b^d h((a + s)/b) = sum g_k s^k has
+    integer coefficients, d = deg h.  If |g_0| > sum_(k>=1) |g_k| r^k then
+    |g(s) - g_0| < |g_0| for every |s| <= r, so h keeps the sign of g_0 =
+    b^d h(a/b) on the whole interval.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, r, b = int((lo + hi) * den), int((hi - lo) * den), 2 * den
+    # b^d h(s / b), then shifted to s + a by d rounds of synthetic division
+    d = len(h) - 1
+    g = [c * b ** (d - i) for i, c in enumerate(h)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            g[j] += a * g[j + 1]
+    rest = 0
+    for c in reversed(g[1:]):
+        rest = (rest + abs(c)) * r
+    return (g[0] > rest) - (-g[0] > rest)
+
+
+def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
+    """Exact sign of h at the Perron root rho described by pd.
+
+    Sign change: (pd.lo, pd.hi) holds exactly one distinct root of pd.poly,
+    rho, and rho is simple (Perron-Frobenius), so pd.poly changes sign at
+    rho and nowhere else in the interval.  Halving it by the sign of pd.poly
+    at the midpoint (`_halvings`) therefore keeps rho strictly inside, and a
+    midpoint where pd.poly vanishes is rho itself (then an integer), where h
+    is read directly.
+    Bound: on a half with centre c and radius R, write h(c + t) =
+    sum g_k t^k.  If |g_0| > sum_(k>=1) |g_k| R^k, then |h(c + t) - g_0| <
+    |g_0| for every |t| <= R, so h has no root on the half and h(rho) has
+    the sign of g_0 = h(c) (`_taylor_sign`, in integers).
+    The Tarski query of h on (pd.lo, pd.hi) decides the rest: a pairing
+    still open after `_HALVINGS` halvings, ends where pd.poly has one sign
+    (a hand-built pd), h = 0, and h(rho) = 0, which no interval test can
+    show (a zero read at a rational rho goes there too).  So ZERO comes from the
+    Tarski query alone, whose endpoints `isolate_perron_root` keeps off the
+    roots.
+    """
+    hs = _integral(h.coeffs)
+    for step, (lo, hi) in enumerate(_halvings(pd.poly, pd.lo, pd.hi) if hs else ()):
+        if lo == hi:
+            if s := h.sign_at(lo):
+                return Sign(s)
+            break
+        # h of opposite signs at the ends has a root inside, which no bound
+        # rules out: two Horner evaluations skip the Taylor shift
+        if step % _TAYLOR_EVERY == 0 and h.sign_at(lo) == h.sign_at(hi) and (
+                s := _taylor_sign(hs, lo, hi)):
+            return Sign(s)
     return Sign(tarski_query(pd.poly, h, pd.lo, pd.hi))
 
 
@@ -901,5 +989,5 @@ def perron_pairing_sign(a: Matrix | PerronData, v: Sequence[Rat]) -> Sign:
         raise ShapeError("vector length does not match matrix size")
     pd = a if isinstance(a, PerronData) else isolate_perron_root(a)
     v = vector(v)
-    h = Poly.from_coeffs(sum(x * c[d] for x, c in zip(v, pd.column)) for d in range(n))
+    h = Poly.from_coeffs(_product([v], list(zip(*pd.column))))
     return sign_at_perron_root(h, pd)

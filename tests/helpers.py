@@ -337,6 +337,30 @@ def perron_sign_oracle(m: Matrix, v) -> int:
     return (s > 0) - (s < 0)
 
 
+def perron_sign_by_iteration(m: Matrix, v, limit: int = 5000) -> int:
+    """Sign (1 or -1) of w . v for the left Perron vector w of an irreducible m.
+
+    Power iteration with M + I, which is primitive and has the left Perron
+    vector w of m for its eigenvalue rho + 1.  Since w . (M + I) u =
+    (rho + 1) w . u, every iterate pairs with w to the sign of w . v, and the
+    iterates line up with the positive right Perron vector: they become
+    strictly one-signed, of that sign, unless w . v = 0.  v is first scaled
+    to integers by a positive factor.  A pairing that is still open after
+    `limit` steps (w . v = 0, or nearly) fails the assertion.
+    """
+    n = m.nrows
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    cur = [int(Fraction(x) * den) for x in v]
+    rows = [[int(m[i, j]) + (i == j) for j in range(n)] for i in range(n)]
+    for _ in range(limit):
+        if all(x > 0 for x in cur):
+            return 1
+        if all(x < 0 for x in cur):
+            return -1
+        cur = [sum(a * x for a, x in zip(row, cur)) for row in rows]
+    raise AssertionError(f"no one-signed iterate of {v} under {m} + I in {limit} steps")
+
+
 def random_block_cyclic(
     rng: random.Random, period: int, class_max: int, r: int
 ) -> tuple[Matrix, list[list[int]]]:

@@ -22,6 +22,7 @@ from helpers import (
     gauss_jordan_oracle,
     is_primitive_matrix,
     matmul_count,
+    perron_sign_by_iteration,
     perron_sign_oracle,
     random_adjacency,
     random_block_cyclic,
@@ -49,9 +50,10 @@ from sftkit.linalg import (
     solve_affine_exact,
     AffineInfeasible,
     AffineSolution,
+    PerronData,
     vector,
 )
-from sftkit.polynomials import Poly, count_roots
+from sftkit.polynomials import Poly, count_roots, tarski_query
 
 
 def _gcd_of_minors(m: Matrix, k: int) -> int:
@@ -372,8 +374,9 @@ def test_faddeev_leverrier_rows_on_both_sides_of_the_chain_bound():
 def test_row_sum_of_many_rows_keeps_the_chain_shallow():
     # 200,000 rows chained lazily would nest 200,000 iterators, deep enough
     # to overflow the C stack; past the bound they are summed by one zip
-    assert linalg._row_sum([[1, 2]] * 200_000, 2) == [200_000, 400_000]
-    assert linalg._row_sum([], 3) == [0, 0, 0]
+    assert linalg._row_sum([[1, 2]], [(0, 1)] * 200_000, 2) == [200_000, 400_000]
+    assert linalg._row_sum([[1, 2]], [(0, 3)] * 200_000, 2) == [600_000, 1_200_000]
+    assert linalg._row_sum([], [], 3) == [0, 0, 0]
 
 
 def test_cyclic_structure_builds_one_support_digraph():
@@ -828,6 +831,152 @@ def test_perron_data_and_pairing_at_n64_within_budget():
     elapsed = time.perf_counter() - start
     assert got == perron_sign_oracle(m, v)
     assert elapsed < 1, f"n = 64 Perron data and pairing took {elapsed:.2f}s (budget 1s)"
+
+
+def _perron_cases() -> list[tuple[Matrix, int | None, list]]:
+    """Seeded irreducible matrices with n <= 12, each with its Perron root when
+    that is its constant row sum, and pairings (v, v pairs to zero) against it.
+
+    The matrices are primitive ones of every size, primitive 0/1 ones with
+    constant row sums, and period 2 and 3 ones from `random_block_cyclic`.
+    The vectors are random integer and rational ones, and for a constant row
+    sum rho the zero pairings (rho I - M) u: w (rho I - M) = 0.  A random
+    vector against a constant row sum matrix can pair to zero too (such as
+    (3, -3) against J_2), so there `perron_sign_oracle` flags it.
+    """
+    rng = random.Random(32)
+    cases = []
+    while len(cases) < 16:
+        m = random_int_matrix(rng, rng.randint(1, 12), 0, rng.choice((1, 1, 2)))
+        if is_primitive_matrix(m):
+            cases.append((m, None))
+    cases += [(m, sum(m.rows[0])) for m in
+              (_constant_row_sum_01_matrix(rng, n, rng.randint(2, n // 2 + 1)) for n in range(2, 13, 2))]
+    cases += [(m, sum(m.rows[0])) for m, _ in
+              (random_block_cyclic(rng, period, 4, rng.randint(1, 3)) for period in (2, 3) for _ in range(4))]
+    out = []
+    for m, rho in cases:
+        n = m.nrows
+        pairings = [vector(rng.randint(-5, 5) for _ in range(n)) for _ in range(3)]
+        pairings.append(vector(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)))
+        pairings = [(v, rho is not None and perron_sign_oracle(m, v) == 0)
+                    for v in pairings if any(v)]
+        if rho is not None:
+            for _ in range(2):
+                u = [rng.randint(-3, 3) for _ in range(n)]
+                pairings.append(((Matrix.identity(n).scale(rho) - m).apply(u), True))
+        out.append((m, rho, pairings))
+    return out
+
+
+def test_perron_signs_match_power_iteration_and_the_tarski_query():
+    # perron_pairing_sign against the power-iteration oracle (zero pairings
+    # by construction), and sign_at_perron_root against the Tarski query on
+    # the isolating interval for h of every degree up to 2n + 1 and, when
+    # rho is an integer, multiples of x - rho
+    rng = random.Random(33)
+    x = Poly.x()
+    counts = {Sign.NEGATIVE: 0, Sign.ZERO: 0, Sign.POSITIVE: 0}
+    zeros = 0
+    for m, rho, pairings in _perron_cases():
+        pd = isolate_perron_root(m)
+        for v, zero in pairings:
+            expected = Sign.ZERO if zero else Sign(perron_sign_by_iteration(m, v))
+            assert perron_pairing_sign(pd, v) == perron_pairing_sign(m, v) == expected, (m, v)
+            counts[expected] += 1
+        hs = [Poly.from_coeffs(rng.randint(-6, 6) for _ in range(rng.randint(1, 2 * m.nrows + 2)))
+              for _ in range(4)]
+        if rho is not None:
+            hs += [(x - Poly.constant(rho)) * h for h in hs]
+        for h in hs:
+            got = sign_at_perron_root(h, pd)
+            assert got == Sign(tarski_query(pd.poly, h, pd.lo, pd.hi)), (m, h)
+            zeros += got == Sign.ZERO
+    assert min(counts.values()) > 10 and zeros > 30, (counts, zeros)
+
+
+def test_tarski_query_runs_for_zero_pairings_only():
+    for m, _, pairings in _perron_cases():
+        pd = isolate_perron_root(m)
+        for v, zero in pairings:
+            with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
+                perron_pairing_sign(pd, v)
+            assert tq.call_count == zero, (m, v)
+
+
+def test_pairing_closer_than_the_halvings_goes_to_the_tarski_query():
+    # rho = 10 + sqrt(101); h = x - c with c within 2^-80 of rho keeps a root
+    # in every interval the halvings reach, so no Taylor test can pass
+    pd = isolate_perron_root(Matrix.from_rows([[19, 5], [4, 1]]))
+    p, lo, hi = pd.poly, pd.lo, pd.hi
+    for _ in range(linalg._HALVINGS + 16):
+        mid = (lo + hi) / 2
+        if p.sign_at(mid) == p.sign_at(lo):
+            lo = mid
+        else:
+            hi = mid
+    x, c = Poly.x(), Poly.constant
+    for h, expected in [(x - c(lo), Sign.POSITIVE), (x - c(hi), Sign.NEGATIVE),
+                        (c(hi) - x, Sign.POSITIVE)]:
+        with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
+            assert sign_at_perron_root(h, pd) == expected, h.pretty()
+        assert tq.call_count == 1
+
+
+def test_perron_data_with_agreeing_end_signs_goes_straight_to_the_tarski_query():
+    # (1, 3) holds the one root 2 of p, a double one, so p does not change
+    # sign there and bisecting by its sign would be unsound
+    x, c = Poly.x(), Poly.constant
+    p = (x - c(2)) * (x - c(2)) * (x + c(5))
+    pd = PerronData(p, Fraction(1), Fraction(3), ((1,), (0,), (0,)), 1, ((0, 1, 2),))
+    assert p.sign_at(pd.lo) == p.sign_at(pd.hi) == 1
+    assert list(linalg._halvings(p, pd.lo, pd.hi)) == []
+    for h, expected in [(x - c(1), Sign.POSITIVE), (x - c(3), Sign.NEGATIVE), (x - c(2), Sign.ZERO),
+                        (c(7), Sign.POSITIVE)]:
+        with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq, \
+                mock.patch.object(linalg, "_taylor_sign", side_effect=AssertionError):
+            assert sign_at_perron_root(h, pd) == expected, h.pretty()
+        assert tq.call_count == 1
+
+
+def test_refined_intervals_each_hold_the_perron_root_alone():
+    at_root = 0
+    for m, rho, _ in _perron_cases():
+        pd = isolate_perron_root(m)
+        intervals = list(linalg._halvings(pd.poly, pd.lo, pd.hi))
+        assert intervals[0] == (pd.lo, pd.hi)
+        assert len(intervals) <= linalg._HALVINGS + 1
+        for (lo0, hi0), (lo, hi) in zip(intervals, intervals[1:]):
+            assert lo0 <= lo <= hi <= hi0
+            assert lo == hi or hi - lo == (hi0 - lo0) / 2
+        for lo, hi in intervals[:-1]:
+            assert count_roots(pd.poly, lo, hi) == 1, (m, lo, hi)
+        lo, hi = intervals[-1]
+        if lo == hi:
+            # a midpoint that is a root is rho, then an integer
+            assert lo.denominator == 1 and pd.poly.sign_at(lo) == 0
+            assert rho in (None, lo)
+            at_root += 1
+        else:
+            assert count_roots(pd.poly, lo, hi) == 1, (m, lo, hi)
+            assert len(intervals) == linalg._HALVINGS + 1
+    assert at_root > 0
+
+
+def test_taylor_sign_answers_only_on_intervals_free_of_roots():
+    rng = random.Random(34)
+    answered = 0
+    for _ in range(600):
+        h = Poly.from_coeffs([rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))])
+        den = rng.randint(1, 40)
+        lo = Fraction(rng.randint(-60, 60), den)
+        hi = lo + Fraction(1, rng.randint(1, 300))
+        s = linalg._taylor_sign(list(h.coeffs), lo, hi)
+        if s:
+            answered += 1
+            assert h.sign_at(lo) == h.sign_at(hi) == s, (h, lo, hi)
+            assert count_roots(h, lo, hi) == 0, (h, lo, hi)
+    assert answered > 200, answered
 
 
 def test_perron_pairing_sign_matches_functional():
