@@ -33,6 +33,8 @@ from .linalg import (
     Vector,
     _reshape,
     _scan,
+    _sparse_apply,
+    _sparse_rows,
     intertwiner_matrix,
     isolate_perron_root,
     perron_pairing_sign,
@@ -193,7 +195,10 @@ def dg_positive(
     up to the bound yields certificates; for irreducible M Perron pairing
     signs, all read off one `PerronData` of M, finish the decision.
     Reducible matrices past the bound report Unknown: `isolate_perron_root`
-    refuses them (NotIrreducible) from its one strong-component pass.
+    refuses them (NotIrreducible) from its one strong-component pass.  The
+    iterates, in the bound loop and in the certificate loop, step over the
+    nonzero entries of M alone (`linalg._sparse_apply`), on rows built once
+    per call and only when a itself has a negative entry.
 
     The bound is at least n, and the kernel chain of M is stable from n on,
     so a class that dies (M^n a = 0) has already been certified InCone by
@@ -212,13 +217,16 @@ def dg_positive(
     that block of it vanishes.  One pass over the classes decides.
     """
     _check_element(t, x)
+    if all(v >= 0 for v in x.a):
+        return InCone(0)
     bound = max(iterate_bound, t.n)
     m = t.matrix
-    cur: Sequence[int] = x.a
-    for power in range(bound + 1):
+    rows = _sparse_rows(m)
+    cur: Sequence[int] = _sparse_apply(rows, x.a)
+    for power in range(1, bound + 1):
         if all(v >= 0 for v in cur):
             return InCone(power)
-        cur = m.apply(cur)
+        cur = _sparse_apply(rows, cur)
     try:
         pd = isolate_perron_root(m)
     except NotIrreducible:
@@ -242,7 +250,7 @@ def dg_positive(
     for power in range(bound + 1, bound + 1 + _CERTIFICATE_CAP):
         if all(v >= 0 for v in cur):
             return InCone(power)
-        cur = m.apply(cur)
+        cur = _sparse_apply(rows, cur)
     return InCone(None)
 
 

@@ -46,15 +46,20 @@ leans on:
   irreducibility, the vertices on cycles and, by `reaches_cycle`, the
   vertices that reach a cycle are read;
 * Perron data from one Faddeev-LeVerrier run on A^T: the characteristic
-  polynomial, an isolating interval of the Perron root by Sturm bisection
-  on that polynomial itself (no squarefree part), column 0 of
+  polynomial, an isolating interval of the Perron root, column 0 of
   adj(xI - A^T), a positive multiple of the left Perron eigenvector at the
   Perron root, and the period and cyclic classes of A from the one
-  irreducibility check the data needs.  The exact sign of the pairing of a
+  irreducibility check the data needs.  The interval starts from a
+  Collatz-Wielandt bracket on a dyadic grid, read off (A + I)^k 1 by steps
+  over the nonzero entries of A only (`_sparse_apply`, which the cone
+  decisions of `dimension` iterate on too), and the Sturm chain of the
+  polynomial itself (no squarefree part) proves it holds one root or
+  bisects it until it does.  The exact sign of the pairing of a
   rational vector against that eigenvector is then the sign of one
   polynomial h at the Perron root.  The isolating interval is halved by the
   sign of the characteristic polynomial alone, which changes sign there
-  only at the simple Perron root, until a Taylor bound at the centre shows
+  only at the simple Perron root, on integer numerators over a power of
+  two, until a Taylor bound at the centre shows
   that h has no root on the half: h has its sign at the centre.  A pairing
   still open after `_HALVINGS` halvings, as every zero pairing is, takes
   one Tarski query (Sylvester's theorem) on the isolating interval, so a
@@ -698,6 +703,19 @@ def support_digraph(m: Matrix) -> list[list[int]]:
     return [[j for j, x in enumerate(row) if x != 0] for row in m.rows]
 
 
+def _sparse_rows(m: Matrix) -> list[tuple[tuple[int, ...], tuple[Rat, ...]]]:
+    """Per row of m, the columns of its nonzero entries (`support_digraph`) and those entries."""
+    return [(tuple(js), tuple(map(row.__getitem__, js)))
+            for row, js in zip(m.rows, support_digraph(m))]
+
+
+def _sparse_apply(rows: Sequence[tuple[Sequence[int], Sequence[Rat]]],
+                  v: Sequence[Rat]) -> list[Rat]:
+    """M v over the nonzero entries of M alone, rows from `_sparse_rows(M)`."""
+    get = v.__getitem__
+    return [sum(map(operator.mul, xs, map(get, js))) for js, xs in rows]
+
+
 def strong_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components of the digraph with adjacency lists adj.
 
@@ -848,26 +866,62 @@ def _check_perron_matrix(m: Matrix) -> None:
         raise InvalidMatrix("Perron data needs a nonnegative integer matrix")
 
 
+# The Collatz-Wielandt bracket of the Perron root reads x = (M + I)^_BRACKET_POWER 1
+# and rounds onto the grid of step 2^-_GRID_BITS.
+_BRACKET_POWER = 8
+_GRID_BITS = 4
+
+
+def _perron_bracket(m: Matrix) -> tuple[int, int]:
+    """Grid numerators (lo, hi) of the Collatz-Wielandt bracket of the Perron
+    root rho of m: lo / 2^_GRID_BITS < rho < hi / 2^_GRID_BITS.
+
+    x = (m + I)^_BRACKET_POWER 1 is at least 1 entrywise, as (m + I) u >= u
+    for every u >= 0, and for a nonnegative m and any x > 0, min (m x)_i / x_i <= rho <= max (m x)_i / x_i
+    (Horn & Johnson, *Matrix Analysis*, 2nd ed., ch. 8).  The two ratios are
+    rounded outward onto the grid in integers, and one more grid step on
+    each side makes both inequalities strict.
+    """
+    rows = _sparse_rows(m)
+    x = [1] * m.nrows
+    for _ in range(_BRACKET_POWER):
+        x = list(map(operator.add, x, _sparse_apply(rows, x)))
+    y = [t << _GRID_BITS for t in _sparse_apply(rows, x)]
+    return min(map(operator.floordiv, y, x)) - 1, 1 - min(-t // s for t, s in zip(y, x))
+
+
 def isolate_perron_root(m: Matrix) -> PerronData:
     """Perron data of an irreducible nonnegative integer matrix.
 
     Irreducibility is checked once, by `cyclic_structure`, whose period and
     classes the data keeps (NotIrreducible otherwise).  One
     Faddeev-LeVerrier run on m^T gives det(xI - m^T) = det(xI - m) and the
-    adjugate column.  Bisection for the rightmost real root, the Perron
-    root, starts from the row-sum bound: -hi, hi lie beyond every eigenvalue
-    and a midpoint that is a root moves toward hi, so no endpoint is ever a
-    root.  The Sturm chain of the polynomial itself then counts distinct
-    roots even when they repeat (as in J_n's x^(n-1) (x - n)): no squarefree
-    part is taken.
+    adjugate column.  The isolation starts from the Collatz-Wielandt bracket
+    (`_perron_bracket`): x = (m + I)^k 1 is positive, as (m + I) u >= u for
+    every u >= 0, so the Perron root lies between the least and the largest
+    of the ratios (m x)_i / x_i.  Those are rounded
+    outward onto a dyadic grid and widened by one step, so rho lies strictly
+    inside, and an end that is a root of the polynomial (only an integer
+    end can be: the polynomial is monic) moves out one more step until none
+    is.  Nothing of the bracket is trusted beyond that: the Sturm chain of
+    the polynomial itself counts its distinct roots in (lo, hi), even when
+    they repeat (as in J_n's x^(n-1) (x - n)), no squarefree part taken, and
+    a count of 1 proves the isolation.  A larger count, from other real
+    eigenvalues inside the bracket, is bisected down to the rightmost root,
+    a midpoint that is a root moving toward hi, so no end is ever a root.
+    Every end is dyadic.
     """
     _check_perron_matrix(m)
     period, classes = cyclic_structure(m)
     cs, column = _faddeev_leverrier(m.transpose().to_int_rows())
     cp = Poly.from_coeffs(reversed(cs))
     chain = sturm_chain(cp)
-    hi = Fraction(max(sum(row) for row in m.rows) + 1)
-    lo = -hi
+    lo, hi = _perron_bracket(m)
+    while not _dyadic_sign(cp.coeffs, lo, _GRID_BITS):
+        lo -= 1
+    while not _dyadic_sign(cp.coeffs, hi, _GRID_BITS):
+        hi += 1
+    lo, hi = Fraction(lo, 1 << _GRID_BITS), Fraction(hi, 1 << _GRID_BITS)
     # sign variations of the chain at lo and hi; their difference counts the
     # distinct roots in (lo, hi], so each step reads the chain at mid only
     v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
@@ -890,42 +944,62 @@ _HALVINGS = 32
 _TAYLOR_EVERY = 4
 
 
-def _halvings(p: Poly, lo: Fraction, hi: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
-    """(lo, hi), then up to `_HALVINGS` halves of it, each around the one root of p inside.
+def _dyadic_sign(cs: Sequence[int], a: int, e: int) -> int:
+    """Sign of the integer polynomial cs (constant first) at a / 2^e.
 
-    Nothing unless p has opposite nonzero signs at the ends.  Then that sign
-    change is the root, so the half kept is the one whose ends p gives
-    opposite signs, one integer Horner evaluation per step; a midpoint where
-    p vanishes is the root itself, yielded as (mid, mid) to end the run.
+    Homogeneous Horner: 2^(e d) cs(a / 2^e) = sum c_i a^i 2^(e (d - i)), d =
+    deg cs, the powers of two as shifts, so no `Fraction` is formed.
     """
-    s_lo = p.sign_at(lo)
-    if not s_lo or p.sign_at(hi) != -s_lo:
+    acc = shift = 0
+    for c in reversed(cs):
+        acc = acc * a + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
+def _halvings(p: Poly, lo: Fraction, hi: Fraction) -> Iterator[tuple[int, int, int]]:
+    """(lo, hi), then up to `_HALVINGS` halves of it, each around the one root of p
+    inside, every interval as integer numerators over one power of two:
+    (lo 2^e, hi 2^e, e).
+
+    Nothing unless both ends are dyadic, as `isolate_perron_root` makes
+    them, and p has opposite nonzero signs there.  Then that sign change is
+    the root, so the half kept is the one whose ends p gives opposite
+    signs, one integer Horner evaluation per step; a midpoint where p
+    vanishes is the root itself, yielded as (mid, mid, e) to end the run.
+    """
+    if lo.denominator & (lo.denominator - 1) or hi.denominator & (hi.denominator - 1):
         return
-    yield lo, hi
+    den = max(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    e = den.bit_length() - 1
+    cs = _integral(p.coeffs)
+    s_lo = _dyadic_sign(cs, a, e)
+    if not s_lo or _dyadic_sign(cs, b, e) != -s_lo:
+        return
+    yield a, b, e
     for _ in range(_HALVINGS):
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
+        mid, e = a + b, e + 1
+        s = _dyadic_sign(cs, mid, e)
         if not s:
-            yield mid, mid
+            yield mid, mid, e
             return
         if s == s_lo:
-            lo = mid
+            a, b = mid, b << 1
         else:
-            hi = mid
-        yield lo, hi
+            a, b = a << 1, mid
+        yield a, b, e
 
 
-def _taylor_sign(h: list[int], lo: Fraction, hi: Fraction) -> int:
-    """The sign of h (integer coefficients, constant first) on [lo, hi] when a
-    Taylor bound shows h has no root there, else 0.
+def _taylor_sign(h: list[int], a: int, r: int, b: int) -> int:
+    """The sign of h (integer coefficients, constant first) on the interval of
+    centre a / b and radius r / b (b > 0) when a Taylor bound shows h has no
+    root there, else 0.
 
-    With centre a/b and radius r/b, g(s) = b^d h((a + s)/b) = sum g_k s^k has
-    integer coefficients, d = deg h.  If |g_0| > sum_(k>=1) |g_k| r^k then
-    |g(s) - g_0| < |g_0| for every |s| <= r, so h keeps the sign of g_0 =
-    b^d h(a/b) on the whole interval.
+    g(s) = b^d h((a + s)/b) = sum g_k s^k has integer coefficients, d = deg
+    h.  If |g_0| > sum_(k>=1) |g_k| r^k then |g(s) - g_0| < |g_0| for every
+    |s| <= r, so h keeps the sign of g_0 = b^d h(a/b) on the whole interval.
     """
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, r, b = int((lo + hi) * den), int((hi - lo) * den), 2 * den
     # b^d h(s / b), then shifted to s + a by d rounds of synthetic division
     d = len(h) - 1
     g = [c * b ** (d - i) for i, c in enumerate(h)]
@@ -944,30 +1018,30 @@ def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
     Sign change: (pd.lo, pd.hi) holds exactly one distinct root of pd.poly,
     rho, and rho is simple (Perron-Frobenius), so pd.poly changes sign at
     rho and nowhere else in the interval.  Halving it by the sign of pd.poly
-    at the midpoint (`_halvings`) therefore keeps rho strictly inside, and a
-    midpoint where pd.poly vanishes is rho itself (then an integer), where h
-    is read directly.
+    at the midpoint (`_halvings`, on integer numerators over a power of
+    two) therefore keeps rho strictly inside, and a midpoint where pd.poly
+    vanishes is rho itself (then an integer), where h is read directly.
     Bound: on a half with centre c and radius R, write h(c + t) =
     sum g_k t^k.  If |g_0| > sum_(k>=1) |g_k| R^k, then |h(c + t) - g_0| <
     |g_0| for every |t| <= R, so h has no root on the half and h(rho) has
     the sign of g_0 = h(c) (`_taylor_sign`, in integers).
     The Tarski query of h on (pd.lo, pd.hi) decides the rest: a pairing
-    still open after `_HALVINGS` halvings, ends where pd.poly has one sign
-    (a hand-built pd), h = 0, and h(rho) = 0, which no interval test can
-    show (a zero read at a rational rho goes there too).  So ZERO comes from the
-    Tarski query alone, whose endpoints `isolate_perron_root` keeps off the
-    roots.
+    still open after `_HALVINGS` halvings, ends that are not dyadic or where
+    pd.poly has one sign (a hand-built pd), h = 0, and h(rho) = 0, which no
+    interval test can show (a zero read at a rational rho goes there too).
+    So ZERO comes from the Tarski query alone, whose endpoints
+    `isolate_perron_root` keeps off the roots.
     """
     hs = _integral(h.coeffs)
-    for step, (lo, hi) in enumerate(_halvings(pd.poly, pd.lo, pd.hi) if hs else ()):
+    for step, (lo, hi, e) in enumerate(_halvings(pd.poly, pd.lo, pd.hi) if hs else ()):
         if lo == hi:
-            if s := h.sign_at(lo):
+            if s := _dyadic_sign(hs, lo, e):
                 return Sign(s)
             break
         # h of opposite signs at the ends has a root inside, which no bound
         # rules out: two Horner evaluations skip the Taylor shift
-        if step % _TAYLOR_EVERY == 0 and h.sign_at(lo) == h.sign_at(hi) and (
-                s := _taylor_sign(hs, lo, hi)):
+        if step % _TAYLOR_EVERY == 0 and _dyadic_sign(hs, lo, e) == _dyadic_sign(hs, hi, e) and (
+                s := _taylor_sign(hs, lo + hi, hi - lo, 2 << e)):
             return Sign(s)
     return Sign(tarski_query(pd.poly, h, pd.lo, pd.hi))
 

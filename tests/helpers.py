@@ -424,6 +424,31 @@ def cyclic_cone_oracle(m: Matrix, classes: list[list[int]], a) -> bool:
     return True
 
 
+def cone_by_dense_iteration(m: Matrix, a, bound: int, cap: int, member) -> tuple[str, int | None]:
+    """(decision, certificate power) that a cone decision on [a, 0] under m owes,
+    iterating at most `bound` (>= n) steps before any Perron argument and
+    `cap` more for a certificate.
+
+    Dense iteration, entry by entry: the first k <= bound with m^k a >= 0
+    gives ("in_cone", k).  Past the bound a reducible m (by `reach_oracle`)
+    gives ("unknown", bound); otherwise `member()`, a's membership by an
+    independent oracle, decides, and a member's power is its first
+    nonnegative iterate below bound + 1 + cap, or None.
+    """
+    n = m.nrows
+    cur = list(a)
+    for k in range(bound + 1 + cap):
+        if k == bound + 1:
+            if not all(map(all, reach_oracle(m))):
+                return "unknown", bound
+            if not member():
+                return "not_in_cone", None
+        if all(x >= 0 for x in cur):
+            return "in_cone", k
+        cur = [sum(m[i, j] * cur[j] for j in range(n)) for i in range(n)]
+    return "in_cone", None
+
+
 def is_primitive_matrix(m: Matrix) -> bool:
     """Irreducible with period 1; False (not an error) for a reducible m."""
     return is_irreducible_matrix(m) and cyclic_structure(m)[0] == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -14,12 +15,14 @@ from unittest import mock
 import pytest
 from helpers import (
     apply_power_oracle,
+    cone_by_dense_iteration,
     cyclic_cone_oracle,
     det_oracle,
     is_primitive_matrix,
     kron_oracle,
     lattice_level_oracle,
     matmul_count,
+    perron_sign_by_iteration,
     random_adjacency,
     random_block_cyclic,
     row_sum_perron_vector,
@@ -395,6 +398,58 @@ def test_periodic_cone_decision_matches_class_oracle():
     assert seen["some cyclic class stays negative"] >= 60, seen
     assert seen["class in cone past the iteration bound"] >= 2, seen
     assert seen["dying part in cone past the iteration bound"] >= 20, seen
+
+
+def test_cone_decisions_match_dense_iteration():
+    # dg_positive steps its iterates over the nonzero entries of M; dense
+    # iteration must give the same decision and the same certificate power.
+    # Primitive M take their membership from power iteration (a vector it
+    # cannot sign, as w . a = 0, is dropped: other tests decide those), period
+    # 2 and 3 ones from their classes, and reducible ones report Unknown past
+    # the bound.  Besides random vectors, each M decides a = q_j e_i - q_i e_j
+    # +- e_i for every i != j, with q = 1 (M + I)^40 nearly a multiple of the
+    # left Perron vector, so a pairs near zero and runs past the iteration
+    # bound, often into the certificate loop
+    rng = random.Random(36)
+    cases = []
+    while len(cases) < 24:
+        m = random_adjacency(rng, rng.randint(1, 8), rng.choice((1, 1, 3)))
+        if is_primitive_matrix(m):
+            cases.append((m, lambda m, a: perron_sign_by_iteration(m, a, 2000) > 0))
+    for period in (2, 3):
+        for _ in range(8):
+            m, classes = random_block_cyclic(rng, period, 3, rng.randint(1, 3))
+            cases.append((m, lambda m, a, classes=classes: cyclic_cone_oracle(m, classes, a)))
+    while len(cases) < 56:
+        m = random_adjacency(rng, rng.randint(1, 6), 2)
+        if not linalg.is_irreducible_matrix(m):
+            cases.append((m, lambda m, a: None))
+    seen = Counter()
+    for m, member in cases:
+        n = m.nrows
+        vectors = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(4)]
+        q = apply_power_oracle((m + Matrix.identity(n)).transpose(), 40, [1] * n)
+        for i, j in itertools.permutations(range(n), 2) if n > 1 else ():
+            a = [0] * n
+            a[i], a[j] = q[j] + rng.choice((-1, 1)), -q[i]
+            vectors.append(tuple(a))
+        for a in vectors:
+            try:
+                in_cone = member(m, a)
+            except AssertionError:
+                seen["dropped"] += 1
+                continue
+            iterate_bound = rng.choice((0, 2, dimension.DEFAULT_ITERATE_BOUND))
+            bound = max(iterate_bound, n)
+            res = dg_positive(DimensionTriple(m), DimElement(a, 0), iterate_bound)
+            got = {InCone: ("in_cone", getattr(res, "power", None)), NotInCone: ("not_in_cone", None),
+                   Unknown: ("unknown", getattr(res, "bound", None))}[type(res)]
+            expected = cone_by_dense_iteration(m, a, bound, dimension._CERTIFICATE_CAP, lambda: in_cone)
+            assert got == expected, (m, a, iterate_bound)
+            past = expected[0] == "in_cone" and (expected[1] is None or expected[1] > bound)
+            seen[expected[0] + (" past the bound" if past else "")] += 1
+    assert seen["in_cone"] >= 100 and seen["in_cone past the bound"] >= 200, seen
+    assert seen["not_in_cone"] >= 400 and seen["unknown"] >= 100 and seen["dropped"] <= 5, seen
 
 
 def test_proven_positive_class_past_the_certificate_cap_is_in_cone():

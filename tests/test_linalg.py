@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -126,6 +127,24 @@ def test_apply_matches_the_oracle():
         for bad in ([0] * (m.ncols + 1), [0] * (m.ncols - 1)):
             with pytest.raises(ShapeError, match="vector length does not match column count"):
                 m.apply(bad)
+
+
+def test_sparse_step_matches_apply():
+    # the cone's iterates run over the nonzero entries of M alone, and a zero
+    # row steps to 0
+    rng = random.Random(35)
+    for n in range(1, 31):
+        for entry_max in (1, 3, 10**6):
+            rows = [[rng.choice((0, 0, 0, 1, rng.randint(1, entry_max))) for _ in range(n)]
+                    for _ in range(n)]
+            for i in rng.sample(range(n), rng.randint(0, n // 3)):
+                rows[i] = [0] * n
+            m = Matrix.from_rows(rows)
+            sparse = linalg._sparse_rows(m)
+            assert [list(js) for js, _ in sparse] == linalg.support_digraph(m)
+            assert all(len(xs) == len(js) and all(xs) for js, xs in sparse)
+            for v in ([rng.randint(-10**6, 10**6) for _ in range(n)], [1] * n, [0] * n):
+                assert tuple(linalg._sparse_apply(sparse, v)) == m.apply(v), (m, v)
 
 
 def test_inverse_random_nonsingular():
@@ -644,6 +663,89 @@ def test_isolate_perron_root_brackets_largest_root():
         assert count_roots(pd.poly, pd.lo, pd.hi) == 1
 
 
+def _assert_isolates(m: Matrix, pd: PerronData) -> None:
+    """(pd.lo, pd.hi) holds one distinct root of pd.poly, none lies above it up
+    to the row-sum bound, and the polynomial changes sign across it."""
+    p, r = pd.poly, max(map(sum, m.rows))
+    assert count_roots(p, pd.lo, pd.hi) == 1, (m, pd.lo, pd.hi)
+    assert count_roots(p, pd.hi, r + 1) == 0, (m, pd.hi)
+    assert p(pd.lo) * p(pd.hi) < 0, (m, pd.lo, pd.hi)
+    assert pd.lo.denominator & (pd.lo.denominator - 1) == 0
+    assert pd.hi.denominator & (pd.hi.denominator - 1) == 0
+
+
+def test_isolation_starts_from_the_collatz_wielandt_bracket():
+    # with constant row sums r, (M + I)^k 1 is a multiple of 1, so the
+    # bracket is exact: (r - 1/16, r + 1/16), isolated by its two Sturm
+    # counts alone; other matrices isolate rho too, on the bracket's grid
+    rng = random.Random(37)
+    step = Fraction(1, 1 << linalg._GRID_BITS)
+    exact = [Matrix.from_rows([[1] * n] * n) for n in range(1, 9)]
+    exact += [_constant_row_sum_01_matrix(rng, n, rng.randint(2, n // 2 + 1))
+              for n in range(2, 13, 2)]
+    exact += [random_block_cyclic(rng, period, 4, rng.randint(1, 3))[0]
+              for period in (2, 3) for _ in range(4)]
+    for m in exact:
+        r = sum(m.rows[0])
+        with mock.patch.object(linalg, "_variations", wraps=linalg._variations) as chain_reads:
+            pd = isolate_perron_root(m)
+        assert (pd.lo, pd.hi) == (r - step, r + step), m
+        assert chain_reads.call_count == 2, m
+        _assert_isolates(m, pd)
+    others = [_sparse_primitive_01(rng, n) for n in range(1, 25, 3)]
+    others += [random_int_matrix(rng, n, 0, 10**6) for n in range(1, 9)]
+    while len(others) < 24:
+        # period 2 and 3 without constant row sums: random blocks on a cycle of classes
+        sizes = [rng.randint(1, 3) for _ in range(rng.choice((2, 3)))]
+        n, starts = sum(sizes), [sum(sizes[:c]) for c in range(len(sizes))]
+        rows = [[0] * n for _ in range(n)]
+        for c, (start, size) in enumerate(zip(starts, sizes)):
+            nxt = (c + 1) % len(sizes)
+            for i in range(start, start + size):
+                for j in range(starts[nxt], starts[nxt] + sizes[nxt]):
+                    rows[i][j] = rng.choice((0, 1, 2, 5))
+        m = Matrix.from_rows(rows)
+        if linalg.is_irreducible_matrix(m) and len(set(map(sum, rows))) > 1:
+            assert cyclic_structure(m)[0] == len(sizes)
+            others.append(m)
+    for m in others:
+        pd = isolate_perron_root(m)
+        _assert_isolates(m, pd)
+        # only an integer end can be a root of the monic polynomial, so an
+        # end moves out by one step at most
+        lo, hi = (e * step for e in linalg._perron_bracket(m))
+        assert lo - step <= pd.lo < pd.hi <= hi + step, m
+
+
+def test_real_eigenvalue_inside_the_bracket_is_bisected_away():
+    # the bracket of this m holds rho and a second real eigenvalue, so its
+    # two Sturm counts differ by 2 and the bisection runs on
+    m = Matrix.from_rows([[1, 0, 13, 1], [1, 18, 0, 0], [20, 1, 0, 7], [1, 0, 0, 1]])
+    lo, hi = (Fraction(e, 1 << linalg._GRID_BITS) for e in linalg._perron_bracket(m))
+    assert count_roots(char_poly(m), lo, hi) == 2
+    with mock.patch.object(linalg, "_variations", wraps=linalg._variations) as chain_reads:
+        pd = isolate_perron_root(m)
+    assert chain_reads.call_count > 2
+    assert lo <= pd.lo < pd.hi <= hi
+    _assert_isolates(m, pd)
+
+
+def test_bracket_ends_on_roots_move_out():
+    # [[1, 2], [1, 0]] has roots 2 and -1; bracket ends placed on them move
+    # out a grid step at a time until neither is a root, and the chain is
+    # first read at the moved ends
+    m = Matrix.from_rows([[1, 2], [1, 0]])
+    g = 1 << linalg._GRID_BITS
+    for bracket, ends in [((-g, 3 * g), (Fraction(-17, 16), 3)),
+                          ((g, 2 * g), (1, Fraction(33, 16)))]:
+        with mock.patch.object(linalg, "_perron_bracket", return_value=bracket), \
+                mock.patch.object(linalg, "_variations", wraps=linalg._variations) as chain_reads:
+            pd = isolate_perron_root(m)
+        assert tuple(c.args[1] for c in chain_reads.call_args_list[:2]) == ends, bracket
+        assert all(pd.poly(c.args[1]) != 0 for c in chain_reads.call_args_list)
+        _assert_isolates(m, pd)
+
+
 def test_sign_at_perron_root():
     m = Matrix.from_rows([[2]])
     pd = isolate_perron_root(m)
@@ -939,11 +1041,26 @@ def test_perron_data_with_agreeing_end_signs_goes_straight_to_the_tarski_query()
         assert tq.call_count == 1
 
 
+def test_perron_data_with_ends_off_the_dyadic_grid_goes_straight_to_the_tarski_query():
+    # the halvings run on numerators over a power of two; a hand-built
+    # interval with another denominator is decided by the Tarski query alone
+    x, c = Poly.x(), Poly.constant
+    p = (x - c(2)) * (x + c(5))
+    for lo, hi in [(Fraction(1, 3), Fraction(3)), (Fraction(3, 2), Fraction(12, 5))]:
+        pd = PerronData(p, lo, hi, ((1,), (0,)), 1, ((0, 1),))
+        assert list(linalg._halvings(p, lo, hi)) == []
+        for h, expected in [(x - c(1), Sign.POSITIVE), (x - c(3), Sign.NEGATIVE), (x - c(2), Sign.ZERO)]:
+            with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
+                assert sign_at_perron_root(h, pd) == expected, h.pretty()
+            assert tq.call_count == 1
+
+
 def test_refined_intervals_each_hold_the_perron_root_alone():
     at_root = 0
     for m, rho, _ in _perron_cases():
         pd = isolate_perron_root(m)
-        intervals = list(linalg._halvings(pd.poly, pd.lo, pd.hi))
+        intervals = [(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+                     for lo, hi, e in linalg._halvings(pd.poly, pd.lo, pd.hi)]
         assert intervals[0] == (pd.lo, pd.hi)
         assert len(intervals) <= linalg._HALVINGS + 1
         for (lo0, hi0), (lo, hi) in zip(intervals, intervals[1:]):
@@ -971,7 +1088,8 @@ def test_taylor_sign_answers_only_on_intervals_free_of_roots():
         den = rng.randint(1, 40)
         lo = Fraction(rng.randint(-60, 60), den)
         hi = lo + Fraction(1, rng.randint(1, 300))
-        s = linalg._taylor_sign(list(h.coeffs), lo, hi)
+        d = math.lcm(lo.denominator, hi.denominator)
+        s = linalg._taylor_sign(list(h.coeffs), int((lo + hi) * d), int((hi - lo) * d), 2 * d)
         if s:
             answered += 1
             assert h.sign_at(lo) == h.sign_at(hi) == s, (h, lo, hi)

@@ -80,7 +80,7 @@ _REPRS = {
     "Matrix": _M,
     "AffineSolution": "AffineSolution(particular=(1, 0), basis=((Fraction(1, 2), 1),))",
     "AffineInfeasible": "AffineInfeasible(certificate=(Fraction(1, 2), 0))",
-    "PerronData": "PerronData(poly=Poly(coeffs=(-1, -1, 1)), lo=Fraction(0, 1), hi=Fraction(3, 1), "
+    "PerronData": "PerronData(poly=Poly(coeffs=(-1, -1, 1)), lo=Fraction(3, 2), hi=Fraction(27, 16), "
                   "column=((0, 1), (1, 0)), period=1, classes=((0, 1),))",
     "Poly": "Poly(coeffs=(-1, 0, 1))",
     "AbelianGroupFP": "AbelianGroupFP(factors=(2, 4), free_rank=1)",
