@@ -28,15 +28,18 @@ The loop runs on ints.  Both intertwiner bases are scaled to primitive
 integer matrices once per pair, and a candidate R stays the int tuple
 the scan yields.  `_partner_solutions` writes the columns vec(R S_k) and
 vec(S_k R) of its system with `linalg._product`, the kernel of `Matrix`
-products, keeping each repeated equation once; only a pair handed out is
-built as a `Matrix`.  `verify_se` at lag 1 is `verify_esse`; from lag 2
-on, residues `pow(a, l, _PRIME)` screen the power identities before a^l
-is formed.
+products, keeping each repeated equation once, and lifts the solution
+back through the basis on ints, over one common denominator of its
+coefficients; only a pair handed out is built as a `Matrix`.  `verify_se`
+at lag 1 is `verify_esse`; from lag 2 on, residues `pow(a, l, _PRIME)`
+screen the power identities before a^l is formed.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import InvalidMatrix, InvalidWitness, ShapeError
@@ -56,7 +59,7 @@ from .linalg import (
     solve_affine_exact,
     vector,
 )
-from .polynomials import _coprime, _integral
+from .polynomials import _coprime, _integral, _scaled
 
 
 class SSEWitness(Frozen):
@@ -176,7 +179,8 @@ def _partner_solutions(
     entry an int dot product of a row and a column.  The basis is linearly
     independent, so the solution set of that system mapped back through it
     is exactly the set of S meeting all three conditions.  None means there
-    is no such S.
+    is no such S.  Each solution vector c is lifted as (d c) combined over
+    the int basis, divided by d at the end, d the common denominator of c.
     """
     n, m = al.nrows, bl.nrows
     r_rows = [r[i * m : (i + 1) * m] for i in range(n)]
@@ -192,7 +196,9 @@ def _partner_solutions(
         return None
 
     def lift(c: Vector) -> Vector:
-        return vector(_combine([0] * (m * n), c, partner))
+        d = math.lcm(*(x.denominator for x in c))
+        flat = _combine([0] * (m * n), _scaled(c, d), partner)
+        return tuple(flat) if d == 1 else vector(Fraction(x, d) for x in flat)
 
     return AffineSolution(lift(res.particular), tuple(lift(v) for v in res.basis))
 

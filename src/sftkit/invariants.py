@@ -30,6 +30,11 @@ many invariants are read off it: `invariants_report`, `_flow_decision` and
 `_first_difference`, the prefilter of the witness searches, pass the reduced
 matrix on to both Smith and Faddeev-LeVerrier.  `_first_difference` returns
 the invariant that tells two matrices apart as `invariants --json` prints it.
+
+Since every merge is an elementary strong shift equivalence, two matrices
+with the same reduced form have the same invariants, and the pair
+comparisons (`_first_difference`, `flow_equivalent`, `_flow_decision`)
+read that off the equality of the two reduced forms, with no elimination.
 """
 
 from __future__ import annotations
@@ -111,9 +116,14 @@ def _first_difference(a: Matrix, b: Matrix) -> tuple[str, object, object] | None
     The invariants are the characteristic polynomial away from zero, then
     the Bowen-Franks group, each read off the one `_reduced` form of each
     matrix; the values are in the form `invariants --json` prints them.
-    A difference proves that no shift equivalence exists.
+    A difference proves that no shift equivalence exists.  Equal reduced
+    forms give None with neither invariant computed: each matrix is
+    strong shift equivalent to its reduced form through the merges, so
+    both invariants already agree.
     """
     ra, rb = _reduced(a), _reduced(b)
+    if ra == rb:
+        return None
     pa, pb = _away_from_zero(ra), _away_from_zero(rb)
     if pa != pb:
         return "char_poly_away_from_zero", _poly_json(pa), _poly_json(pb)
@@ -141,17 +151,27 @@ def flow_equivalent(g: Graph | Matrix, h: Graph | Matrix) -> bool:
     Requires both graphs (or adjacency matrices) irreducible and not single
     cycles; in that range the pair (Bowen-Franks group, sign of det(I - A)) is
     a complete invariant.  Raises NotIrreducibleNontrivial outside that range
-    rather than guessing.
+    rather than guessing.  Two graphs whose matrices have the same
+    `_reduced` form are flow equivalent with no Smith elimination: the
+    merges that reach that form are strong shift equivalences, which keep
+    both invariants.
     """
-    a, b = _flow_class(g, h)
-    return _flow_invariants(_reduced(a)) == _flow_invariants(_reduced(b))
+    a, b = map(_reduced, _flow_class(g, h))
+    return a == b or _flow_invariants(a) == _flow_invariants(b)
 
 
 def _flow_decision(g: Graph | Matrix, h: Graph | Matrix) -> tuple[bool, dict, dict]:
-    """`flow_equivalent` with both `invariants_report`s, from one Smith elimination per matrix."""
+    """`flow_equivalent` with both `invariants_report`s, from one Smith elimination per matrix.
+
+    When the two `_reduced` forms are equal, so are the invariants (see
+    `flow_equivalent`): the one report of that form is computed once and
+    returned for both sides.
+    """
     a, b = map(_reduced, _flow_class(g, h))
-    fa, fb = _flow_invariants(a), _flow_invariants(b)
-    return fa == fb, _report(a, *fa), _report(b, *fb)
+    fa = _flow_invariants(a)
+    fb = fa if a == b else _flow_invariants(b)
+    report = _report(a, *fa)
+    return fa == fb, report, report if a == b else _report(b, *fb)
 
 
 # ---------------------------------------------------------------------------

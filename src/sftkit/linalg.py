@@ -36,10 +36,14 @@ leans on:
   block records the row operations and yields the infeasibility certificate
   (a rational row combination y with y.A = 0 and y.b = 1);
 * the one linear system of the intertwiner equation U a = b U, written
-  row by row, whose nullspace is also the partner space the witness
+  row by row on plain lists by one builder that rejects non-square
+  matrices; `intertwiner_matrix` wraps those rows for `dimension`, and
+  `intertwiner_space` reduces them in place with `_rref` and reads the
+  echelon nullspace off them, which is also the partner space the witness
   searches of `equivalences` solve in, once per pair of matrices;
-* the integer points of an affine set, over ints: `integer_points` scales
-  the set's shifted point and echelon rows by one common denominator d,
+* the integer points of an affine set, over ints: `integer_points`
+  re-echelonizes copies of the basis rows with `_rref`, scales the set's
+  shifted point and echelon rows by one common denominator d,
   runs the one bounded scan `_scan` (`dimension.search_module_iso` runs it
   too) and keeps x when d*lo <= x <= d*hi and d | x, yielding x // d;
 * strongly connected components (one Tarjan pass), from which
@@ -593,14 +597,16 @@ def solve_affine_exact(a: Matrix, b: Sequence[Rat]) -> AffineSolution | AffineIn
     return AffineSolution(vector(particular), tuple(_echelon_basis(aug, pivots, ncols)))
 
 
-def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Coefficients of the linear map U -> U a - b U on row-major vec U.
+def _intertwiner_rows(a: Matrix, b: Matrix) -> list[list[Rat]]:
+    """Rows of the linear map U -> U a - b U on row-major vec U, a and b square.
 
-    a is n x n, b is m x m and U is m x n, so the matrix is
+    a is n x n, b is m x m and U is m x n, so the rows are those of
     I_m (x) a^T - b (x) I_n, with row i*n + j holding entry (i, j) of
     U a - b U.  Each row is written directly: a[l][j] at column i*n + l,
     minus b[i][k] at column k*n + j.
     """
+    if not a.is_square or not b.is_square:
+        raise ShapeError("intertwiner spaces need square matrices")
     n, m, at = a.nrows, b.nrows, a.transpose().rows
     rows = []
     for i, b_row in enumerate(b.rows):
@@ -610,19 +616,25 @@ def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
             for k, x in enumerate(b_row):
                 row[k * n + j] -= x
             rows.append(row)
-    return Matrix.from_rows(rows)
+    return rows
+
+
+def intertwiner_matrix(a: Matrix, b: Matrix) -> Matrix:
+    """Coefficients of the linear map U -> U a - b U on row-major vec U (`_intertwiner_rows`)."""
+    return Matrix.from_rows(_intertwiner_rows(a, b))
 
 
 def intertwiner_space(a: Matrix, b: Matrix) -> list[Matrix]:
     """Deterministic basis of {U : U a == b U} over the rationals.
 
     a is n x n, b is m x m; the unknown U is m x n, flattened row-major when
-    linearized.  The basis comes out of the echelon nullspace, so repeated
-    calls agree entry for entry.
+    linearized.  The system rows are reduced in place and the basis read
+    off them as the echelon nullspace (`nullspace`), so repeated calls
+    agree entry for entry.
     """
-    if not a.is_square or not b.is_square:
-        raise ShapeError("intertwiner spaces need square matrices")
-    return [_reshape(v, b.nrows, a.nrows) for v in nullspace(intertwiner_matrix(a, b))]
+    rows = _intertwiner_rows(a, b)
+    basis = _echelon_basis(rows, _rref(rows), a.nrows * b.nrows)
+    return [_reshape(v, b.nrows, a.nrows) for v in basis]
 
 
 def _flat(m: Matrix) -> list[Rat]:
@@ -677,8 +689,10 @@ def integer_points(
     iterator just stops, so callers must treat it as "not found within
     bounds".
     """
-    reduced, pivots = rref(Matrix.from_rows(basis))
-    ech = reduced.rows[: len(pivots)]
+    # Matrix() refuses a ragged basis
+    ech = [list(v) for v in Matrix(tuple(basis)).rows]
+    pivots = _rref(ech)
+    del ech[len(pivots) :]
     # shift the particular point so its leading coordinates vanish; an RREF
     # row is zero in every other row's pivot column, so one pass does it
     part = _combine(particular, [-particular[p] for p in pivots], ech)

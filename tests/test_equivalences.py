@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -42,7 +43,7 @@ from sftkit.equivalences import (
 )
 from sftkit.errors import InvalidMatrix, InvalidWitness, ShapeError
 from sftkit.invariants import bowen_franks, char_poly_away_from_zero
-from sftkit.linalg import Matrix, _flat, intertwiner_space
+from sftkit.linalg import Matrix, _flat, intertwiner_space, solve_affine_exact, vector
 from sftkit.moves import in_split, out_split
 
 
@@ -253,6 +254,53 @@ def test_partner_space_solutions_match_stacked_oracle():
         seen["lag2"] += lag == 2
     assert cases >= 300
     assert min(seen.values()) >= 15, seen
+
+
+def _fraction_lift(c, partner) -> tuple:
+    """sum of c_k S_k over Fractions, S_k the int partner basis, by the number rule."""
+    out = [Fraction(0)] * len(partner[0])
+    for t, s in zip(c, partner):
+        out = [x + Fraction(t) * y for x, y in zip(out, s)]
+    return vector(out)
+
+
+def test_partner_lift_over_one_denominator_is_the_fraction_lift():
+    # the solution of the system in the coefficients c is lifted on ints over
+    # the common denominator of c; that is the S a lift over Fractions gives,
+    # entry for entry and type for type
+    rng = random.Random(44)
+    fractional = 0
+    for a, b, r, lag in _partner_cases(rng):
+        partner = _integer_basis(a, b)
+        solved = []
+
+        def recording(*args):
+            solved.append(solve_affine_exact(*args))
+            return solved[-1]
+
+        with mock.patch.object(equivalences, "solve_affine_exact", recording):
+            got = _partner_solutions(partner, _flat(r), a**lag, b**lag)
+        if got is None:
+            continue
+        (res,) = solved
+        for lifted, c in ((got.particular, res.particular), *zip(got.basis, res.basis)):
+            expected = _fraction_lift(c, partner)
+            assert lifted == expected and list(map(type, lifted)) == list(map(type, expected))
+        fractional += any(type(x) is Fraction for x in res.particular)
+    assert fractional >= 30, fractional
+
+
+def test_criterion_08_searches_make_the_partner_solves_by_name():
+    # one solve_affine_exact call, looked up on this module, per partner
+    # system: 30 on these ten pairs, so no kernel path bypasses the seam the
+    # bench tracer reads
+    pairs = list(_criterion_08_pairs())[:10]
+    with mock.patch.object(equivalences, "solve_affine_exact",
+                           wraps=solve_affine_exact) as spy:
+        for a, b in pairs:
+            assert _fresh(search_se, a, b, lag_max=2) is not None
+            assert _fresh(search_esse, a, b, inner_dim_max=8) is not None
+    assert spy.call_count == 30
 
 
 # sha256 of the JSON list of the 100 witnesses (R, S, l) that acceptance

@@ -393,3 +393,94 @@ def test_each_matrix_is_checked_and_amalgamated_once():
                                   wraps=invariants._checked_adjacency) as checked:
             run()
         assert (amalgamate.call_count, checked.call_count) == (matrices, matrices)
+
+
+# ---------------------------------------------------------------------------
+# Pair comparisons: equal reduced forms settle them
+# ---------------------------------------------------------------------------
+
+
+_SEPARATED = (_m([[0, 1], [3, 2]]), _m([[1, 2], [2, 1]]))  # the Bowen-Franks prefilter's pair
+
+
+def _comparison_pairs():
+    """(a, b, same reduced form) for seeded graphs against an out- or in-split
+    of themselves, their transpose and the next graph, and the separated pair."""
+    rng = random.Random(244)
+    corpus = [random_irreducible_nontrivial(rng, 3, 2) for _ in range(30)]
+    pairs = [_SEPARATED]
+    for k, g in enumerate(corpus):
+        split, part = ((out_split, random_out_partition), (in_split, random_in_partition))[k % 2]
+        a = g.adjacency()
+        pairs += [(a, split(g, part(rng, g))[0].adjacency()), (a, a.transpose()),
+                  (a, corpus[(k + 1) % len(corpus)].adjacency())]
+    return [(a, b, invariants._reduced(a) == invariants._reduced(b)) for a, b in pairs]
+
+
+def _spied(run):
+    """run(), and the calls it made of `char_poly` and `_flow_invariants` in invariants."""
+    with mock.patch.object(invariants, "char_poly", wraps=linalg.char_poly) as cp, \
+            mock.patch.object(invariants, "_flow_invariants",
+                              wraps=invariants._flow_invariants) as fi:
+        out = run()
+    return out, cp.call_count, fi.call_count
+
+
+def test_equal_reduced_forms_skip_the_invariants():
+    kinds = {True: 0, False: 0}
+    for a, b, same in _comparison_pairs():
+        kinds[same] += 1
+        first, flow, decision = (
+            _spied(lambda: invariants._first_difference(a, b)),
+            _spied(lambda: flow_equivalent(a, b)),
+            _spied(lambda: invariants._flow_decision(a, b)),
+        )
+        if same:
+            assert first == (None, 0, 0)
+            assert flow == (True, 0, 0)
+            # one report, of the one reduced form, for both sides
+            (equal, ra, rb), cp, fi = decision
+            assert equal and ra is rb and (cp, fi) == (1, 1)
+        else:
+            # different forms: both polynomials, then both groups when the
+            # polynomials agree
+            polys_agree = first[0] is None or first[0][0] == "bowen_franks"
+            assert first[1:] == (2, 2 if polys_agree else 0)
+            assert flow[1:] == (0, 2)
+            assert decision[1:] == (2, 2)
+    assert min(kinds.values()) >= 25, kinds
+
+
+def _oracle_first_difference(a: Matrix, b: Matrix):
+    pa, pb = char_poly_away_from_zero_oracle(a), char_poly_away_from_zero_oracle(b)
+    if pa != pb:
+        return "char_poly_away_from_zero", list(map(str, pa)), list(map(str, pb))
+    (fa, ra, _), (fb, rb, _) = bowen_franks_oracle(a), bowen_franks_oracle(b)
+    if (fa, ra) != (fb, rb):
+        return "bowen_franks", {"factors": list(fa), "rank": ra}, {"factors": list(fb), "rank": rb}
+    return None
+
+
+def _oracle_report_fields(a: Matrix) -> tuple:
+    factors, rank, det = bowen_franks_oracle(a)
+    poly = list(map(str, char_poly_away_from_zero_oracle(a)))
+    return {"factors": list(factors), "rank": rank}, det, poly
+
+
+def test_pair_comparisons_agree_with_the_oracles():
+    # the Smith diagonal from determinantal divisors and the dense
+    # Faddeev-LeVerrier polynomial, on pairs of both kinds
+    outcomes = set()
+    for a, b, same in _comparison_pairs():
+        expected = _oracle_first_difference(a, b)
+        assert invariants._first_difference(a, b) == expected, (a, b)
+        flow = bowen_franks_oracle(a) == bowen_franks_oracle(b)
+        assert flow_equivalent(a, b) == flow
+        equal, ra, rb = invariants._flow_decision(a, b)
+        assert equal == flow
+        for report, m in ((ra, a), (rb, b)):
+            fields = (report["bf"], report["det_i_minus_a"], report["char_poly_away_from_zero"])
+            assert fields == _oracle_report_fields(m)
+        outcomes.add((same, None if expected is None else expected[0], flow))
+    assert {(True, None, True), (False, None, True), (False, "bowen_franks", False),
+            (False, "char_poly_away_from_zero", False)} <= outcomes, outcomes

@@ -452,6 +452,87 @@ def test_intertwiner_space_dimension_matches_rank_oracle():
         assert len(basis) == m_dim * n - rank_oracle(rows)
 
 
+@pytest.mark.parametrize("build", [linalg.intertwiner_matrix, intertwiner_space])
+def test_intertwiner_system_needs_square_matrices(build):
+    # the one row builder checks the shapes, so a non-square argument gives
+    # neither a silent [0] (wide) nor a bare IndexError (tall)
+    one = Matrix.from_rows([[1]])
+    for bad in (Matrix.from_rows([[1, 2]]), Matrix.from_rows([[1], [2]])):
+        for a, b in ((bad, one), (one, bad)):
+            with pytest.raises(ShapeError, match="intertwiner spaces need square matrices"):
+                build(a, b)
+
+
+def test_intertwiner_space_is_the_reshaped_nullspace_of_the_system():
+    # the basis read off the rows reduced in place is, entry for entry, the
+    # echelon nullspace of the system Matrix, reshaped to m x n
+    rng = random.Random(47)
+    fractions = 0
+    for case in range(80):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+        if case % 2:
+            a, b = random_adjacency(rng, n, 2), random_adjacency(rng, m, 2)
+        else:
+            a, b = (Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                       for _ in range(k)] for _ in range(k)]) for k in (n, m))
+        if case % 5 == 0:
+            b, m = a, n  # a commutant: never an empty basis
+        expected = [
+            Matrix.from_rows(v[i * n : (i + 1) * n] for i in range(m))
+            for v in nullspace(linalg.intertwiner_matrix(a, b))
+        ]
+        got = intertwiner_space(a, b)
+        assert got == expected, (a, b)
+        fractions += any(type(x) is Fraction for u in got for row in u.rows for x in row)
+    assert fractions >= 5, fractions
+
+
+def _integer_points_over_matrices(particular, basis, lo, hi, budget=None):
+    """integer_points by the Matrix route: rref of a basis Matrix, then the
+    shift and the scan combined over Fractions."""
+    reduced, pivots = rref(Matrix.from_rows(basis))
+    ech = reduced.rows[: len(pivots)]
+    part = list(particular)
+    for row, p in zip(ech, pivots):
+        t = -particular[p]
+        part = [x + t * y for x, y in zip(part, row)]
+    tuples = product(range(lo, hi + 1), repeat=len(ech))
+    for t in tuples if budget is None else list(tuples)[: max(budget, 0)]:
+        point = list(part)
+        for c, row in zip(t, ech):
+            point = [x + c * y for x, y in zip(point, row)]
+        if all(Fraction(x).denominator == 1 and lo <= x <= hi for x in point):
+            yield vector(point)
+
+
+def test_integer_points_match_the_matrix_rref_scan():
+    # bases with Fraction entries, and dependent bases: repeated, scaled and
+    # summed directions, so the re-echelonized basis is shorter than the one
+    # passed in
+    rng = random.Random(139)
+
+    def rat():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    dependent = 0
+    for case in range(200):
+        n = rng.randint(1, 4)
+        basis = [vector(rat() for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        if basis and case % 2:
+            u = basis[0]
+            basis += [vector(rat() * x for x in u), vector(x + y for x, y in zip(u, basis[-1]))]
+        dependent += len(basis) > rank_oracle([list(v) for v in basis])
+        particular = vector(rat() for _ in range(n))
+        lo = rng.randint(-2, 0)
+        hi = lo + rng.randint(0, 3)
+        budget = (None, 3, 40)[case % 3]
+        got = list(integer_points(particular, basis, lo, hi, budget=budget))
+        assert got == list(_integer_points_over_matrices(particular, basis, lo, hi, budget))
+    assert dependent >= 60, dependent
+    with pytest.raises(InvalidMatrix, match="ragged rows"):
+        next(integer_points(vector([0, 0]), [vector([1, 0]), vector([1])], 0, 1))
+
+
 def test_solve_affine_feasible_and_certificates():
     rng = random.Random(14)
     for _ in range(30):
