@@ -57,12 +57,12 @@ class Graph(Frozen):
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ParseError("duplicate vertex names")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate edge ids")
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            raise ParseError("duplicate vertex names")
+        if len({e.id for e in self.edges}) != len(self.edges):
+            raise ParseError("duplicate edge ids")
+        # a loop: on CPython 3.11 it beats set.issuperset(map(attrgetter("src"), ...))
         for e in self.edges:
             if e.src not in vs or e.dst not in vs:
                 raise ParseError(f"edge {e.id!r} has endpoint outside the vertex set")
@@ -84,6 +84,15 @@ class Graph(Frozen):
 
     def has_edge(self, edge_id: str) -> bool:
         return edge_id in self._edge_by_id
+
+    @cached_property
+    def _atom_ends(self) -> dict[tuple[str, str], tuple[str, str]]:
+        """Start and end vertex of each term atom (`terms._ends`): ("v", v) from v
+        to v, ("e", id) from its source to its range, ("g", id) the other way."""
+        return {("v", v): (v, v) for v in self.vertices} | {
+            (kind, e.id): ends for e in self.edges
+            for kind, ends in (("e", (e.src, e.dst)), ("g", (e.dst, e.src)))
+        }
 
     @cached_property
     def _incident(self) -> tuple[dict[str, tuple[Edge, ...]], dict[str, tuple[Edge, ...]]]:

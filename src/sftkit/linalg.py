@@ -151,10 +151,12 @@ class Matrix(Frozen):
         return self.nrows == self.ncols
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        """One C-level type scan when every entry is an int; else each entry's denominator."""
+        return (_INT.issuperset(map(type, itertools.chain.from_iterable(self.rows)))
+                or all(x.denominator == 1 for row in self.rows for x in row))
 
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for row in self.rows for x in row)
+        return min(itertools.chain.from_iterable(self.rows), default=0) >= 0
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
@@ -691,6 +693,8 @@ def integer_points(
     """
     # Matrix() refuses a ragged basis
     ech = [list(v) for v in Matrix(tuple(basis)).rows]
+    if ech and len(ech[0]) != len(particular):
+        raise ShapeError("basis vectors and the particular point differ in length")
     pivots = _rref(ech)
     del ech[len(pivots) :]
     # shift the particular point so its leading coordinates vanish; an RREF

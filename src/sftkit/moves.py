@@ -2,12 +2,17 @@
 
 Splittings return the moved graph together with the elementary strong shift
 equivalence witness relating the two adjacency matrices, so "this move
-preserves conjugacy" is a checkable artifact, not a promise.  The witness is
-read off the split graph: R is copy membership, and since every copy of a
-vertex receives the same edges, column w of S is the split graph's adjacency
-column at the first copy of w.  `SSEWitness` is imported where a split
-builds one, so `product` and the bridge moves load neither `equivalences`
-nor the `invariants` it imports.  Bridge graphs package a matrix
+preserves conjugacy" is a checkable artifact, not a promise.  Both splits
+are one construction (`_split`) that reads each edge in the caller's
+orientation and builds one graph.  The witness is read off the split graph:
+for an out-split R is copy membership, and since every copy of a vertex
+receives the same edges, column w of S is the split graph's adjacency column
+at the first copy of w; for an in-split, where every copy emits the same
+edges, R is the adjacency rows at the first copies and S the transposed
+membership.  An in-split is the transposed out-split of the transposed graph,
+a tested identity rather than the construction.  `SSEWitness` is imported
+where a split builds one, so `product` and the bridge moves load neither
+`equivalences` nor the `invariants` it imports.  Bridge graphs package a matrix
 factorization a = r s as a two-class graph whose crossing length-2 paths
 biject with the edges of the factors: each factor edge is laid out from its
 crossing path, path by path, together with its theta entry.
@@ -21,7 +26,7 @@ from functools import cached_property
 
 from ._frozen import Frozen
 from .errors import BadPartition, InvalidMatrix, NotAFactorization
-from .graphs import Edge, Graph, graph_to_json, transpose
+from .graphs import Edge, Graph, graph_to_json
 from .linalg import Matrix
 
 
@@ -87,11 +92,9 @@ def _check_partition(p: EdgePartition, required: dict[str, set[str]], kind: str)
             )
 
 
-def _block_index(p: EdgePartition, v: str, edge_id: str) -> int:
-    for i, block in enumerate(p.blocks_at(v)):
-        if edge_id in block:
-            return i
-    raise BadPartition(f"edge {edge_id!r} missing from blocks at {v!r}")
+def _block_of_edge(p: EdgePartition) -> dict[str, int]:
+    """The index of the block holding each edge id of a checked partition."""
+    return {e: i for _, blocks in p.blocks for i, block in enumerate(blocks) for e in block}
 
 
 def _copy_name(name: str, i: int) -> str:
@@ -108,7 +111,7 @@ def out_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
     copies and S the block-edge count matrix: R S is the original adjacency
     and S R the split one.
     """
-    return _out_split(g, p, "outgoing")
+    return _split(g, p, "outgoing")
 
 
 def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
@@ -117,24 +120,26 @@ def in_split(g: Graph, p: EdgePartition) -> tuple[Graph, SSEWitness]:
     Vertex v with m blocks becomes v.1 .. v.m (sources stay put); the edge e
     in block i at r(e) becomes one copy e.j out of each copy j of s(e), all
     landing on r(e).i.  Witness orientation matches out_split: R S is the
-    original adjacency, S R the split one.
+    original adjacency, S R the split one; R is the split adjacency's rows at
+    the first copies and S the transposed copy-membership matrix.
 
     An in-split is a transposed out-split: if out_split(transpose(g), p)
     returns (h, (R, S)), then in_split(g, p) returns (transpose(h), (S^T, R^T)).
+    That identity is tested; no transposed graph is built.
     """
+    return _split(g, p, "incoming")
+
+
+def _split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness]:
+    """The split construction; `kind` ("outgoing" or "incoming") names the
+    split side of each vertex's edges, in partition errors too."""
     from .equivalences import SSEWitness
 
-    h, w = _out_split(transpose(g), p, "incoming")
-    return transpose(h), SSEWitness(w.s.transpose(), w.r.transpose())
-
-
-def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness]:
-    """The out-split construction; `kind` names the split side of the caller's
-    graph in partition errors."""
-    from .equivalences import SSEWitness
-
-    required = {v: {e.id for e in g.out_edges(v)} for v in g.vertices if g.out_edges(v)}
+    incoming = kind == "incoming"
+    side = g.in_edges if incoming else g.out_edges
+    required = {v: {e.id for e in side(v)} for v in g.vertices if side(v)}
     _check_partition(p, required, kind)
+    block = _block_of_edge(p)
 
     copies = {
         v: [_copy_name(v, i) for i in range(len(p.blocks_at(v)))] if v in required else [v]
@@ -144,19 +149,23 @@ def _out_split(g: Graph, p: EdgePartition, kind: str) -> tuple[Graph, SSEWitness
 
     split_edges: list[Edge] = []
     for e in g.edges:
-        i = _block_index(p, e.src, e.id)
-        src_name = copies[e.src][i]
-        for j, dst_name in enumerate(copies[e.dst]):
-            split_edges.append(Edge(src_name, dst_name, _copy_name(e.id, j)))
+        near, far = (e.dst, e.src) if incoming else (e.src, e.dst)
+        here = copies[near][block[e.id]]
+        for j, there in enumerate(copies[far]):
+            eid = _copy_name(e.id, j)
+            split_edges.append(Edge(there, here, eid) if incoming else Edge(here, there, eid))
     h = Graph(tuple(split_vertices), tuple(split_edges))
 
-    r = Matrix.from_rows([[int(name in copies[v]) for name in split_vertices] for v in g.vertices])
-    firsts = [row.index(1) for row in r.rows]
+    d = Matrix.from_rows([[int(name in copies[v]) for name in split_vertices] for v in g.vertices])
+    firsts = [row.index(1) for row in d.rows]
     a_h = h.adjacency()
-    witness = SSEWitness(r, Matrix.from_rows([[row[j] for j in firsts] for row in a_h.rows]))
-    assert witness.r @ witness.s == g.adjacency()
-    assert witness.s @ witness.r == a_h
-    return h, witness
+    # every copy receives (out-split) or emits (in-split) the same edges, so
+    # the split adjacency's columns or rows at the first copies are a factor
+    at_firsts = Matrix(tuple(map(a_h.row if incoming else a_h.col, firsts)))
+    r, s = (at_firsts, d.transpose()) if incoming else (d, at_firsts.transpose())
+    assert r @ s == g.adjacency()
+    assert s @ r == a_h
+    return h, SSEWitness(r, s)
 
 
 def kronecker_product(g: Graph, h: Graph) -> Graph:

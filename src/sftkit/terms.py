@@ -121,8 +121,13 @@ def star(x: AlgebraElement) -> AlgebraElement:
 
 
 def _ends(g: Graph, atom: Atom) -> tuple[str, str]:
-    """The vertex an atom starts at and the vertex it ends at."""
-    kind, name = atom
+    """The vertex an atom starts at and the vertex it ends at, read off the
+    graph's atom table; an atom not in it (an unknown edge raises ParseError)
+    is resolved by its kind."""
+    try:
+        return g._atom_ends[atom]
+    except KeyError:
+        kind, name = atom
     if kind == "v":
         return name, name
     e = g.edge(name)
@@ -405,16 +410,16 @@ def in_split_family(g: Graph, p) -> tuple[Graph, FamilyAssignment]:
     maps to the sum over edges f leaving that range of e.1 f.i f.1*.  The
     source graph must have no sinks for this to be a family.
     """
-    from .moves import _block_index, _copy_name, in_split  # reduce and decompose skip moves
+    from .moves import _block_of_edge, _copy_name, in_split  # reduce and decompose skip moves
 
     h, _ = in_split(g, p)
+    block = _block_of_edge(p)
     q = {v: vertex_element(h, _copy_name(v, 0) if g.in_edges(v) else v) for v in g.vertices}
     t: dict[str, AlgebraElement] = {}
     for e in g.edges:
-        i = _block_index(p, e.dst, e.id)
         head = ("e", _copy_name(e.id, 0))
         t[e.id] = AlgebraElement({
-            (head, ("e", _copy_name(f.id, i)), ("g", _copy_name(f.id, 0))): 1
+            (head, ("e", _copy_name(f.id, block[e.id])), ("g", _copy_name(f.id, 0))): 1
             for f in g.out_edges(e.dst)
         })
     return h, FamilyAssignment.build(h, q, t)

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -110,6 +111,31 @@ def test_duplicate_names_rejected():
         Graph(("a", "b"), (Edge("a", "b", "e"), Edge("b", "a", "e")))
     with pytest.raises(ParseError):
         Graph(("a",), (Edge("a", "missing", "e"),))
+
+
+def test_endpoint_error_names_the_first_edge_outside():
+    inside = Edge("a", "b", "in")
+    for edges, named in (
+        ((inside, Edge("a", "x", "d"), Edge("x", "a", "s")), "d"),
+        ((inside, Edge("x", "a", "s"), Edge("a", "x", "d")), "s"),
+        ((Edge("x", "y", "both"), inside), "both"),
+    ):
+        message = f"^edge '{named}' has endpoint outside the vertex set$"
+        with pytest.raises(ParseError, match=message):
+            Graph(("a", "b"), edges)
+    assert Graph(("a", "b"), (inside,)).edges == (inside,)
+
+
+def test_checked_adjacency_messages():
+    for rows, message in (
+        ([[1, 2, 0], [0, 0, 1]], "adjacency matrix must be square"),
+        ([[1, -1], [0, 0]], "adjacency entries must be nonnegative integers"),
+        ([[1, Fraction(1, 2)], [0, 0]], "adjacency entries must be nonnegative integers"),
+        (Matrix(((1, Fraction(-1, 1)), (0, 0))), "adjacency entries must be nonnegative integers"),
+    ):
+        with pytest.raises(InvalidMatrix, match=f"^{message}$"):
+            named_adjacency(rows)
+    assert named_adjacency(Matrix(((True, Fraction(2, 1)), (0, 0))))[0] == ("v1", "v2")
 
 
 def test_classification_flags():

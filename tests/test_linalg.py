@@ -74,6 +74,28 @@ def _gcd_of_minors(m: Matrix, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def test_sign_and_integrality_scans_match_entrywise_scans():
+    # Matrix(...) keeps its entries as given, so Fraction(k, 1) and bool
+    # entries reach the scans; 0x0 and nx0 matrices have no entries at all
+    rng = random.Random(140)
+    kinds = (
+        lambda: rng.randint(-2, 3),
+        lambda: Fraction(rng.randint(-3, 3), rng.choice((2, 3))),
+        lambda: Fraction(rng.randint(-2, 3), 1),
+        lambda: rng.choice((True, False)),
+    )
+    cases = [Matrix(()), Matrix(((), ())), Matrix(((True, False),)), Matrix(((Fraction(2, 1),),))]
+    for _ in range(400):
+        picks = rng.sample(kinds, rng.randint(1, 4))
+        n, k = rng.randint(1, 3), rng.randint(0, 3)
+        cases.append(Matrix(tuple(tuple(rng.choice(picks)() for _ in range(k)) for _ in range(n))))
+    for m in cases:
+        assert m.is_integral() == all(x.denominator == 1 for row in m.rows for x in row), m
+        assert m.is_nonnegative() == all(x >= 0 for row in m.rows for x in row), m
+    assert {(m.is_integral(), m.is_nonnegative()) for m in cases} == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
 def test_matmul_pow_and_trace():
     a = Matrix.from_rows([[1, 2], [1, 0]])
     assert a @ Matrix.identity(2) == a
@@ -531,6 +553,14 @@ def test_integer_points_match_the_matrix_rref_scan():
     assert dependent >= 60, dependent
     with pytest.raises(InvalidMatrix, match="ragged rows"):
         next(integer_points(vector([0, 0]), [vector([1, 0]), vector([1])], 0, 1))
+
+
+@pytest.mark.parametrize("basis", [[(1, 0, 0)], [(1,)]])
+def test_integer_points_refuse_a_basis_of_another_length(basis):
+    # zipping would cut a longer basis vector to the point's length, and a
+    # shorter one would cut the points yielded, (1,) from the point (0, 0)
+    with pytest.raises(ShapeError, match="differ in length"):
+        next(integer_points((0, 0), basis, 0, 1))
 
 
 def test_solve_affine_feasible_and_certificates():

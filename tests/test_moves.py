@@ -9,6 +9,7 @@ import random
 import pytest
 from helpers import (
     kron_oracle,
+    random_adjacency,
     random_in_partition,
     random_irreducible_nontrivial,
     random_out_partition,
@@ -18,7 +19,7 @@ from helpers import (
 
 from sftkit.equivalences import sse_witness_to_json, verify_esse
 from sftkit.errors import BadPartition, NotAFactorization
-from sftkit.graphs import Edge, Graph, classify, from_adjacency, graph_to_json
+from sftkit.graphs import Edge, Graph, classify, from_adjacency, graph_to_json, transpose
 from sftkit.linalg import Matrix
 from sftkit.moves import (
     BridgeGraph,
@@ -57,6 +58,30 @@ def test_in_split_two_blocks():
     h, w = in_split(g, p)
     assert h.vertices == ("v1.1", "v1.2", "v2.1")
     assert verify_esse(g.adjacency(), h.adjacency(), w)
+
+
+def test_in_split_is_the_transposed_out_split_of_the_transpose():
+    # in_split builds its graph directly, and it must equal the transposed
+    # out-split of the transposed graph, on graphs with sinks and sources too
+    rng = random.Random(58)
+    for _ in range(150):
+        g = from_adjacency(random_adjacency(rng, rng.randint(1, 5), 2))
+        p = random_in_partition(rng, g)
+        h, w = in_split(g, p)
+        ht, wt = out_split(transpose(g), p)
+        assert h.vertices == ht.vertices
+        assert h.edges == transpose(ht).edges  # edge order, ids and endpoints
+        assert (w.r, w.s) == (wt.s.transpose(), wt.r.transpose())
+
+
+def test_in_split_partition_errors_name_the_incoming_side():
+    g = _g([[1, 2], [1, 0]])  # e1: v1->v1, e2 e3: v1->v2, e4: v2->v1
+    with pytest.raises(BadPartition, match="cover exactly the incoming vertices; missing"):
+        in_split(g, EdgePartition((("v1", (("e1", "e4"),)),)))
+    with pytest.raises(BadPartition, match="exactly its incoming-side edges"):
+        in_split(g, EdgePartition((("v1", (("e1", "e2"),)), ("v2", (("e3", "e4"),)))))
+    with pytest.raises(BadPartition, match="edge repeated across blocks at vertex 'v1'"):
+        in_split(g, EdgePartition((("v1", (("e1",), ("e1", "e4"))), ("v2", (("e2", "e3"),)))))
 
 
 def test_splits_random_witnesses_verify():

@@ -96,6 +96,32 @@ def test_rewrite_pair_matches_the_relations():
     assert pairs > 10_000
 
 
+def test_atom_table_agrees_with_edge_lookups():
+    # each graph's atom table against g.edge, atom by atom, on 100 seeded
+    # graphs with loops and parallel edges
+    rng = random.Random(74)
+    for _ in range(100):
+        g = from_adjacency(random_adjacency(rng, rng.randint(1, 4), 2))
+        atoms = [("v", v) for v in g.vertices]
+        atoms += [(kind, e.id) for e in g.edges for kind in ("e", "g")]
+        assert set(g._atom_ends) == set(atoms)
+        for kind, name in atoms:
+            if kind == "v":
+                want = (name, name)
+            else:
+                e = g.edge(name)
+                want = (e.src, e.dst) if kind == "e" else (e.dst, e.src)
+            assert terms._ends(g, (kind, name)) == want
+    # a miss resolves as a lookup would: an unknown vertex passes through,
+    # an unknown edge raises, and any other kind of a known edge reads it reversed
+    assert terms._ends(_G, ("v", "zz")) == ("zz", "zz")
+    with pytest.raises(ParseError, match="^'zz' is not an edge of this graph$"):
+        terms._ends(_G, ("e", "zz"))
+    with pytest.raises(ParseError, match="^'v1' is not an edge of this graph$"):
+        terms._ends(_G, ("g", "v1"))
+    assert terms._ends(_G, ("x", "e2")) == ("v2", "v1")
+
+
 def test_reduce_is_idempotent_and_strategies_agree():
     rng = random.Random(71)
     for _ in range(150):
