@@ -65,14 +65,15 @@ leans on:
   only at the simple Perron root, on integer numerators over a power of
   two, until a Taylor bound at the centre shows
   that h has no root on the half: h has its sign at the centre.  A pairing
-  still open after `_HALVINGS` halvings, as every zero pairing is, takes
-  one Tarski query (Sylvester's theorem) on the isolating interval, so a
-  matrix costs one remainder sequence and each nonzero pairing O(n^2)
-  arithmetic.  Both remainder sequences are primitive pseudo-remainder
-  sequences over the integers, read by integer sign evaluation; each
-  element is a positive multiple of its counterpart over the rationals, so
-  every sign is the same and no coefficient grows as rational arithmetic
-  would make it.
+  still open after `_ZERO_TEST_STEP` halvings, as every zero pairing is,
+  takes one gcd of h with the polynomial, which changes sign across the
+  interval exactly when h(rho) = 0, so a matrix costs one remainder
+  sequence, each nonzero pairing O(n^2) arithmetic and each zero pairing
+  one more remainder sequence.  Every remainder sequence is a primitive
+  pseudo-remainder sequence over the integers, read by integer sign
+  evaluation; each element is a positive multiple of its counterpart over
+  the rationals, so every sign is the same and no coefficient grows as
+  rational arithmetic would make it.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ from .polynomials import (
     _num,
     _scaled,
     _variations,
+    poly_gcd,
     sturm_chain,
-    tarski_query,
 )
 
 Vector = tuple[Rat, ...]
@@ -859,16 +860,15 @@ class PerronData(Frozen):
     distinct roots, namely the spectral radius, and neither endpoint is a
     root.  The Perron root is simple, so the polynomial changes sign at it
     and has one sign on each side of it in the interval, which is what lets
-    `sign_at_perron_root` halve the interval by that sign alone.  Both Sturm
-    counting and the Tarski query count distinct roots under that
-    condition, and both read their signed remainder sequences over the
-    integers (`polynomials.sturm_chain`).  `column` is column 0 of
-    adj(xI - A^T), row j as its integer coefficients, constant term first,
-    collected entry by entry as the Faddeev-LeVerrier run forms each B_k (no
-    other adjugate entry is kept); at the Perron root it is a positive
-    multiple of the left Perron vector, so one PerronData serves every
-    pairing against A.  `period` and `classes` are `cyclic_structure(A)`:
-    every arc of A runs from class r to class r + 1 mod period.
+    `sign_at_perron_root` halve the interval by that sign alone, and lets
+    the sign of gcd(poly, h) at the two ends show whether h(rho) = 0.
+    `column` is column 0 of adj(xI - A^T), row j as its integer
+    coefficients, constant term first, collected entry by entry as the
+    Faddeev-LeVerrier run forms each B_k (no other adjugate entry is kept);
+    at the Perron root it is a positive multiple of the left Perron vector,
+    so one PerronData serves every pairing against A.  `period` and
+    `classes` are `cyclic_structure(A)`: every arc of A runs from class r
+    to class r + 1 mod period.
     """
 
     poly: Poly
@@ -955,10 +955,13 @@ def isolate_perron_root(m: Matrix) -> PerronData:
     return PerronData(cp, lo, hi, column, period, tuple(map(tuple, classes)))
 
 
-# A pairing still undecided after this many halvings of the isolating interval
-# goes to the Tarski query; the Taylor test runs on every _TAYLOR_EVERY-th
-# interval, as it costs about deg(h)/2 Horner evaluations of p.
-_HALVINGS = 32
+# The zero test (one gcd, a remainder sequence) runs only on a pairing still
+# undecided after this many halvings of the isolating interval: the bench's
+# cone_order pairings are all decided by halving 4, and a zero test run
+# earlier makes every nonzero pairing pay for a remainder sequence.  The
+# Taylor test runs on every _TAYLOR_EVERY-th interval, as it costs about
+# deg(h)/2 Horner evaluations of p.
+_ZERO_TEST_STEP = 32
 _TAYLOR_EVERY = 4
 
 
@@ -976,27 +979,28 @@ def _dyadic_sign(cs: Sequence[int], a: int, e: int) -> int:
 
 
 def _halvings(p: Poly, lo: Fraction, hi: Fraction) -> Iterator[tuple[int, int, int]]:
-    """(lo, hi), then up to `_HALVINGS` halves of it, each around the one root of p
+    """(lo, hi), then its halves without end, each around the one root of p
     inside, every interval as integer numerators over one power of two:
     (lo 2^e, hi 2^e, e).
 
-    Nothing unless both ends are dyadic, as `isolate_perron_root` makes
-    them, and p has opposite nonzero signs there.  Then that sign change is
-    the root, so the half kept is the one whose ends p gives opposite
-    signs, one integer Horner evaluation per step; a midpoint where p
-    vanishes is the root itself, yielded as (mid, mid, e) to end the run.
+    Both ends must be dyadic, as `isolate_perron_root` makes them, and p
+    must have opposite nonzero signs there (InvalidMatrix otherwise, on a
+    hand-built `PerronData`).  Then that sign change is the root, so the
+    half kept is the one whose ends p gives opposite signs, one integer
+    Horner evaluation per step; a midpoint where p vanishes is the root
+    itself, yielded as (mid, mid, e) to end the run.
     """
     if lo.denominator & (lo.denominator - 1) or hi.denominator & (hi.denominator - 1):
-        return
+        raise InvalidMatrix("Perron interval ends must be dyadic")
     den = max(lo.denominator, hi.denominator)
     a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
     e = den.bit_length() - 1
     cs = _integral(p.coeffs)
     s_lo = _dyadic_sign(cs, a, e)
     if not s_lo or _dyadic_sign(cs, b, e) != -s_lo:
-        return
+        raise InvalidMatrix("the polynomial must change sign across the Perron interval")
     yield a, b, e
-    for _ in range(_HALVINGS):
+    while True:
         mid, e = a + b, e + 1
         s = _dyadic_sign(cs, mid, e)
         if not s:
@@ -1043,25 +1047,29 @@ def sign_at_perron_root(h: Poly, pd: PerronData) -> Sign:
     sum g_k t^k.  If |g_0| > sum_(k>=1) |g_k| R^k, then |h(c + t) - g_0| <
     |g_0| for every |t| <= R, so h has no root on the half and h(rho) has
     the sign of g_0 = h(c) (`_taylor_sign`, in integers).
-    The Tarski query of h on (pd.lo, pd.hi) decides the rest: a pairing
-    still open after `_HALVINGS` halvings, ends that are not dyadic or where
-    pd.poly has one sign (a hand-built pd), h = 0, and h(rho) = 0, which no
-    interval test can show (a zero read at a rational rho goes there too).
-    So ZERO comes from the Tarski query alone, whose endpoints
-    `isolate_perron_root` keeps off the roots.
+    Zero: g = gcd(pd.poly, h) divides pd.poly, so its only possible root in
+    a halved interval is rho, a simple one, and neither end is a root; so
+    h(rho) = 0 exactly when g has opposite signs at the ends.  That test
+    runs once, on a pairing still open at halving `_ZERO_TEST_STEP`.  A
+    nonzero h(rho) passes the Taylor test once the half is small enough,
+    so the halvings need no cap.  ZERO comes from h = 0, from the read at a
+    rational rho, or from that gcd.
     """
     hs = _integral(h.coeffs)
-    for step, (lo, hi, e) in enumerate(_halvings(pd.poly, pd.lo, pd.hi) if hs else ()):
+    if not hs:
+        return Sign.ZERO
+    for step, (lo, hi, e) in enumerate(_halvings(pd.poly, pd.lo, pd.hi)):
         if lo == hi:
-            if s := _dyadic_sign(hs, lo, e):
-                return Sign(s)
-            break
+            return Sign(_dyadic_sign(hs, lo, e))
         # h of opposite signs at the ends has a root inside, which no bound
         # rules out: two Horner evaluations skip the Taylor shift
         if step % _TAYLOR_EVERY == 0 and _dyadic_sign(hs, lo, e) == _dyadic_sign(hs, hi, e) and (
                 s := _taylor_sign(hs, lo + hi, hi - lo, 2 << e)):
             return Sign(s)
-    return Sign(tarski_query(pd.poly, h, pd.lo, pd.hi))
+        if step == _ZERO_TEST_STEP:
+            g = _integral(poly_gcd(pd.poly, h).coeffs)
+            if _dyadic_sign(g, lo, e) != _dyadic_sign(g, hi, e):
+                return Sign.ZERO
 
 
 def perron_pairing_sign(a: Matrix | PerronData, v: Sequence[Rat]) -> Sign:

@@ -18,10 +18,7 @@ clear denominators, and `_coprime` divides out the content.
 
 `count_roots` counts distinct real roots in a half-open interval (a, b];
 with a squarefree input this is the textbook sign-variation difference and
-tolerates roots landing exactly on the right endpoint.  `tarski_query` sums
-the signs of q over the roots of p in (a, b) by Sylvester's theorem (Basu,
-Pollack & Roy, *Algorithms in Real Algebraic Geometry*, ch. 2): the sequence
-of p and p'q mod p, read at two endpoints that are not roots of p.
+tolerates roots landing exactly on the right endpoint.
 """
 
 from __future__ import annotations
@@ -296,18 +293,3 @@ def count_roots(p: Poly, lo: Rat, hi: Rat) -> int:
     chain = sturm_chain(squarefree_part(p))
     return _variations(chain, lo) - _variations(chain, hi)
 
-
-def tarski_query(p: Poly, q: Poly, lo: Rat, hi: Rat) -> int:
-    """Sum of sign q(x) over the distinct real roots x of p in (lo, hi).
-
-    Sylvester's theorem: the sign-variation difference of the signed
-    remainder sequence of p and p'q (taken mod p, which leaves the Cauchy
-    index unchanged).  Neither endpoint may be a root of p.  The second
-    element is formed over the integers too, as a positive multiple of
-    p'q mod p.
-    """
-    if p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-        raise ShapeError("Tarski query endpoints must not be roots of p")
-    p_q = _integral((p.derivative() * q).coeffs)
-    chain = sturm_chain(p, Poly.from_coeffs(_primitive_prem(p_q, _integral(p.coeffs))))
-    return _variations(chain, lo) - _variations(chain, hi)

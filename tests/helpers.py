@@ -523,6 +523,34 @@ def sturm_chain_oracle(p, q) -> list[list[Fraction]]:
     return chain
 
 
+def tarski_query_oracle(p, q, lo, hi) -> int:
+    """Sum of sign q(x) over the distinct real roots x of p in (lo, hi).
+
+    Sylvester's theorem (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, ch. 2): the Cauchy index of p'q / p on (lo, hi), which is the
+    sign-variation difference at lo and hi of the signed remainder sequence
+    of p and p'q (`sturm_chain_oracle`), every value read by evaluation in
+    `Fraction`s.  p and q are ascending coefficient lists, and neither end
+    may be a root of p.
+    """
+
+    def value(cs, x):
+        return sum(Fraction(c) * x**i for i, c in enumerate(cs))
+
+    def variations(x):
+        signs = [(v > 0) - (v < 0) for cs in chain if (v := value(cs, x))]
+        return sum(s0 != s1 for s0, s1 in zip(signs, signs[1:]))
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    if value(p, lo) == 0 or value(p, hi) == 0:
+        raise ValueError("Tarski query ends must not be roots of p")
+    dp = [i * c for i, c in enumerate(p)][1:]
+    dpq = [sum(dp[i] * q[k - i] for i in range(len(dp)) if 0 <= k - i < len(q))
+           for k in range(len(dp) + len(q) - 1)]
+    chain = sturm_chain_oracle(p, dpq)
+    return variations(lo) - variations(hi)
+
+
 def kron_oracle(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise block Kronecker product."""
     rows = []

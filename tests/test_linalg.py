@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, islice, product
 from unittest import mock
 
 import pytest
@@ -29,6 +29,7 @@ from helpers import (
     random_block_cyclic,
     random_int_matrix,
     rank_oracle,
+    tarski_query_oracle,
 )
 
 from sftkit import linalg
@@ -54,7 +55,7 @@ from sftkit.linalg import (
     PerronData,
     vector,
 )
-from sftkit.polynomials import Poly, count_roots, tarski_query
+from sftkit.polynomials import Poly, count_roots
 
 
 def _gcd_of_minors(m: Matrix, k: int) -> int:
@@ -1051,42 +1052,60 @@ def _perron_cases() -> list[tuple[Matrix, int | None, list]]:
     that is its constant row sum, and pairings (v, v pairs to zero) against it.
 
     The matrices are primitive ones of every size, primitive 0/1 ones with
-    constant row sums, and period 2 and 3 ones from `random_block_cyclic`.
-    The vectors are random integer and rational ones, and for a constant row
-    sum rho the zero pairings (rho I - M) u: w (rho I - M) = 0.  A random
-    vector against a constant row sum matrix can pair to zero too (such as
-    (3, -3) against J_2), so there `perron_sign_oracle` flags it.
+    constant row sums, period 2 and 3 ones from `random_block_cyclic`, and
+    J_2 (x) A for small primitive A, whose Perron root 2 rho_A is a root of
+    f = 2^n char_poly(A)(x / 2), of degree n < 2n.
+    The vectors are random integer and rational ones, and the zero pairings
+    f(M) u, as w f(M) = f(rho) w = 0: for a constant row sum rho, f = rho - x.
+    A random vector against a constant row sum matrix can pair to zero too
+    (such as (3, -3) against J_2), so there `perron_sign_oracle` flags it.
     """
-    rng = random.Random(32)
+    rng, small_rng = random.Random(32), random.Random(35)
     cases = []
     while len(cases) < 16:
         m = random_int_matrix(rng, rng.randint(1, 12), 0, rng.choice((1, 1, 2)))
         if is_primitive_matrix(m):
-            cases.append((m, None))
-    cases += [(m, sum(m.rows[0])) for m in
+            cases.append((m, None, None))
+    small = [m for m in (random_int_matrix(small_rng, small_rng.randint(2, 4), 0, 2) for _ in range(24))
+             if is_primitive_matrix(m)]
+    doubled = [(Matrix.from_rows([r + r for r in m.rows] * 2), None,
+                Poly.from_coeffs(c << (m.nrows - i) for i, c in enumerate(char_poly(m).coeffs)))
+               for m in small]
+    cases += [(m, sum(m.rows[0]), Poly.from_coeffs([sum(m.rows[0]), -1])) for m in
               (_constant_row_sum_01_matrix(rng, n, rng.randint(2, n // 2 + 1)) for n in range(2, 13, 2))]
-    cases += [(m, sum(m.rows[0])) for m, _ in
+    cases += [(m, sum(m.rows[0]), Poly.from_coeffs([sum(m.rows[0]), -1])) for m, _ in
               (random_block_cyclic(rng, period, 4, rng.randint(1, 3)) for period in (2, 3) for _ in range(4))]
     out = []
-    for m, rho in cases:
+    for m, rho, f in cases + doubled:
         n = m.nrows
         pairings = [vector(rng.randint(-5, 5) for _ in range(n)) for _ in range(3)]
         pairings.append(vector(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)))
         pairings = [(v, rho is not None and perron_sign_oracle(m, v) == 0)
                     for v in pairings if any(v)]
-        if rho is not None:
-            for _ in range(2):
-                u = [rng.randint(-3, 3) for _ in range(n)]
-                pairings.append(((Matrix.identity(n).scale(rho) - m).apply(u), True))
+        for _ in range(2 if f is not None else 0):
+            u = [rng.randint(-3, 3) for _ in range(n)]
+            v = [0] * n
+            for c in reversed(f.coeffs):
+                v = [x + c * y for x, y in zip(m.apply(v), u)]
+            if any(v):
+                pairings.append((vector(v), True))
         out.append((m, rho, pairings))
     return out
 
 
+def _gcd_calls(h: Poly, pd: PerronData) -> tuple[Sign, int]:
+    """sign_at_perron_root(h, pd) and the number of gcds it took."""
+    with mock.patch.object(linalg, "poly_gcd", wraps=linalg.poly_gcd) as gcd:
+        got = sign_at_perron_root(h, pd)
+    return got, gcd.call_count
+
+
 def test_perron_signs_match_power_iteration_and_the_tarski_query():
     # perron_pairing_sign against the power-iteration oracle (zero pairings
-    # by construction), and sign_at_perron_root against the Tarski query on
-    # the isolating interval for h of every degree up to 2n + 1 and, when
-    # rho is an integer, multiples of x - rho
+    # by construction), and sign_at_perron_root against the Tarski query
+    # oracle on the isolating interval for h of every degree up to 2n + 1,
+    # its multiple by the characteristic polynomial, h = 0 and, when rho is
+    # an integer, multiples of x - rho
     rng = random.Random(33)
     x = Poly.x()
     counts = {Sign.NEGATIVE: 0, Sign.ZERO: 0, Sign.POSITIVE: 0}
@@ -1099,71 +1118,104 @@ def test_perron_signs_match_power_iteration_and_the_tarski_query():
             counts[expected] += 1
         hs = [Poly.from_coeffs(rng.randint(-6, 6) for _ in range(rng.randint(1, 2 * m.nrows + 2)))
               for _ in range(4)]
+        hs += [pd.poly * hs[0], Poly(())]
         if rho is not None:
-            hs += [(x - Poly.constant(rho)) * h for h in hs]
+            hs += [(x - Poly.constant(rho)) * h for h in hs[:4]]
         for h in hs:
             got = sign_at_perron_root(h, pd)
-            assert got == Sign(tarski_query(pd.poly, h, pd.lo, pd.hi)), (m, h)
+            assert got == Sign(tarski_query_oracle(pd.poly.coeffs, h.coeffs, pd.lo, pd.hi)), (m, h)
             zeros += got == Sign.ZERO
-    assert min(counts.values()) > 10 and zeros > 30, (counts, zeros)
+    assert min(counts.values()) > 10 and zeros > 60, (counts, zeros)
 
 
-def test_tarski_query_runs_for_zero_pairings_only():
+def test_zeros_of_second_order_at_an_irrational_root():
+    # rho = (1 + sqrt 5) / 2 is a double root of h = f^2 q, f = x^2 - x - 1,
+    # so h keeps its sign across rho; gcd(f, h) = f still changes sign there.
+    # h + c, c a nonzero constant, has the sign of c at rho and no gcd to take
+    pd = isolate_perron_root(Matrix.from_rows([[1, 1], [1, 0]]))
+    f = pd.poly
+    assert f == Poly.from_coeffs([-1, -1, 1])
+    rng = random.Random(36)
+    for _ in range(30):
+        q = Poly.from_coeffs([rng.choice((-1, 1)) * rng.randint(1, 6)]
+                             + [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))])
+        for h in (f * f * q, f * f * f * q, f * q):
+            assert _gcd_calls(h, pd) == (Sign.ZERO, 1), h.pretty()
+            c = rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 1000))
+            assert _gcd_calls(h + Poly.constant(c), pd) == (Sign(1 if c > 0 else -1), 0), h.pretty()
+
+
+def test_gcd_runs_for_zero_pairings_only():
+    # a zero pairing takes one gcd unless its h is 0 or a midpoint of the
+    # halvings lands on rho (then an integer), where h is read directly
+    gcds = 0
     for m, _, pairings in _perron_cases():
         pd = isolate_perron_root(m)
+        on_root = any(lo == hi for lo, hi, _ in
+                      islice(linalg._halvings(pd.poly, pd.lo, pd.hi), linalg._ZERO_TEST_STEP + 1))
         for v, zero in pairings:
-            with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
+            with mock.patch.object(linalg, "poly_gcd", wraps=linalg.poly_gcd) as gcd, \
+                    mock.patch.object(linalg, "sign_at_perron_root", wraps=sign_at_perron_root) as sign:
                 perron_pairing_sign(pd, v)
-            assert tq.call_count == zero, (m, v)
+            h = sign.call_args.args[0]
+            assert gcd.call_count == (zero and not on_root and not h.is_zero), (m, v)
+            gcds += gcd.call_count
+    assert gcds > 10, gcds
 
 
-def test_pairing_closer_than_the_halvings_goes_to_the_tarski_query():
+def test_pairing_closer_than_the_zero_test_step_is_decided_by_more_halvings():
     # rho = 10 + sqrt(101); h = x - c with c within 2^-80 of rho keeps a root
-    # in every interval the halvings reach, so no Taylor test can pass
+    # in every interval up to halving 80, so no Taylor test can pass before:
+    # the zero test at halving _ZERO_TEST_STEP finds h(rho) != 0, and the
+    # halvings go on, uncapped, until one does
     pd = isolate_perron_root(Matrix.from_rows([[19, 5], [4, 1]]))
     p, lo, hi = pd.poly, pd.lo, pd.hi
-    for _ in range(linalg._HALVINGS + 16):
+    for _ in range(80):
         mid = (lo + hi) / 2
         if p.sign_at(mid) == p.sign_at(lo):
             lo = mid
         else:
             hi = mid
     x, c = Poly.x(), Poly.constant
+    halvings = linalg._halvings
     for h, expected in [(x - c(lo), Sign.POSITIVE), (x - c(hi), Sign.NEGATIVE),
                         (c(hi) - x, Sign.POSITIVE)]:
-        with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
-            assert sign_at_perron_root(h, pd) == expected, h.pretty()
-        assert tq.call_count == 1
+        intervals = []
+
+        def counted(*args):
+            for interval in halvings(*args):
+                intervals.append(interval)
+                yield interval
+
+        with mock.patch.object(linalg, "_halvings", counted):
+            assert _gcd_calls(h, pd) == (expected, 1), h.pretty()
+        assert len(intervals) > 80 > linalg._ZERO_TEST_STEP, h.pretty()
 
 
-def test_perron_data_with_agreeing_end_signs_goes_straight_to_the_tarski_query():
+def test_perron_data_with_agreeing_end_signs_is_refused():
     # (1, 3) holds the one root 2 of p, a double one, so p does not change
     # sign there and bisecting by its sign would be unsound
     x, c = Poly.x(), Poly.constant
     p = (x - c(2)) * (x - c(2)) * (x + c(5))
     pd = PerronData(p, Fraction(1), Fraction(3), ((1,), (0,), (0,)), 1, ((0, 1, 2),))
     assert p.sign_at(pd.lo) == p.sign_at(pd.hi) == 1
-    assert list(linalg._halvings(p, pd.lo, pd.hi)) == []
-    for h, expected in [(x - c(1), Sign.POSITIVE), (x - c(3), Sign.NEGATIVE), (x - c(2), Sign.ZERO),
-                        (c(7), Sign.POSITIVE)]:
-        with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq, \
-                mock.patch.object(linalg, "_taylor_sign", side_effect=AssertionError):
-            assert sign_at_perron_root(h, pd) == expected, h.pretty()
-        assert tq.call_count == 1
+    for h in (x - c(1), x - c(3), x - c(2), c(7)):
+        with pytest.raises(InvalidMatrix):
+            sign_at_perron_root(h, pd)
+    assert sign_at_perron_root(Poly(()), pd) == Sign.ZERO
 
 
-def test_perron_data_with_ends_off_the_dyadic_grid_goes_straight_to_the_tarski_query():
-    # the halvings run on numerators over a power of two; a hand-built
-    # interval with another denominator is decided by the Tarski query alone
+def test_perron_data_with_ends_off_the_dyadic_grid_is_refused():
+    # the halvings run on numerators over a power of two, so a hand-built
+    # interval with another denominator is refused
     x, c = Poly.x(), Poly.constant
     p = (x - c(2)) * (x + c(5))
     for lo, hi in [(Fraction(1, 3), Fraction(3)), (Fraction(3, 2), Fraction(12, 5))]:
         pd = PerronData(p, lo, hi, ((1,), (0,)), 1, ((0, 1),))
-        assert list(linalg._halvings(p, lo, hi)) == []
-        for h, expected in [(x - c(1), Sign.POSITIVE), (x - c(3), Sign.NEGATIVE), (x - c(2), Sign.ZERO)]:
-            with mock.patch.object(linalg, "tarski_query", wraps=linalg.tarski_query) as tq:
-                assert sign_at_perron_root(h, pd) == expected, h.pretty()
-            assert tq.call_count == 1
+        for h in (x - c(1), x - c(3), x - c(2)):
+            with pytest.raises(InvalidMatrix):
+                sign_at_perron_root(h, pd)
+        assert sign_at_perron_root(Poly(()), pd) == Sign.ZERO
 
 
 def test_refined_intervals_each_hold_the_perron_root_alone():
@@ -1171,9 +1223,8 @@ def test_refined_intervals_each_hold_the_perron_root_alone():
     for m, rho, _ in _perron_cases():
         pd = isolate_perron_root(m)
         intervals = [(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
-                     for lo, hi, e in linalg._halvings(pd.poly, pd.lo, pd.hi)]
+                     for lo, hi, e in islice(linalg._halvings(pd.poly, pd.lo, pd.hi), 40)]
         assert intervals[0] == (pd.lo, pd.hi)
-        assert len(intervals) <= linalg._HALVINGS + 1
         for (lo0, hi0), (lo, hi) in zip(intervals, intervals[1:]):
             assert lo0 <= lo <= hi <= hi0
             assert lo == hi or hi - lo == (hi0 - lo0) / 2
@@ -1187,7 +1238,7 @@ def test_refined_intervals_each_hold_the_perron_root_alone():
             at_root += 1
         else:
             assert count_roots(pd.poly, lo, hi) == 1, (m, lo, hi)
-            assert len(intervals) == linalg._HALVINGS + 1
+            assert len(intervals) == 40
     assert at_root > 0
 
 
